@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+mod audit;
 pub mod baseline;
 mod cdv;
 mod config;
@@ -68,6 +69,7 @@ mod sof_cache;
 mod switch;
 mod tables;
 
+pub use audit::{FailureImpact, GuaranteeViolation};
 pub use cdv::CdvPolicy;
 pub use config::{Priority, SwitchConfig};
 pub use connection::{ConnectionId, ConnectionRequest};

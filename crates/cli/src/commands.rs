@@ -7,15 +7,16 @@ use std::sync::Arc;
 use rtcac_bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::Priority;
 use rtcac_engine::{AdmissionEngine, EngineOutcome, EnginePool};
-use rtcac_fault::{endpoint_pairs, run_chaos, ChaosConfig, ChaosReport, FaultPlan};
+use rtcac_fault::{endpoint_pairs, run_chaos, ChaosConfig, FaultPlan};
 use rtcac_net::{LinkId, NodeId};
 use rtcac_obs::{chrome_trace, render_spans, Sampling, Tracer};
 use rtcac_rational::Ratio;
 use rtcac_rtnet::{workload, CdvMode};
-use rtcac_signaling::{CrankbackPolicy, Network, SetupOutcome};
+use rtcac_signaling::Network;
 use rtcac_sim::Simulation;
 
-use crate::scenario::{ConnectionSpec, RouteKind, Scenario, ScenarioAction};
+use crate::replay::{Detour, Driver, EngineDriver, Replay, Step};
+use crate::scenario::{RouteKind, Scenario, ScenarioAction};
 use crate::CliError;
 
 /// Parameters of the `bound` calculator.
@@ -103,105 +104,129 @@ pub fn bound(args: &BoundArgs) -> Result<String, CliError> {
 /// embedded `chaos` directive violates the engine's safety invariants;
 /// CAC rejections are reported in the output, not raised.
 pub fn check(scenario: &Scenario) -> Result<String, CliError> {
-    let mut network = build_network(scenario)?;
+    let mut replay = Replay::new(scenario, build_network(scenario)?, None);
     let mut out = String::new();
+    echo_replay(&mut replay, true, &mut out)?;
+    port_report(scenario, &replay.driver, &mut out)?;
+    Ok(out)
+}
+
+/// Replays every directive of the scenario, echoing one line per
+/// [`Step`]. `verbose` is the `check` echo (fault impact, chaos
+/// summary — a violated chaos session is an error — and the closing
+/// `summary:` line); otherwise the terse `trace` echo. A unicast
+/// connect's line counts its hops when the driver kept the ledger — one
+/// row per queueing point of the route actually committed (a crankback
+/// may have left the preferred one); the serial walk always does, the
+/// engine captures none here.
+fn echo_replay<D: Driver>(
+    replay: &mut Replay<'_, D>,
+    verbose: bool,
+    out: &mut String,
+) -> Result<(), CliError> {
+    let scenario = replay.scenario;
     let mut connected = 0;
-    let mut established: std::collections::BTreeMap<usize, rtcac_cac::ConnectionId> =
-        std::collections::BTreeMap::new();
     for action in &scenario.actions {
-        match *action {
-            ScenarioAction::Connect(i) => {
-                let spec = &scenario.connections[i];
-                if let Some(id) = connect_one(&mut network, scenario, spec, &mut out)? {
-                    connected += 1;
-                    established.insert(i, id);
-                }
-            }
-            ScenarioAction::Release(i) => {
-                let spec = &scenario.connections[i];
-                let live = match (&spec.route, established.get(&i)) {
-                    (RouteKind::Unicast(_), Some(&id)) if network.connection(id).is_some() => {
-                        network.teardown(id).map_err(CliError::domain)?;
-                        true
+        let step = replay.step(action)?;
+        match &step {
+            Step::Connected {
+                index,
+                delay,
+                detour,
+            } => {
+                connected += 1;
+                let spec = &scenario.connections[*index];
+                let name = &spec.name;
+                let _ = match &spec.route {
+                    RouteKind::Multicast(tree) => write!(
+                        out,
+                        "{name}: CONNECTED (p2mp) worst_leaf_delay={delay} cells over {} leaves",
+                        tree.leaves().len()
+                    ),
+                    RouteKind::Unicast(_) => {
+                        let hops = replay.driver.admission_report().map(|l| l.rows.len());
+                        let hops = hops.map_or_else(String::new, |n| format!(" over {n} hops"));
+                        write!(
+                            out,
+                            "{name}: CONNECTED guaranteed_delay={delay} cells{hops}"
+                        )
                     }
-                    (RouteKind::Multicast(_), Some(&id))
-                        if network.multicast_connection(id).is_some() =>
-                    {
-                        network.teardown_multicast(id).map_err(CliError::domain)?;
-                        true
-                    }
-                    _ => false,
                 };
-                let _ = writeln!(
-                    out,
-                    "release {}: {}",
-                    spec.name,
-                    if live { "released" } else { "not established" }
-                );
-            }
-            ScenarioAction::DegradeLink(link, cdv) => {
-                network
-                    .set_link_cdv_inflation(link, cdv)
-                    .map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "degrade-link {}: cdv +{cdv} cells",
-                    link_label(scenario, link)
-                );
-            }
-            ScenarioAction::RestoreLink(link) => {
-                network
-                    .set_link_cdv_inflation(link, Time::ZERO)
-                    .map_err(CliError::domain)?;
-                let _ = writeln!(out, "restore-link {}: restored", link_label(scenario, link));
-            }
-            ScenarioAction::FailLink(link) => {
-                let impact = network.fail_link(link).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "fail-link {}: {}",
-                    link_label(scenario, link),
-                    if impact.is_changed() {
-                        format!("down, {} connection(s) torn down", impact.torn_down().len())
-                    } else {
-                        "already down".into()
+                let _ = match detour {
+                    Some(Detour::Crankback {
+                        rejected,
+                        backoff_cells,
+                    }) => writeln!(
+                        out,
+                        " (crankback: {rejected} rejected attempt(s), backoff {backoff_cells} cells)"
+                    ),
+                    Some(Detour::Rerouted { attempts }) => {
+                        writeln!(out, " (rerouted after {attempts} attempt(s))")
                     }
-                );
+                    None => writeln!(out),
+                };
             }
-            ScenarioAction::HealLink(link) => {
-                let healed = network.heal_link(link).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "heal-link {}: {}",
-                    link_label(scenario, link),
-                    if healed { "restored" } else { "already up" }
-                );
+            Step::Rejected {
+                index,
+                reason,
+                crankback_attempts,
+            } => {
+                let name = &scenario.connections[*index].name;
+                let _ = match crankback_attempts {
+                    Some(n) => writeln!(
+                        out,
+                        "{name}: REJECTED after {n} crankback attempt(s) ({reason})"
+                    ),
+                    None => writeln!(out, "{name}: REJECTED ({reason})"),
+                };
             }
-            ScenarioAction::FailNode(node) => {
-                let impact = network.fail_node(node).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "fail-node {}: {}",
-                    node_label(scenario, node),
-                    if impact.is_changed() {
-                        format!("down, {} connection(s) torn down", impact.torn_down().len())
-                    } else {
-                        "already down".into()
-                    }
-                );
+            Step::Released { live } => {
+                let state = if *live { "released" } else { "not established" };
+                let _ = writeln!(out, "{}: {state}", scenario.directive_label(action));
             }
-            ScenarioAction::HealNode(node) => {
-                let healed = network.heal_node(node).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "heal-node {}: {}",
-                    node_label(scenario, node),
-                    if healed { "restored" } else { "already up" }
-                );
+            Step::Degraded { link, cdv } => {
+                let link = link_label(scenario, *link);
+                let _ = match cdv {
+                    Some(cdv) => writeln!(out, "degrade-link {link}: cdv +{cdv} cells"),
+                    None => writeln!(out, "restore-link {link}: restored"),
+                };
             }
-            ScenarioAction::Chaos { seed, steps, rate } => {
-                let report = run_scenario_chaos(scenario, seed, steps, rate, None)?;
-                let _ = writeln!(out, "chaos seed={seed} steps={steps} rate={rate}%:");
+            Step::Failed { changed, torn_down } => {
+                let _ = write!(out, "{}", scenario.directive_label(action));
+                let _ = match (verbose, changed) {
+                    (false, _) => writeln!(out),
+                    (true, true) => writeln!(out, ": down, {torn_down} connection(s) torn down"),
+                    (true, false) => writeln!(out, ": already down"),
+                };
+            }
+            Step::Healed { changed } => {
+                let _ = write!(out, "{}", scenario.directive_label(action));
+                let _ = match (verbose, changed) {
+                    (false, _) => writeln!(out),
+                    (true, true) => writeln!(out, ": restored"),
+                    (true, false) => writeln!(out, ": already up"),
+                };
+            }
+            Step::Chaos {
+                seed,
+                steps,
+                rate,
+                report,
+            } => {
+                let _ = write!(out, "chaos seed={seed} steps={steps} rate={rate}%:");
+                if !verbose {
+                    let _ = writeln!(
+                        out,
+                        " invariants {}",
+                        if report.invariants_hold() {
+                            "OK"
+                        } else {
+                            "VIOLATED"
+                        }
+                    );
+                    continue;
+                }
+                let _ = writeln!(out);
                 for line in report.summary().lines() {
                     let _ = writeln!(out, "  {line}");
                 }
@@ -214,155 +239,52 @@ pub fn check(scenario: &Scenario) -> Result<String, CliError> {
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "summary: {connected}/{} connected",
-        scenario.connections.len()
-    );
-    // Final computed bounds per active port.
-    for node in network.topology().switches().map(|n| n.id()) {
-        let switch = network.switch(node).map_err(CliError::domain)?;
-        for link in switch.active_out_links() {
-            for p in switch.config().priorities() {
-                let bound = switch.computed_bound(link, p).map_err(CliError::domain)?;
+    if verbose {
+        let _ = writeln!(
+            out,
+            "summary: {connected}/{} connected",
+            scenario.connections.len()
+        );
+    }
+    Ok(())
+}
+
+/// Appends the final computed bound of every active port.
+fn port_report<D: Driver>(
+    scenario: &Scenario,
+    driver: &D,
+    out: &mut String,
+) -> Result<(), CliError> {
+    let default = default_switch_config()?;
+    for node in scenario.topology.switches().map(|n| n.id()) {
+        let config = scenario.switch_configs.get(&node).unwrap_or(&default);
+        for link in scenario.topology.links_from(node).map(|l| l.id()) {
+            for p in config.priorities() {
+                let bound = driver.computed_bound(node, link, p)?;
                 if bound.is_positive() {
-                    let name = scenario
-                        .link_name(link)
-                        .map(str::to_owned)
-                        .unwrap_or_else(|| link.to_string());
                     let _ = writeln!(
                         out,
-                        "port {name} {p}: computed bound {bound} / advertised {}",
-                        switch.advertised_bound(p).map_err(CliError::domain)?
+                        "port {} {p}: computed bound {bound} / advertised {}",
+                        link_label(scenario, link),
+                        config.bound(p).map_err(CliError::domain)?
                     );
                 }
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Establishes one scenario connection over the live network,
-/// appending its report line; returns the connection id if it
-/// connected.
-fn connect_one(
-    network: &mut Network,
-    scenario: &Scenario,
-    spec: &ConnectionSpec,
-    out: &mut String,
-) -> Result<Option<rtcac_cac::ConnectionId>, CliError> {
-    if let Some(retries) = spec.crankback {
-        let RouteKind::Unicast(route) = &spec.route else {
-            return Err(CliError::Usage(format!(
-                "'{}': crankback applies to unicast connects only",
-                spec.name
-            )));
-        };
-        let from = route.source(&scenario.topology).map_err(CliError::domain)?;
-        let to = route
-            .destination(&scenario.topology)
-            .map_err(CliError::domain)?;
-        let policy = CrankbackPolicy {
-            max_retries: retries,
-            ..CrankbackPolicy::default()
-        };
-        let result = network
-            .setup_crankback(from, to, spec.request, policy)
-            .map_err(CliError::domain)?;
-        return Ok(match &result.outcome {
-            SetupOutcome::Connected(info) => {
-                let _ = writeln!(
-                    out,
-                    "{}: CONNECTED guaranteed_delay={} cells over {} hops \
-                     (crankback: {} rejected attempt(s), backoff {} cells)",
-                    spec.name,
-                    info.guaranteed_delay(),
-                    info.per_hop_bounds().len(),
-                    result.attempts.len(),
-                    result.backoff_cells
-                );
-                Some(info.id())
-            }
-            SetupOutcome::Rejected(why) => {
-                let _ = writeln!(
-                    out,
-                    "{}: REJECTED after {} crankback attempt(s) ({why})",
-                    spec.name,
-                    result.attempts.len()
-                );
-                None
-            }
-        });
+/// Refuses a scenario with anything but connects in it, naming the
+/// first such directive and `why` this command cannot take it.
+fn require_connect_only(scenario: &Scenario, why: &str) -> Result<(), CliError> {
+    match scenario.first_non_connect() {
+        None => Ok(()),
+        Some(directive) => Err(CliError::Usage(format!(
+            "the scenario contains '{directive}'; {why} — replay the directives \
+             in file order with 'rtcac check' (add --engine for the sharded driver)"
+        ))),
     }
-    Ok(match &spec.route {
-        RouteKind::Unicast(route) => match network
-            .setup(route, spec.request)
-            .map_err(CliError::domain)?
-        {
-            SetupOutcome::Connected(info) => {
-                let _ = writeln!(
-                    out,
-                    "{}: CONNECTED guaranteed_delay={} cells over {} hops",
-                    spec.name,
-                    info.guaranteed_delay(),
-                    info.per_hop_bounds().len()
-                );
-                Some(info.id())
-            }
-            SetupOutcome::Rejected(why) => {
-                let _ = writeln!(out, "{}: REJECTED ({why})", spec.name);
-                None
-            }
-        },
-        RouteKind::Multicast(tree) => match network
-            .setup_multicast(tree, spec.request)
-            .map_err(CliError::domain)?
-        {
-            rtcac_signaling::MulticastOutcome::Connected(info) => {
-                let _ = writeln!(
-                    out,
-                    "{}: CONNECTED (p2mp) worst_leaf_delay={} cells over {} leaves",
-                    spec.name,
-                    info.guaranteed_delay(),
-                    info.per_leaf().len()
-                );
-                Some(info.id())
-            }
-            rtcac_signaling::MulticastOutcome::Rejected(why) => {
-                let _ = writeln!(out, "{}: REJECTED ({why})", spec.name);
-                None
-            }
-        },
-    })
-}
-
-/// Runs a `chaos` scenario directive: a seeded chaos session against a
-/// fresh admission engine built over the scenario's topology and
-/// switch configs (independent of the signaling network's state).
-fn run_scenario_chaos(
-    scenario: &Scenario,
-    seed: u64,
-    steps: u64,
-    rate: u64,
-    tracer: Option<&rtcac_obs::Tracer>,
-) -> Result<ChaosReport, CliError> {
-    let mut engine = build_engine(scenario, None)?;
-    if let Some(tracer) = tracer {
-        engine.set_tracer(tracer.clone());
-    }
-    let plan = FaultPlan::random(engine.topology(), seed, steps, rate);
-    let pairs = endpoint_pairs(engine.topology());
-    run_chaos(
-        &engine,
-        &pairs,
-        &plan,
-        &ChaosConfig {
-            seed,
-            steps,
-            ..ChaosConfig::default()
-        },
-    )
-    .map_err(CliError::domain)
 }
 
 /// Per-setup results of one engine batch: admission outcome, or the
@@ -382,13 +304,7 @@ fn run_engine_scenario(
     registry: Option<&Arc<rtcac_obs::Registry>>,
     tracer: Option<&Tracer>,
 ) -> Result<(Arc<AdmissionEngine>, BatchResults), CliError> {
-    if scenario.has_fault_actions() {
-        return Err(CliError::Usage(
-            "the scenario contains fault directives; replay them serially with \
-             'rtcac check' (or run a standalone session with 'rtcac chaos')"
-                .into(),
-        ));
-    }
+    require_connect_only(scenario, "a batch admits connects only")?;
     let mut engine = build_engine(scenario, registry)?;
     if let Some(tracer) = tracer {
         engine.set_tracer(tracer.clone());
@@ -429,8 +345,7 @@ pub(crate) fn build_engine(
     scenario: &Scenario,
     registry: Option<&Arc<rtcac_obs::Registry>>,
 ) -> Result<AdmissionEngine, CliError> {
-    let default =
-        rtcac_cac::SwitchConfig::uniform(1, Time::from_integer(32)).map_err(CliError::domain)?;
+    let default = default_switch_config()?;
     let mut engine = match registry {
         Some(registry) => AdmissionEngine::with_registry(
             scenario.topology.clone(),
@@ -529,61 +444,11 @@ pub fn engine(
         stats.cache_hits,
         stats.cache_hits + stats.cache_misses
     );
-    // Final computed bounds per active port, served from the shard
-    // caches (warm after the batch).
-    engine_port_report(scenario, &engine, &mut out)?;
+    port_report(scenario, &EngineDriver::new(engine), &mut out)?;
     if let (Some(path), Some(registry)) = (metrics_path, &registry) {
-        let snapshot = registry.snapshot();
-        let json_path = format!("{path}.json");
-        write_metrics_file(path, &snapshot.to_prometheus())?;
-        write_metrics_file(&json_path, &snapshot.to_json())?;
-        let _ = writeln!(
-            out,
-            "metrics: wrote {path} (prometheus) and {json_path} (json)"
-        );
+        export_metrics(registry, path, &mut out)?;
     }
     Ok(out)
-}
-
-/// Appends the engine's final computed bounds per active port, served
-/// from the shard caches (warm after a batch or replay).
-fn engine_port_report(
-    scenario: &Scenario,
-    engine: &AdmissionEngine,
-    out: &mut String,
-) -> Result<(), CliError> {
-    for node in scenario.topology.switches().map(|n| n.id()) {
-        if engine
-            .shard_connection_count(node)
-            .map_err(CliError::domain)?
-            == 0
-        {
-            continue;
-        }
-        let config = scenario
-            .switch_configs
-            .get(&node)
-            .cloned()
-            .unwrap_or_else(|| {
-                rtcac_cac::SwitchConfig::uniform(1, Time::from_integer(32)).unwrap()
-            });
-        for link in scenario.topology.links_from(node).map(|l| l.id()) {
-            for p in config.priorities() {
-                let bound = engine
-                    .computed_bound(node, link, p)
-                    .map_err(CliError::domain)?;
-                if bound.is_positive() {
-                    let _ = writeln!(
-                        out,
-                        "port {} {p}: computed bound {bound} / advertised {}",
-                        link_label(scenario, link),
-                        config.bound(p).map_err(CliError::domain)?
-                    );
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// `rtcac check --engine`: replay the scenario's actions in file order
@@ -606,193 +471,35 @@ fn engine_port_report(
 /// CAC rejections are reported in the output, not raised.
 pub fn check_engine(scenario: &Scenario, metrics_path: Option<&str>) -> Result<String, CliError> {
     let registry = Arc::new(rtcac_obs::Registry::new());
-    let engine = build_engine(scenario, Some(&registry))?;
+    let engine = Arc::new(build_engine(scenario, Some(&registry))?);
+    let mut replay = Replay::new(scenario, EngineDriver::new(engine), None);
     let mut out = String::new();
-    let mut connected = 0;
-    let mut established: std::collections::BTreeMap<usize, rtcac_cac::ConnectionId> =
-        std::collections::BTreeMap::new();
-    for action in &scenario.actions {
-        match *action {
-            ScenarioAction::Connect(i) => {
-                let spec = &scenario.connections[i];
-                if let Some(id) = engine_connect_one(&engine, spec, &mut out)? {
-                    connected += 1;
-                    established.insert(i, id);
-                }
-            }
-            ScenarioAction::Release(i) => {
-                let spec = &scenario.connections[i];
-                let live = match established.get(&i) {
-                    // A fault may have torn the connection down since
-                    // it was established; the registry probe keeps the
-                    // replay in lockstep with the serial driver.
-                    Some(&id) if engine.per_leaf_bounds(id).is_some() => {
-                        engine.release(id).map_err(CliError::domain)?;
-                        true
-                    }
-                    _ => false,
-                };
-                let _ = writeln!(
-                    out,
-                    "release {}: {}",
-                    spec.name,
-                    if live { "released" } else { "not established" }
-                );
-            }
-            ScenarioAction::DegradeLink(link, cdv) => {
-                engine
-                    .set_link_cdv_inflation(link, cdv)
-                    .map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "degrade-link {}: cdv +{cdv} cells",
-                    link_label(scenario, link)
-                );
-            }
-            ScenarioAction::RestoreLink(link) => {
-                engine
-                    .set_link_cdv_inflation(link, Time::ZERO)
-                    .map_err(CliError::domain)?;
-                let _ = writeln!(out, "restore-link {}: restored", link_label(scenario, link));
-            }
-            ScenarioAction::FailLink(link) => {
-                let impact = engine.fail_link(link).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "fail-link {}: {}",
-                    link_label(scenario, link),
-                    if impact.is_changed() {
-                        format!("down, {} connection(s) torn down", impact.torn_down().len())
-                    } else {
-                        "already down".into()
-                    }
-                );
-            }
-            ScenarioAction::HealLink(link) => {
-                let healed = engine.heal_link(link).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "heal-link {}: {}",
-                    link_label(scenario, link),
-                    if healed { "restored" } else { "already up" }
-                );
-            }
-            ScenarioAction::FailNode(node) => {
-                let impact = engine.fail_node(node).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "fail-node {}: {}",
-                    node_label(scenario, node),
-                    if impact.is_changed() {
-                        format!("down, {} connection(s) torn down", impact.torn_down().len())
-                    } else {
-                        "already down".into()
-                    }
-                );
-            }
-            ScenarioAction::HealNode(node) => {
-                let healed = engine.heal_node(node).map_err(CliError::domain)?;
-                let _ = writeln!(
-                    out,
-                    "heal-node {}: {}",
-                    node_label(scenario, node),
-                    if healed { "restored" } else { "already up" }
-                );
-            }
-            ScenarioAction::Chaos { seed, steps, rate } => {
-                let report = run_scenario_chaos(scenario, seed, steps, rate, None)?;
-                let _ = writeln!(out, "chaos seed={seed} steps={steps} rate={rate}%:");
-                for line in report.summary().lines() {
-                    let _ = writeln!(out, "  {line}");
-                }
-                if !report.invariants_hold() {
-                    return Err(CliError::Domain(format!(
-                        "chaos seed={seed} violated the safety invariants:\n{}",
-                        report.summary()
-                    )));
-                }
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "summary: {connected}/{} connected",
-        scenario.connections.len()
-    );
-    let orphans = engine.publish_orphan_audit();
+    echo_replay(&mut replay, true, &mut out)?;
+    let orphans = replay.driver.engine.publish_orphan_audit();
     let _ = writeln!(out, "orphaned reservations: {orphans}");
-    engine_port_report(scenario, &engine, &mut out)?;
+    port_report(scenario, &replay.driver, &mut out)?;
     if let Some(path) = metrics_path {
-        let snapshot = registry.snapshot();
-        let json_path = format!("{path}.json");
-        write_metrics_file(path, &snapshot.to_prometheus())?;
-        write_metrics_file(&json_path, &snapshot.to_json())?;
-        let _ = writeln!(
-            out,
-            "metrics: wrote {path} (prometheus) and {json_path} (json)"
-        );
+        export_metrics(&registry, path, &mut out)?;
     }
     Ok(out)
 }
 
-/// Establishes one scenario connection through the engine, appending
-/// its report line; returns 1 if it connected. Unlike the serial
-/// replay, crankback is the engine's built-in reroute search — a
-/// `crankback=` budget on the spec selects it but the engine decides
-/// the attempts.
-fn engine_connect_one(
-    engine: &AdmissionEngine,
-    spec: &ConnectionSpec,
+/// Writes the registry's snapshot to `path` (Prometheus text) and
+/// `path.json`, and says so in `out`.
+pub(crate) fn export_metrics(
+    registry: &rtcac_obs::Registry,
+    path: &str,
     out: &mut String,
-) -> Result<Option<rtcac_cac::ConnectionId>, CliError> {
-    let outcome = match &spec.route {
-        RouteKind::Unicast(route) => engine
-            .admit(route, spec.request)
-            .map_err(CliError::domain)?,
-        RouteKind::Multicast(tree) => engine
-            .admit_multicast(tree, spec.request)
-            .map_err(CliError::domain)?,
-    };
-    Ok(match outcome {
-        EngineOutcome::Admitted {
-            id,
-            guaranteed_delay,
-        } => {
-            if let RouteKind::Multicast(_) = &spec.route {
-                let leaves = engine.per_leaf_bounds(id).map_or(0, |b| b.len());
-                let _ = writeln!(
-                    out,
-                    "{}: CONNECTED (p2mp) worst_leaf_delay={guaranteed_delay} cells over {leaves} leaves",
-                    spec.name
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{}: CONNECTED guaranteed_delay={guaranteed_delay} cells",
-                    spec.name
-                );
-            }
-            Some(id)
-        }
-        EngineOutcome::Rerouted {
-            id,
-            guaranteed_delay,
-            attempts,
-            ..
-        } => {
-            let _ = writeln!(
-                out,
-                "{}: CONNECTED guaranteed_delay={guaranteed_delay} cells \
-                 (rerouted after {attempts} attempt(s))",
-                spec.name
-            );
-            Some(id)
-        }
-        EngineOutcome::Rejected { rejection, .. } => {
-            let _ = writeln!(out, "{}: REJECTED ({rejection})", spec.name);
-            None
-        }
-    })
+) -> Result<(), CliError> {
+    let snapshot = registry.snapshot();
+    let json_path = format!("{path}.json");
+    write_metrics_file(path, &snapshot.to_prometheus())?;
+    write_metrics_file(&json_path, &snapshot.to_json())?;
+    let _ = writeln!(
+        out,
+        "metrics: wrote {path} (prometheus) and {json_path} (json)"
+    );
+    Ok(())
 }
 
 /// Writes a metrics exposition to `path`, creating any missing parent
@@ -876,177 +583,26 @@ pub fn trace(
 ) -> Result<String, CliError> {
     let tracer = Tracer::new(Sampling::Always);
     let mut out = String::new();
-    if engine_mode {
-        if scenario.has_fault_actions() {
-            let mut engine = build_engine(scenario, None)?;
-            engine.set_tracer(tracer.clone());
-            let mut established: std::collections::BTreeMap<usize, rtcac_cac::ConnectionId> =
-                std::collections::BTreeMap::new();
-            for action in &scenario.actions {
-                match *action {
-                    ScenarioAction::Connect(i) => {
-                        if let Some(id) =
-                            engine_connect_one(&engine, &scenario.connections[i], &mut out)?
-                        {
-                            established.insert(i, id);
-                        }
-                    }
-                    ScenarioAction::Release(i) => {
-                        let spec = &scenario.connections[i];
-                        let live = match established.get(&i) {
-                            Some(&id) if engine.per_leaf_bounds(id).is_some() => {
-                                engine.release(id).map_err(CliError::domain)?;
-                                true
-                            }
-                            _ => false,
-                        };
-                        let _ = writeln!(
-                            out,
-                            "release {}: {}",
-                            spec.name,
-                            if live { "released" } else { "not established" }
-                        );
-                    }
-                    ScenarioAction::DegradeLink(link, cdv) => {
-                        engine
-                            .set_link_cdv_inflation(link, cdv)
-                            .map_err(CliError::domain)?;
-                        let _ = writeln!(
-                            out,
-                            "degrade-link {}: cdv +{cdv} cells",
-                            link_label(scenario, link)
-                        );
-                    }
-                    ScenarioAction::RestoreLink(link) => {
-                        engine
-                            .set_link_cdv_inflation(link, Time::ZERO)
-                            .map_err(CliError::domain)?;
-                        let _ =
-                            writeln!(out, "restore-link {}: restored", link_label(scenario, link));
-                    }
-                    ScenarioAction::FailLink(link) => {
-                        engine.fail_link(link).map_err(CliError::domain)?;
-                        let _ = writeln!(out, "fail-link {}", link_label(scenario, link));
-                    }
-                    ScenarioAction::HealLink(link) => {
-                        engine.heal_link(link).map_err(CliError::domain)?;
-                        let _ = writeln!(out, "heal-link {}", link_label(scenario, link));
-                    }
-                    ScenarioAction::FailNode(node) => {
-                        engine.fail_node(node).map_err(CliError::domain)?;
-                        let _ = writeln!(out, "fail-node {}", node_label(scenario, node));
-                    }
-                    ScenarioAction::HealNode(node) => {
-                        engine.heal_node(node).map_err(CliError::domain)?;
-                        let _ = writeln!(out, "heal-node {}", node_label(scenario, node));
-                    }
-                    ScenarioAction::Chaos { seed, steps, rate } => {
-                        let report =
-                            run_scenario_chaos(scenario, seed, steps, rate, Some(&tracer))?;
-                        let _ = writeln!(
-                            out,
-                            "chaos seed={seed} steps={steps} rate={rate}%: invariants {}",
-                            if report.invariants_hold() {
-                                "OK"
-                            } else {
-                                "VIOLATED"
-                            }
-                        );
-                    }
-                }
-            }
-        } else {
-            let (_engine, outcomes) = run_engine_scenario(scenario, workers, None, Some(&tracer))?;
-            for (spec, outcome) in scenario.connections.iter().zip(&outcomes) {
-                let verdict = match outcome.as_ref().map_err(|e| CliError::domain(e.clone()))? {
-                    EngineOutcome::Admitted { .. } => "ADMITTED",
-                    EngineOutcome::Rerouted { .. } => "REROUTED",
-                    EngineOutcome::Rejected { .. } => "REJECTED",
-                };
-                let _ = writeln!(out, "{}: {verdict}", spec.name);
-            }
-        }
-    } else {
+    if !engine_mode {
         let mut network = build_network(scenario)?;
         network.set_tracer(tracer.clone());
-        let mut established: std::collections::BTreeMap<usize, rtcac_cac::ConnectionId> =
-            std::collections::BTreeMap::new();
-        for action in &scenario.actions {
-            match *action {
-                ScenarioAction::Connect(i) => {
-                    if let Some(id) =
-                        connect_one(&mut network, scenario, &scenario.connections[i], &mut out)?
-                    {
-                        established.insert(i, id);
-                    }
-                }
-                ScenarioAction::Release(i) => {
-                    let spec = &scenario.connections[i];
-                    let live = match (&spec.route, established.get(&i)) {
-                        (RouteKind::Unicast(_), Some(&id)) if network.connection(id).is_some() => {
-                            network.teardown(id).map_err(CliError::domain)?;
-                            true
-                        }
-                        (RouteKind::Multicast(_), Some(&id))
-                            if network.multicast_connection(id).is_some() =>
-                        {
-                            network.teardown_multicast(id).map_err(CliError::domain)?;
-                            true
-                        }
-                        _ => false,
-                    };
-                    let _ = writeln!(
-                        out,
-                        "release {}: {}",
-                        spec.name,
-                        if live { "released" } else { "not established" }
-                    );
-                }
-                ScenarioAction::DegradeLink(link, cdv) => {
-                    network
-                        .set_link_cdv_inflation(link, cdv)
-                        .map_err(CliError::domain)?;
-                    let _ = writeln!(
-                        out,
-                        "degrade-link {}: cdv +{cdv} cells",
-                        link_label(scenario, link)
-                    );
-                }
-                ScenarioAction::RestoreLink(link) => {
-                    network
-                        .set_link_cdv_inflation(link, Time::ZERO)
-                        .map_err(CliError::domain)?;
-                    let _ = writeln!(out, "restore-link {}: restored", link_label(scenario, link));
-                }
-                ScenarioAction::FailLink(link) => {
-                    network.fail_link(link).map_err(CliError::domain)?;
-                    let _ = writeln!(out, "fail-link {}", link_label(scenario, link));
-                }
-                ScenarioAction::HealLink(link) => {
-                    network.heal_link(link).map_err(CliError::domain)?;
-                    let _ = writeln!(out, "heal-link {}", link_label(scenario, link));
-                }
-                ScenarioAction::FailNode(node) => {
-                    network.fail_node(node).map_err(CliError::domain)?;
-                    let _ = writeln!(out, "fail-node {}", node_label(scenario, node));
-                }
-                ScenarioAction::HealNode(node) => {
-                    network.heal_node(node).map_err(CliError::domain)?;
-                    let _ = writeln!(out, "heal-node {}", node_label(scenario, node));
-                }
-                ScenarioAction::Chaos { seed, steps, rate } => {
-                    let report = run_scenario_chaos(scenario, seed, steps, rate, Some(&tracer))?;
-                    let _ = writeln!(
-                        out,
-                        "chaos seed={seed} steps={steps} rate={rate}%: invariants {}",
-                        if report.invariants_hold() {
-                            "OK"
-                        } else {
-                            "VIOLATED"
-                        }
-                    );
-                }
-            }
+        let mut replay = Replay::new(scenario, network, Some(&tracer));
+        echo_replay(&mut replay, false, &mut out)?;
+    } else if !scenario.is_connect_only() {
+        let mut engine = build_engine(scenario, None)?;
+        engine.set_tracer(tracer.clone());
+        let driver = EngineDriver::new(Arc::new(engine));
+        let mut replay = Replay::new(scenario, driver, Some(&tracer));
+        echo_replay(&mut replay, false, &mut out)?;
+    } else {
+        let (_engine, outcomes) = run_engine_scenario(scenario, workers, None, Some(&tracer))?;
+        for (spec, outcome) in scenario.connections.iter().zip(&outcomes) {
+            let verdict = match outcome.as_ref().map_err(|e| CliError::domain(e.clone()))? {
+                EngineOutcome::Admitted { .. } => "ADMITTED",
+                EngineOutcome::Rerouted { .. } => "REROUTED",
+                EngineOutcome::Rejected { .. } => "REJECTED",
+            };
+            let _ = writeln!(out, "{}: {verdict}", spec.name);
         }
     }
     let spans = tracer.snapshot();
@@ -1092,65 +648,18 @@ pub fn why(scenario: &Scenario, conn_name: &str) -> Result<String, CliError> {
         .ok_or_else(|| {
             CliError::Usage(format!("no connection named '{conn_name}' in the scenario"))
         })?;
-    let mut network = build_network(scenario)?;
-    let mut scratch = String::new();
+    let mut replay = Replay::new(scenario, build_network(scenario)?, None);
     let mut report: Option<rtcac_cac::AdmissionReport> = None;
-    let mut established: std::collections::BTreeMap<usize, rtcac_cac::ConnectionId> =
-        std::collections::BTreeMap::new();
     for action in &scenario.actions {
-        match *action {
-            ScenarioAction::Connect(i) => {
-                if let Some(id) = connect_one(
-                    &mut network,
-                    scenario,
-                    &scenario.connections[i],
-                    &mut scratch,
-                )? {
-                    established.insert(i, id);
-                }
-                if i == target {
-                    report = network.last_admission_report().cloned();
-                }
+        // Chaos runs against its own engine and cannot move the
+        // serial network's state, so a `why` replay skips it.
+        if matches!(action, ScenarioAction::Chaos { .. }) {
+            continue;
+        }
+        if let Step::Connected { index, .. } | Step::Rejected { index, .. } = replay.step(action)? {
+            if index == target {
+                report = replay.driver.admission_report();
             }
-            ScenarioAction::Release(i) => {
-                let spec = &scenario.connections[i];
-                match (&spec.route, established.get(&i)) {
-                    (RouteKind::Unicast(_), Some(&id)) if network.connection(id).is_some() => {
-                        network.teardown(id).map_err(CliError::domain)?;
-                    }
-                    (RouteKind::Multicast(_), Some(&id))
-                        if network.multicast_connection(id).is_some() =>
-                    {
-                        network.teardown_multicast(id).map_err(CliError::domain)?;
-                    }
-                    _ => {}
-                }
-            }
-            ScenarioAction::DegradeLink(link, cdv) => {
-                network
-                    .set_link_cdv_inflation(link, cdv)
-                    .map_err(CliError::domain)?;
-            }
-            ScenarioAction::RestoreLink(link) => {
-                network
-                    .set_link_cdv_inflation(link, Time::ZERO)
-                    .map_err(CliError::domain)?;
-            }
-            ScenarioAction::FailLink(link) => {
-                network.fail_link(link).map_err(CliError::domain)?;
-            }
-            ScenarioAction::HealLink(link) => {
-                network.heal_link(link).map_err(CliError::domain)?;
-            }
-            ScenarioAction::FailNode(node) => {
-                network.fail_node(node).map_err(CliError::domain)?;
-            }
-            ScenarioAction::HealNode(node) => {
-                network.heal_node(node).map_err(CliError::domain)?;
-            }
-            // Chaos runs against its own engine and cannot move the
-            // serial network's state, so a `why` replay skips it.
-            ScenarioAction::Chaos { .. } => {}
         }
     }
     let report = report.ok_or_else(|| {
@@ -1301,36 +810,18 @@ pub fn simulate(
     slots: u64,
     jitter: Option<(u64, u64)>,
 ) -> Result<String, CliError> {
-    if scenario.has_fault_actions() {
-        return Err(CliError::Usage(
-            "the scenario contains fault directives; the simulator measures a \
-             static admitted set — replay faults with 'rtcac check'"
-                .into(),
-        ));
+    require_connect_only(scenario, "the simulator measures a static admitted set")?;
+    let mut replay = Replay::new(scenario, build_network(scenario)?, None);
+    for action in &scenario.actions {
+        replay.step(action)?;
     }
-    let mut network = build_network(scenario)?;
-    let mut admitted_names: Vec<(rtcac_cac::ConnectionId, String)> = Vec::new();
-    for spec in &scenario.connections {
-        match &spec.route {
-            RouteKind::Unicast(route) => {
-                if let SetupOutcome::Connected(info) = network
-                    .setup(route, spec.request)
-                    .map_err(CliError::domain)?
-                {
-                    admitted_names.push((info.id(), spec.name.clone()));
-                }
-            }
-            RouteKind::Multicast(tree) => {
-                if let rtcac_signaling::MulticastOutcome::Connected(info) = network
-                    .setup_multicast(tree, spec.request)
-                    .map_err(CliError::domain)?
-                {
-                    admitted_names.push((info.id(), spec.name.clone()));
-                }
-            }
-        }
-    }
-    let mut sim = Simulation::from_network(&network);
+    let network = &replay.driver;
+    let admitted_names: Vec<(rtcac_cac::ConnectionId, &str)> = replay
+        .established
+        .iter()
+        .map(|(&index, &id)| (id, scenario.connections[index].name.as_str()))
+        .collect();
+    let mut sim = Simulation::from_network(network);
     for info in network.multicast_connections() {
         sim.add_multicast(
             info.id(),
@@ -1534,14 +1025,7 @@ pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
     out.push_str(&report.summary());
     out.push('\n');
     if let Some(path) = &args.metrics {
-        let snapshot = registry.snapshot();
-        let json_path = format!("{path}.json");
-        write_metrics_file(path, &snapshot.to_prometheus())?;
-        write_metrics_file(&json_path, &snapshot.to_json())?;
-        let _ = writeln!(
-            out,
-            "metrics: wrote {path} (prometheus) and {json_path} (json)"
-        );
+        export_metrics(&registry, path, &mut out)?;
     }
     if let Some(path) = &args.bench_json {
         let snapshot = registry.snapshot();
@@ -1569,9 +1053,14 @@ pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The configuration of every switch the scenario does not configure
+/// itself: one priority, a 32-cell queue.
+pub(crate) fn default_switch_config() -> Result<rtcac_cac::SwitchConfig, CliError> {
+    rtcac_cac::SwitchConfig::uniform(1, Time::from_integer(32)).map_err(CliError::domain)
+}
+
 pub(crate) fn build_network(scenario: &Scenario) -> Result<Network, CliError> {
-    let default =
-        rtcac_cac::SwitchConfig::uniform(1, Time::from_integer(32)).map_err(CliError::domain)?;
+    let default = default_switch_config()?;
     let mut network = Network::new(scenario.topology.clone(), default, scenario.policy);
     for (&node, config) in &scenario.switch_configs {
         network
@@ -2413,14 +1902,55 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
     }
 
     #[test]
-    fn engine_and_simulate_refuse_fault_scenarios() {
+    fn batch_commands_refuse_by_naming_the_first_non_connect_directive() {
         let scenario = Scenario::parse(FAILOVER_SCENARIO).unwrap();
         let err = engine(&scenario, 2, None).unwrap_err();
-        assert!(err.to_string().contains("fault directives"), "{err}");
+        assert!(err.to_string().contains("'fail-link main'"), "{err}");
         let err = stats(&scenario, 2, false).unwrap_err();
-        assert!(err.to_string().contains("fault directives"), "{err}");
+        assert!(err.to_string().contains("'fail-link main'"), "{err}");
         let err = simulate(&scenario, 1_000, None).unwrap_err();
-        assert!(err.to_string().contains("fault directives"), "{err}");
+        assert!(err.to_string().contains("'fail-link main'"), "{err}");
+
+        // A release or a degrade is not a fault, and is not called one.
+        for (directive, named) in [
+            ("release fast", "'release fast'"),
+            ("degrade-link mid cdv=3/2", "'degrade-link mid cdv=3/2'"),
+        ] {
+            let scenario = Scenario::parse(&format!("{SCENARIO}{directive}\n")).unwrap();
+            for err in [
+                engine(&scenario, 2, None).unwrap_err(),
+                simulate(&scenario, 1_000, None).unwrap_err(),
+            ] {
+                let msg = err.to_string();
+                assert!(msg.contains(named), "{msg}");
+                assert!(!msg.contains("fault"), "{msg}");
+            }
+        }
+    }
+
+    /// A crankback connect with no healthy route at all is a verdict,
+    /// reported like any other rejection — on both drivers — and the
+    /// replay carries on.
+    #[test]
+    fn unroutable_crankback_is_a_rejection_not_a_replay_failure() {
+        let scenario = Scenario::parse(
+            "switch s1 bounds=64\nswitch s2 bounds=64\nendsystem a\nendsystem b\n\
+             link up a s1\nlink mid s1 s2\nlink down s2 b\nfail-link mid\n\
+             connect c1 from=a to=b crankback=2 contract=cbr:1/8 delay=256\n\
+             heal-link mid\n\
+             connect c2 from=a to=b crankback=2 contract=cbr:1/8 delay=256\n",
+        )
+        .unwrap();
+        let serial = check(&scenario).unwrap();
+        assert!(
+            serial.contains("c1: REJECTED after 0 crankback attempt(s) (topology error:"),
+            "{serial}"
+        );
+        assert!(serial.contains("c2: CONNECTED"), "{serial}");
+        assert!(serial.contains("summary: 1/2 connected"), "{serial}");
+        let sharded = check_engine(&scenario, None).unwrap();
+        assert!(sharded.contains("c1: REJECTED ("), "{sharded}");
+        assert!(sharded.contains("summary: 1/2 connected"), "{sharded}");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 pub mod commands;
 pub mod error;
+mod replay;
 pub mod scenario;
 pub mod storm;
 pub mod top;

@@ -290,12 +290,42 @@ impl Scenario {
         })
     }
 
-    /// Whether the scenario contains fault directives (fail/heal/
-    /// chaos) in addition to plain connects.
-    pub fn has_fault_actions(&self) -> bool {
+    /// Whether every directive is a plain connect — the only kind of
+    /// scenario a one-shot batch (`rtcac engine`, `rtcac simulate`,
+    /// `rtcac snapshot save`) can take; anything else (release,
+    /// degrade/restore, fail/heal, chaos) has to be replayed in file
+    /// order.
+    pub fn is_connect_only(&self) -> bool {
+        self.first_non_connect().is_none()
+    }
+
+    /// The first directive that is not a connect, as
+    /// [`Scenario::directive_label`] renders it.
+    pub(crate) fn first_non_connect(&self) -> Option<String> {
         self.actions
             .iter()
-            .any(|a| !matches!(a, ScenarioAction::Connect(_)))
+            .find(|a| !matches!(a, ScenarioAction::Connect(_)))
+            .map(|a| self.directive_label(a))
+    }
+
+    /// The canonical text of a directive: its keyword and operands, by
+    /// scenario name (a connect is abbreviated to its name).
+    pub(crate) fn directive_label(&self, action: &ScenarioAction) -> String {
+        let link = |l| self.link_name(l).unwrap_or("?");
+        let node = |n| self.node_name(n).unwrap_or("?");
+        match *action {
+            ScenarioAction::Connect(i) => format!("connect {}", self.connections[i].name),
+            ScenarioAction::Release(i) => format!("release {}", self.connections[i].name),
+            ScenarioAction::FailLink(l) => format!("fail-link {}", link(l)),
+            ScenarioAction::HealLink(l) => format!("heal-link {}", link(l)),
+            ScenarioAction::FailNode(n) => format!("fail-node {}", node(n)),
+            ScenarioAction::HealNode(n) => format!("heal-node {}", node(n)),
+            ScenarioAction::DegradeLink(l, cdv) => format!("degrade-link {} cdv={cdv}", link(l)),
+            ScenarioAction::RestoreLink(l) => format!("restore-link {}", link(l)),
+            ScenarioAction::Chaos { seed, steps, rate } => {
+                format!("chaos seed={seed} steps={steps} rate={rate}")
+            }
+        }
     }
 
     /// Looks up a node by scenario name.
@@ -950,7 +980,7 @@ fail-node s2\n\
 heal-node s2\n\
 chaos seed=7 steps=50 rate=30\n";
         let s = Scenario::parse(text).unwrap();
-        assert!(s.has_fault_actions());
+        assert!(!s.is_connect_only());
         assert_eq!(s.connections.len(), 2);
         assert_eq!(s.connections[0].crankback, None);
         assert_eq!(s.connections[1].crankback, Some(2));
@@ -976,7 +1006,7 @@ chaos seed=7 steps=50 rate=30\n";
 
         // A connect-only scenario has no fault actions.
         let plain = Scenario::parse(GOOD).unwrap();
-        assert!(!plain.has_fault_actions());
+        assert!(plain.is_connect_only());
         assert_eq!(
             plain.actions,
             vec![ScenarioAction::Connect(0), ScenarioAction::Connect(1)]

@@ -3,13 +3,14 @@
 //! Each round draws a seeded random — but always *valid* — `.rtcac`
 //! scenario from [`rtcac_storm::generate`] (generated topology,
 //! optional time-varying impairment profile, LRD-shaped connect
-//! volume), then replays it twice: once through the serial signaling
-//! [`Network`] and once through the concurrent sharded
-//! [`AdmissionEngine`], asserting decision parity step by step:
+//! volume), then steps two [`Replay`]s of it in lock-step: one over
+//! the serial signaling `Network` and one over the concurrent sharded
+//! `AdmissionEngine`. The parity oracle is `serial_step ==
+//! engine_step`, directive by directive:
 //!
 //! - plain unicast connects must agree on the verdict, the guaranteed
 //!   delay, and the full per-hop [`AdmissionReport`] ledger (the same
-//!   explicit [`ConnectionId`] is submitted to both sides, so the
+//!   explicit connection id is submitted to both sides, so the
 //!   ledgers must be *identical* — the rendered bytes included);
 //! - multicast connects must agree on the verdict and worst-leaf delay;
 //! - crankback connects are compared loosely: the serial driver's
@@ -35,21 +36,19 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use rtcac_bitstream::{Time, TrafficContract};
-use rtcac_cac::{AdmissionReport, ConnectionId};
-use rtcac_engine::{AdmissionEngine, EngineOutcome, EngineStats};
+use rtcac_bitstream::TrafficContract;
+use rtcac_cac::AdmissionReport;
+use rtcac_engine::EngineStats;
 use rtcac_fault::{
     endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosReport, ChaosState,
     FaultPlan,
 };
-use rtcac_signaling::{
-    CrankbackPolicy, MulticastOutcome, Network, SetupOutcome, SetupRejection, SignalError,
-};
-use rtcac_sim::SimRng;
+use rtcac_net::SimRng;
 use rtcac_snap::{decode, encode, restore_engine, snapshot_engine};
 use rtcac_storm::{generate, FuzzConfig, ProfileKind, StormScenario, TopologyKind};
 
-use crate::commands::{build_engine, build_network, write_metrics_file};
+use crate::commands::{build_engine, build_network, export_metrics, write_metrics_file};
+use crate::replay::{Driver, EngineDriver, Replay, Step};
 use crate::scenario::{RouteKind, Scenario, ScenarioAction};
 use crate::CliError;
 
@@ -109,25 +108,9 @@ pub(crate) enum Tamper {
     FlipVerdicts,
 }
 
-/// Explicit connection ids start far above anything the internal
-/// allocators hand out, so multicast and crankback setups (which
-/// allocate their own ids on each side) can never collide with the
-/// shared ids the parity comparison depends on.
-const ID_BASE: u64 = 1 << 40;
-
 /// Every Nth round, the embedded chaos session (when the scenario has
 /// one) is re-run through a kill/snapshot-restore cycle.
 const RESUME_CHECK_EVERY: u64 = 5;
-
-/// What one directive replay produced on one side.
-struct SideOutcome {
-    /// `Some((id, guaranteed_delay))` when established.
-    established: Option<(ConnectionId, Time)>,
-    /// Rendered rejection, when rejected.
-    rejection: Option<String>,
-    /// The per-hop ledger, when the setup reached pricing.
-    report: Option<AdmissionReport>,
-}
 
 /// Counters of one storm run, folded into the exit report.
 #[derive(Default)]
@@ -331,14 +314,7 @@ fn write_exports(
     out: &mut String,
 ) -> Result<(), CliError> {
     if let Some(path) = &args.metrics {
-        let snapshot = registry.snapshot();
-        let json_path = format!("{path}.json");
-        write_metrics_file(path, &snapshot.to_prometheus())?;
-        write_metrics_file(&json_path, &snapshot.to_json())?;
-        let _ = writeln!(
-            out,
-            "metrics: wrote {path} (prometheus) and {json_path} (json)"
-        );
+        export_metrics(registry, path, out)?;
     }
     if let Some(path) = &args.bench_json {
         let snapshot = registry.snapshot();
@@ -375,417 +351,124 @@ fn run_differential(
         Err(e) => return Ok(vec![format!("generated scenario failed to parse: {e}")]),
     };
 
-    let mut network = build_network(&scenario)?;
-    let engine = build_engine(&scenario, Some(registry))?;
-    engine.set_capture_reports(true);
-    // The serial driver never reroutes a plain connect off a dead
-    // route; pin the engine to the same behaviour so the verdicts are
-    // comparable. Crankback connects raise the budget per call.
-    engine.set_reroute_budget(0);
+    let mut serial = Replay::with_explicit_ids(&scenario, build_network(&scenario)?);
+    let engine = Arc::new(build_engine(&scenario, Some(registry))?);
+    let mut engine = Replay::with_explicit_ids(&scenario, EngineDriver::lockstep(engine));
 
     let mut violations = Vec::new();
     // Once a tolerated crankback divergence splits the two sides'
     // admitted sets, later decisions may legitimately differ — the
     // rest of the round checks invariants only.
     let mut strict = true;
-    let mut serial_est: std::collections::BTreeMap<usize, ConnectionId> = Default::default();
-    let mut engine_est: std::collections::BTreeMap<usize, ConnectionId> = Default::default();
-    let mut next_id = ID_BASE;
 
     for action in &scenario.actions {
         totals.directives += 1;
-        match *action {
-            ScenarioAction::Connect(i) => {
+        // A chaos session runs on engines of its own — once, not once
+        // per driver — and on sampled rounds again through a
+        // kill/restore cycle.
+        if let ScenarioAction::Chaos { seed, steps, rate } = *action {
+            totals.chaos += 1;
+            if check_resume {
+                totals.resume_checks += 1;
+            }
+            if let Some(v) = run_chaos_directive(&scenario, seed, steps, rate, check_resume)? {
+                violations.push(v);
+            }
+            continue;
+        }
+        let serial_step = serial.step(action)?;
+        let engine_step = engine.step(action)?;
+        let mut engine_connected = matches!(engine_step, Step::Connected { .. });
+        let verdict_split =
+            |engine_connected| matches!(serial_step, Step::Connected { .. }) != engine_connected;
+        let mut ledgers = None;
+        let mut plain_connect = false;
+        match serial_step {
+            Step::Connected { index, .. } | Step::Rejected { index, .. } => {
                 totals.connects += 1;
-                let spec = &scenario.connections[i];
+                let spec = &scenario.connections[index];
                 if spec.crankback.is_some() {
-                    let diverged = replay_crankback(
-                        &mut network,
-                        &engine,
-                        &scenario,
-                        i,
-                        &mut serial_est,
-                        &mut engine_est,
-                    )?;
-                    if diverged {
+                    // The two search strategies may legitimately pick
+                    // different alternates, so only the verdicts are
+                    // compared, and a divergence is tolerated. Even
+                    // when both sides establish they may have committed
+                    // *different* routes, silently splitting the
+                    // admission state — so any crankback connect ends
+                    // strict checking.
+                    if verdict_split(engine_connected) {
                         totals.crankback_divergences += 1;
                     }
-                    // Even when both sides establish, the two search
-                    // strategies may have committed *different* routes,
-                    // silently splitting the admission state — so any
-                    // crankback connect ends strict checking.
                     strict = false;
                     continue;
                 }
-                let id = ConnectionId::new(next_id);
-                next_id += 1;
-                let serial = serial_connect(&mut network, &scenario, i, id)?;
-                let mut eng = engine_connect(&engine, &scenario, i, id)?;
-                if tamper == Tamper::FlipVerdicts && matches!(spec.route, RouteKind::Unicast(_)) {
-                    eng.established = match eng.established {
-                        Some(_) => None,
-                        None => Some((id, Time::ZERO)),
-                    };
-                }
-                if let Some((sid, _)) = serial.established {
-                    serial_est.insert(i, sid);
-                }
-                if let Some((eid, _)) = eng.established {
-                    engine_est.insert(i, eid);
-                }
-                if strict {
-                    compare_connect(&spec.name, &serial, &eng, &mut violations);
-                    // The first divergence splits the two sides'
-                    // state; everything after it is downstream noise.
-                    if !violations.is_empty() {
-                        strict = false;
-                    }
+                plain_connect = true;
+                if let RouteKind::Unicast(_) = spec.route {
+                    // The tamper pretends the engine said the opposite.
+                    engine_connected ^= tamper == Tamper::FlipVerdicts;
+                    // Only a strict round compares (and so clones) them.
+                    ledgers = strict.then(|| {
+                        let serial = serial.driver.admission_report();
+                        (serial, engine.driver.admission_report())
+                    });
                 }
             }
-            ScenarioAction::Release(i) => {
-                totals.releases += 1;
-                let spec = &scenario.connections[i];
-                let serial_live = match (&spec.route, serial_est.get(&i)) {
-                    (RouteKind::Unicast(_), Some(&id)) if network.connection(id).is_some() => {
-                        network.teardown(id).map_err(CliError::domain)?;
-                        true
-                    }
-                    (RouteKind::Multicast(_), Some(&id))
-                        if network.multicast_connection(id).is_some() =>
-                    {
-                        network.teardown_multicast(id).map_err(CliError::domain)?;
-                        true
-                    }
-                    _ => false,
-                };
-                let engine_live = match engine_est.get(&i) {
-                    Some(&id) if engine.per_leaf_bounds(id).is_some() => {
-                        engine.release(id).map_err(CliError::domain)?;
-                        true
-                    }
-                    _ => false,
-                };
-                if strict && serial_live != engine_live {
-                    violations.push(format!(
-                        "release {}: serial live={serial_live}, engine live={engine_live}",
-                        spec.name
-                    ));
-                }
-            }
-            ScenarioAction::DegradeLink(link, cdv) => {
-                totals.degrades += 1;
-                network
-                    .set_link_cdv_inflation(link, cdv)
-                    .map_err(CliError::domain)?;
-                engine
-                    .set_link_cdv_inflation(link, cdv)
-                    .map_err(CliError::domain)?;
-            }
-            ScenarioAction::RestoreLink(link) => {
-                totals.degrades += 1;
-                network
-                    .set_link_cdv_inflation(link, Time::ZERO)
-                    .map_err(CliError::domain)?;
-                engine
-                    .set_link_cdv_inflation(link, Time::ZERO)
-                    .map_err(CliError::domain)?;
-            }
-            ScenarioAction::FailLink(link) => {
-                totals.faults += 1;
-                let s = network.fail_link(link).map_err(CliError::domain)?;
-                let e = engine.fail_link(link).map_err(CliError::domain)?;
-                if strict
-                    && (s.is_changed(), s.torn_down().len())
-                        != (e.is_changed(), e.torn_down().len())
-                {
-                    violations.push(format!(
-                        "fail-link {link}: serial impact (changed={}, torn={}) vs \
-                         engine (changed={}, torn={})",
-                        s.is_changed(),
-                        s.torn_down().len(),
-                        e.is_changed(),
-                        e.torn_down().len()
-                    ));
-                }
-            }
-            ScenarioAction::HealLink(link) => {
-                totals.faults += 1;
-                let s = network.heal_link(link).map_err(CliError::domain)?;
-                let e = engine.heal_link(link).map_err(CliError::domain)?;
-                if strict && s != e {
-                    violations.push(format!(
-                        "heal-link {link}: serial changed={s}, engine changed={e}"
-                    ));
-                }
-            }
-            ScenarioAction::FailNode(node) => {
-                totals.faults += 1;
-                let s = network.fail_node(node).map_err(CliError::domain)?;
-                let e = engine.fail_node(node).map_err(CliError::domain)?;
-                if strict
-                    && (s.is_changed(), s.torn_down().len())
-                        != (e.is_changed(), e.torn_down().len())
-                {
-                    violations.push(format!(
-                        "fail-node {node}: serial impact (changed={}, torn={}) vs \
-                         engine (changed={}, torn={})",
-                        s.is_changed(),
-                        s.torn_down().len(),
-                        e.is_changed(),
-                        e.torn_down().len()
-                    ));
-                }
-            }
-            ScenarioAction::HealNode(node) => {
-                totals.faults += 1;
-                let s = network.heal_node(node).map_err(CliError::domain)?;
-                let e = engine.heal_node(node).map_err(CliError::domain)?;
-                if strict && s != e {
-                    violations.push(format!(
-                        "heal-node {node}: serial changed={s}, engine changed={e}"
-                    ));
-                }
-            }
-            ScenarioAction::Chaos { seed, steps, rate } => {
-                totals.chaos += 1;
-                if check_resume {
-                    totals.resume_checks += 1;
-                }
-                if let Some(v) = run_chaos_directive(&scenario, seed, steps, rate, check_resume)? {
-                    violations.push(v);
-                }
-            }
+            Step::Released { .. } => totals.releases += 1,
+            Step::Failed { .. } | Step::Healed { .. } => totals.faults += 1,
+            Step::Degraded { .. } => totals.degrades += 1,
+            Step::Chaos { .. } => unreachable!("chaos directives never reach a replay here"),
+        }
+        if !strict {
+            continue;
+        }
+        if verdict_split(engine_connected) || serial_step != engine_step {
+            let what = if verdict_split(engine_connected) {
+                "verdict"
+            } else {
+                "step"
+            };
+            violations.push(format!(
+                "{}: {what} diverged (serial {serial_step:?}, engine {engine_step:?})",
+                scenario.directive_label(action)
+            ));
+        } else if let Some((serial_ledger, engine_ledger)) = ledgers.filter(|(s, e)| s != e) {
+            let render = |r: &Option<AdmissionReport>| {
+                r.as_ref()
+                    .map_or_else(|| "<no ledger>".into(), AdmissionReport::render)
+            };
+            violations.push(format!(
+                "{}: admission ledgers diverged\n--- serial ---\n{}\
+                 --- engine ---\n{}",
+                scenario.directive_label(action),
+                render(&serial_ledger),
+                render(&engine_ledger)
+            ));
+        }
+        // The first divergence at a connect splits the two sides'
+        // state; everything after it is downstream noise.
+        if plain_connect && !violations.is_empty() {
+            strict = false;
         }
     }
 
     // End-of-round safety audits, both sides.
-    let serial_orphans = network.orphaned_reservations();
-    if !serial_orphans.is_empty() {
-        violations.push(format!(
-            "serial audit: {} orphaned reservation(s)",
-            serial_orphans.len()
-        ));
-    }
-    let serial_broken = network.verify_guarantees().map_err(CliError::domain)?;
-    if !serial_broken.is_empty() {
-        violations.push(format!(
-            "serial audit: {} violated guarantee(s)",
-            serial_broken.len()
-        ));
-    }
-    let engine_orphans = engine.publish_orphan_audit();
-    if engine_orphans != 0 {
-        violations.push(format!(
-            "engine audit: {engine_orphans} orphaned reservation(s)"
-        ));
-    }
-    let engine_broken = engine.verify_guarantees().map_err(CliError::domain)?;
-    if !engine_broken.is_empty() {
-        violations.push(format!(
-            "engine audit: {} violated guarantee(s)",
-            engine_broken.len()
-        ));
-    }
+    audit("serial", &serial.driver, &mut violations)?;
+    audit("engine", &engine.driver, &mut violations)?;
     Ok(violations)
 }
 
-/// One plain (non-crankback) connect through the serial driver.
-fn serial_connect(
-    network: &mut Network,
-    scenario: &Scenario,
-    i: usize,
-    id: ConnectionId,
-) -> Result<SideOutcome, CliError> {
-    let spec = &scenario.connections[i];
-    Ok(match &spec.route {
-        RouteKind::Unicast(route) => {
-            match network
-                .setup_with_id(id, route, spec.request)
-                .map_err(CliError::domain)?
-            {
-                SetupOutcome::Connected(info) => SideOutcome {
-                    established: Some((info.id(), info.guaranteed_delay())),
-                    rejection: None,
-                    report: network.last_admission_report().cloned(),
-                },
-                SetupOutcome::Rejected(why) => SideOutcome {
-                    established: None,
-                    // A route-down refusal never reaches pricing, so
-                    // `last_admission_report` would be a stale ledger
-                    // from an earlier setup.
-                    report: if matches!(why, SetupRejection::RouteDown { .. }) {
-                        None
-                    } else {
-                        network.last_admission_report().cloned()
-                    },
-                    rejection: Some(why.to_string()),
-                },
-            }
-        }
-        RouteKind::Multicast(tree) => {
-            match network
-                .setup_multicast(tree, spec.request)
-                .map_err(CliError::domain)?
-            {
-                MulticastOutcome::Connected(info) => SideOutcome {
-                    established: Some((info.id(), info.guaranteed_delay())),
-                    rejection: None,
-                    report: None,
-                },
-                MulticastOutcome::Rejected(why) => SideOutcome {
-                    established: None,
-                    rejection: Some(why.to_string()),
-                    report: None,
-                },
-            }
-        }
-    })
-}
-
-/// One plain (non-crankback) connect through the engine.
-fn engine_connect(
-    engine: &AdmissionEngine,
-    scenario: &Scenario,
-    i: usize,
-    id: ConnectionId,
-) -> Result<SideOutcome, CliError> {
-    let spec = &scenario.connections[i];
-    let outcome = match &spec.route {
-        RouteKind::Unicast(route) => engine
-            .admit_with_id(id, route, spec.request)
-            .map_err(CliError::domain)?,
-        RouteKind::Multicast(tree) => engine
-            .admit_multicast(tree, spec.request)
-            .map_err(CliError::domain)?,
-    };
-    Ok(match outcome {
-        EngineOutcome::Admitted {
-            id,
-            guaranteed_delay,
-        }
-        | EngineOutcome::Rerouted {
-            id,
-            guaranteed_delay,
-            ..
-        } => SideOutcome {
-            established: Some((id, guaranteed_delay)),
-            rejection: None,
-            report: match spec.route {
-                RouteKind::Unicast(_) => engine.admission_report(id),
-                RouteKind::Multicast(_) => None,
-            },
-        },
-        EngineOutcome::Rejected { id, rejection } => SideOutcome {
-            established: None,
-            rejection: Some(rejection.to_string()),
-            report: match spec.route {
-                RouteKind::Unicast(_) => engine.admission_report(id),
-                RouteKind::Multicast(_) => None,
-            },
-        },
-    })
-}
-
-/// Strict comparison of one plain connect's two outcomes.
-fn compare_connect(
-    name: &str,
-    serial: &SideOutcome,
-    eng: &SideOutcome,
-    violations: &mut Vec<String>,
-) {
-    match (&serial.established, &eng.established) {
-        (Some((_, sd)), Some((_, ed))) => {
-            if sd != ed {
-                violations.push(format!(
-                    "connect {name}: guaranteed delay diverged (serial {sd}, engine {ed})"
-                ));
-            }
-        }
-        (None, None) => {
-            if serial.rejection != eng.rejection {
-                violations.push(format!(
-                    "connect {name}: rejection diverged (serial {:?}, engine {:?})",
-                    serial.rejection, eng.rejection
-                ));
-            }
-        }
-        (s, e) => {
-            violations.push(format!(
-                "connect {name}: verdict diverged (serial established={}, \
-                 engine established={})",
-                s.is_some(),
-                e.is_some()
-            ));
-            return;
-        }
+/// Runs one side's orphaned-reservation and guarantee audits.
+fn audit<D: Driver>(side: &str, driver: &D, violations: &mut Vec<String>) -> Result<(), CliError> {
+    let (orphans, broken) = driver.audit()?;
+    if orphans != 0 {
+        violations.push(format!("{side} audit: {orphans} orphaned reservation(s)"));
     }
-    if serial.report != eng.report {
-        let render = |r: &Option<AdmissionReport>| {
-            r.as_ref()
-                .map_or_else(|| "<no ledger>".into(), AdmissionReport::render)
-        };
+    if !broken.is_empty() {
         violations.push(format!(
-            "connect {name}: admission ledgers diverged\n--- serial ---\n{}\
-             --- engine ---\n{}",
-            render(&serial.report),
-            render(&eng.report)
+            "{side} audit: {} violated guarantee(s)",
+            broken.len()
         ));
     }
-}
-
-/// Replays a crankback connect on both sides. The two search
-/// strategies may legitimately pick different alternates, so the
-/// verdicts are compared loosely: a divergence is tolerated and
-/// reported to the caller (`true`), which downgrades the rest of the
-/// round to invariant-only checking.
-fn replay_crankback(
-    network: &mut Network,
-    engine: &AdmissionEngine,
-    scenario: &Scenario,
-    i: usize,
-    serial_est: &mut std::collections::BTreeMap<usize, ConnectionId>,
-    engine_est: &mut std::collections::BTreeMap<usize, ConnectionId>,
-) -> Result<bool, CliError> {
-    let spec = &scenario.connections[i];
-    let retries = spec.crankback.unwrap_or(0);
-    let RouteKind::Unicast(route) = &spec.route else {
-        return Err(CliError::Usage(format!(
-            "'{}': crankback applies to unicast connects only",
-            spec.name
-        )));
-    };
-    let from = route.source(&scenario.topology).map_err(CliError::domain)?;
-    let to = route
-        .destination(&scenario.topology)
-        .map_err(CliError::domain)?;
-    let policy = CrankbackPolicy {
-        max_retries: retries,
-        ..CrankbackPolicy::default()
-    };
-    let serial_id = match network.setup_crankback(from, to, spec.request, policy) {
-        Ok(result) => match result.outcome {
-            SetupOutcome::Connected(info) => Some(info.id()),
-            SetupOutcome::Rejected(_) => None,
-        },
-        // No healthy route at all — the engine reports this as a
-        // rejection, so treat it the same here.
-        Err(SignalError::Net(_)) => None,
-        Err(e) => return Err(CliError::domain(e)),
-    };
-    engine.set_reroute_budget(retries as u64);
-    let engine_outcome = engine.admit(route, spec.request);
-    engine.set_reroute_budget(0);
-    let engine_id = match engine_outcome.map_err(CliError::domain)? {
-        EngineOutcome::Admitted { id, .. } | EngineOutcome::Rerouted { id, .. } => Some(id),
-        EngineOutcome::Rejected { .. } => None,
-    };
-    if let Some(id) = serial_id {
-        serial_est.insert(i, id);
-    }
-    if let Some(id) = engine_id {
-        engine_est.insert(i, id);
-    }
-    Ok(serial_id.is_some() != engine_id.is_some())
+    Ok(())
 }
 
 /// Cache counters are the one legitimate difference after a restore
@@ -968,33 +651,7 @@ pub fn scenario_signature(scenario: &Scenario) -> Vec<String> {
                     spec.request.delay_bound(),
                 )
             }
-            ScenarioAction::Release(i) => {
-                format!("release {}", scenario.connections[i].name)
-            }
-            ScenarioAction::FailLink(l) => {
-                format!("fail-link {}", scenario.link_name(l).unwrap_or("?"))
-            }
-            ScenarioAction::HealLink(l) => {
-                format!("heal-link {}", scenario.link_name(l).unwrap_or("?"))
-            }
-            ScenarioAction::FailNode(n) => {
-                format!("fail-node {}", scenario.node_name(n).unwrap_or("?"))
-            }
-            ScenarioAction::HealNode(n) => {
-                format!("heal-node {}", scenario.node_name(n).unwrap_or("?"))
-            }
-            ScenarioAction::DegradeLink(l, cdv) => {
-                format!(
-                    "degrade-link {} cdv={cdv}",
-                    scenario.link_name(l).unwrap_or("?")
-                )
-            }
-            ScenarioAction::RestoreLink(l) => {
-                format!("restore-link {}", scenario.link_name(l).unwrap_or("?"))
-            }
-            ScenarioAction::Chaos { seed, steps, rate } => {
-                format!("chaos seed={seed} steps={steps} rate={rate}")
-            }
+            ref directive => scenario.directive_label(directive),
         })
         .collect()
 }

@@ -14,7 +14,7 @@ fn scenario_path() -> std::path::PathBuf {
 fn shipped_failover_scenario_replays_the_recovery_story() {
     let text = std::fs::read_to_string(scenario_path()).expect("example scenario must ship");
     let scenario = Scenario::parse(&text).unwrap();
-    assert!(scenario.has_fault_actions());
+    assert!(!scenario.is_connect_only());
     let out = commands::check(&scenario).unwrap();
 
     // The recovery story, in order: steady state, failure with

@@ -8,8 +8,8 @@ use std::time::Instant;
 use rtcac_bitstream::Time;
 use rtcac_cac::{
     AdmissionDecision, AdmissionReport, AdmissionVerdict, ConnectionId, ConnectionRequest,
-    HopDriver, HopVerdict, PlannedHop, Priority, ReservationPlan, ReserveOutcome, RoutePlan,
-    SofCache, Switch, SwitchConfig,
+    FailureImpact, GuaranteeViolation, HopDriver, HopVerdict, PlannedHop, Priority,
+    ReservationPlan, ReserveOutcome, RoutePlan, SofCache, Switch, SwitchConfig,
 };
 use rtcac_net::{LinkId, MulticastTree, NodeId, Route, Topology};
 use rtcac_obs::{Registry, TraceCtx, Tracer};
@@ -125,50 +125,6 @@ impl HealthState {
     fn all_up(&self) -> bool {
         self.down_links.is_empty() && self.down_nodes.is_empty()
     }
-}
-
-/// What an engine [`fail_link`](AdmissionEngine::fail_link) /
-/// [`fail_node`](AdmissionEngine::fail_node) call did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailureImpact {
-    changed: bool,
-    torn_down: Vec<ConnectionId>,
-}
-
-impl FailureImpact {
-    fn unchanged() -> FailureImpact {
-        FailureImpact {
-            changed: false,
-            torn_down: Vec::new(),
-        }
-    }
-
-    /// Whether the element actually changed health.
-    pub fn is_changed(&self) -> bool {
-        self.changed
-    }
-
-    /// The connections force-released because their route crossed the
-    /// failed element.
-    pub fn torn_down(&self) -> &[ConnectionId] {
-        &self.torn_down
-    }
-}
-
-/// One violated guarantee found by
-/// [`AdmissionEngine::verify_guarantees`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GuaranteeViolation {
-    /// The connection whose guarantee no longer holds.
-    pub id: ConnectionId,
-    /// The switch where the recomputed bound exceeds the advertised
-    /// one, or `None` when the end-to-end sum exceeds the contracted
-    /// delay bound.
-    pub at: Option<NodeId>,
-    /// The recomputed worst-case delay.
-    pub computed: Time,
-    /// The limit it must stay within.
-    pub limit: Time,
 }
 
 /// Internal result of one admission attempt on one concrete route.
@@ -1369,10 +1325,7 @@ impl AdmissionEngine {
             }
         }
         self.publish_orphans();
-        Ok(FailureImpact {
-            changed: true,
-            torn_down,
-        })
+        Ok(FailureImpact::changed(torn_down))
     }
 
     /// Force-releases a connection because an element on its route

@@ -46,11 +46,12 @@ mod shard;
 mod state;
 mod stats;
 
-pub use engine::{
-    AdmissionEngine, AnomalyHook, EngineOutcome, FailureImpact, GuaranteeViolation,
-    DEFAULT_LOCK_HOLD_THRESHOLD_NS,
-};
+pub use engine::{AdmissionEngine, AnomalyHook, EngineOutcome, DEFAULT_LOCK_HOLD_THRESHOLD_NS};
 pub use error::EngineError;
 pub use pool::{run_batch, EnginePool, JobResult, ServicePool};
 pub use state::{ConnectionState, EngineState, HealthOverlayState, SwitchState};
 pub use stats::EngineStats;
+
+// Shared with the serial driver (`rtcac_signaling`): one definition, in
+// the admission core.
+pub use rtcac_cac::{FailureImpact, GuaranteeViolation};

@@ -5,10 +5,9 @@
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
 use rtcac_cac::{ConnectionId, Priority};
 use rtcac_engine::{AdmissionEngine, EngineError, EngineOutcome, EngineStats};
-use rtcac_net::{MulticastTree, NodeId, Topology};
+use rtcac_net::{MulticastTree, NodeId, SimRng, Topology};
 use rtcac_rational::ratio;
 use rtcac_signaling::SetupRequest;
-use rtcac_sim::SimRng;
 
 use crate::plan::{FaultEvent, FaultPlan};
 

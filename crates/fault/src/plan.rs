@@ -1,7 +1,6 @@
 //! Scheduled fault plans: which element fails or heals at which step.
 
-use rtcac_net::{LinkId, NodeId, Topology};
-use rtcac_sim::SimRng;
+use rtcac_net::{LinkId, NodeId, SimRng, Topology};
 
 /// One health transition of a network element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

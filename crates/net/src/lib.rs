@@ -37,6 +37,7 @@ pub mod builders;
 mod error;
 mod ids;
 mod multicast;
+mod rng;
 mod route;
 mod topology;
 
@@ -44,5 +45,6 @@ pub use builders::StarRing;
 pub use error::NetError;
 pub use ids::{LinkId, NodeId};
 pub use multicast::MulticastTree;
+pub use rng::SimRng;
 pub use route::Route;
 pub use topology::{Link, Node, NodeKind, Topology};

@@ -1,15 +1,18 @@
 //! A tiny deterministic pseudo-random generator (SplitMix64).
 //!
 //! The workspace builds against an offline registry, so the `rand`
-//! crate is unavailable; this generator covers everything the
-//! simulator needs — reproducible seeded streams with uniform draws
-//! from small ranges. SplitMix64 passes BigCrush and is the standard
-//! seeding generator of the xoshiro family.
+//! crate is unavailable; this generator covers everything the seeded
+//! parts of the workspace need — topology and fault-plan generators,
+//! load generators, fuzzers, the cell simulator — reproducible seeded
+//! streams with uniform draws from small ranges. It lives in the
+//! topology crate because that is the lowest layer every one of those
+//! users already depends on. SplitMix64 passes BigCrush and is the
+//! standard seeding generator of the xoshiro family.
 
 /// Deterministic SplitMix64 generator.
 ///
 /// Identical seeds yield identical sequences on every platform, which
-/// is what makes simulation runs reproducible.
+/// is what makes seeded runs reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimRng {
     state: u64,

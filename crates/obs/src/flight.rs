@@ -121,8 +121,10 @@ impl std::error::Error for FlightError {}
 
 // ── private codec (mirrors crates/snap/src/codec.rs discipline) ─────
 
-/// 64-bit FNV-1a — section and whole-file checksum.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte slice — the section and whole-file
+/// checksum of flight dumps and (re-exported by `rtcac-snap`) of
+/// snapshots: std-only, deterministic, order-sensitive.
+pub fn fnv64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
@@ -970,6 +972,12 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::series::TimeSeries;
+
+    #[test]
+    fn fnv64_is_stable() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv64(b"a"), fnv64(b"b"));
+    }
 
     fn registry_with_activity() -> Arc<Registry> {
         let r = Arc::new(Registry::new());

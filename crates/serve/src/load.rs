@@ -20,11 +20,10 @@ use std::time::{Duration, Instant};
 
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
 use rtcac_cac::Priority;
-use rtcac_net::builders;
+use rtcac_net::{builders, SimRng};
 use rtcac_obs::Registry;
 use rtcac_rational::ratio;
 use rtcac_signaling::SetupRequest;
-use rtcac_sim::SimRng;
 
 use crate::client::Client;
 use crate::proto::{Request, Response};

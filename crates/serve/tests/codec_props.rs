@@ -6,11 +6,11 @@ use std::io::Cursor;
 
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::Priority;
+use rtcac_net::SimRng;
 use rtcac_rational::ratio;
 use rtcac_serve::proto::{frame_type, ErrorCode, Request, Response};
 use rtcac_serve::wire::{read_frame, write_frame, WireError, MAX_PAYLOAD, PROTO_VERSION};
 use rtcac_signaling::SetupRequest;
-use rtcac_sim::SimRng;
 
 fn random_time(rng: &mut SimRng) -> Time {
     Time::new(ratio(

@@ -68,7 +68,9 @@ pub use error::SignalError;
 pub use message::{SetupRejection, SignalEvent};
 pub use multicast::{MulticastInfo, MulticastOutcome};
 pub use network::{
-    ConnectionInfo, CrankbackAttempt, CrankbackOutcome, CrankbackPolicy, FailureImpact,
-    GuaranteeViolation, Network, SetupOutcome, SetupRequest, LOCAL_INJECTION,
+    ConnectionInfo, CrankbackAttempt, CrankbackOutcome, CrankbackPolicy, Network, SetupOutcome,
+    SetupRequest, LOCAL_INJECTION,
 };
-pub use rtcac_cac::CdvPolicy;
+// Shared with the concurrent driver (`rtcac_engine`): one definition, in
+// the admission core.
+pub use rtcac_cac::{CdvPolicy, FailureImpact, GuaranteeViolation};

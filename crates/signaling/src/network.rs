@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use rtcac_bitstream::{Time, TrafficContract};
 use rtcac_cac::{
     release_order, AdmissionDecision, AdmissionReport, AdmissionVerdict, ConnectionId,
-    ConnectionRequest, HopDriver, PlannedHop, Priority, ReservationPlan, ReserveOutcome, RoutePlan,
-    Switch, SwitchConfig,
+    ConnectionRequest, FailureImpact, GuaranteeViolation, HopDriver, PlannedHop, Priority,
+    ReservationPlan, ReserveOutcome, RoutePlan, Switch, SwitchConfig,
 };
 use rtcac_net::{LinkId, NodeId, Route, Topology};
 use rtcac_obs::Tracer;
@@ -570,7 +570,7 @@ impl Network {
     /// Algorithm 4.1 tables never leak a reservation.
     ///
     /// Idempotent: failing an already-down link changes nothing and
-    /// tears down nothing ([`FailureImpact::changed`] is `false`).
+    /// tears down nothing ([`FailureImpact::is_changed`] is `false`).
     ///
     /// # Errors
     ///
@@ -921,21 +921,6 @@ impl HopDriver for SerialDriver<'_> {
     }
 }
 
-/// One violated guarantee found by [`Network::verify_guarantees`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GuaranteeViolation {
-    /// The connection whose guarantee no longer holds.
-    pub id: ConnectionId,
-    /// The switch where the recomputed bound exceeds the advertised
-    /// one, or `None` when a terminal's guaranteed delay exceeds the
-    /// contracted delay bound.
-    pub at: Option<NodeId>,
-    /// The recomputed (or guaranteed end-to-end) delay.
-    pub computed: Time,
-    /// The bound it must stay within.
-    pub limit: Time,
-}
-
 /// The outgoing (or incoming) link a CAC rejection points at — the
 /// element a crankback retry should route around.
 fn rejected_link(reason: &rtcac_cac::RejectReason) -> Option<LinkId> {
@@ -946,41 +931,6 @@ fn rejected_link(reason: &rtcac_cac::RejectReason) -> Option<LinkId> {
         }
         RejectReason::IncomingOverload { in_link, .. } => Some(*in_link),
         _ => None,
-    }
-}
-
-/// What a [`Network::fail_link`] / [`Network::fail_node`] call did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailureImpact {
-    changed: bool,
-    torn_down: Vec<ConnectionId>,
-}
-
-impl FailureImpact {
-    fn unchanged() -> FailureImpact {
-        FailureImpact {
-            changed: false,
-            torn_down: Vec::new(),
-        }
-    }
-
-    fn changed(torn_down: Vec<ConnectionId>) -> FailureImpact {
-        FailureImpact {
-            changed: true,
-            torn_down,
-        }
-    }
-
-    /// Whether the element actually changed health (false when it was
-    /// already in the requested state).
-    pub fn is_changed(&self) -> bool {
-        self.changed
-    }
-
-    /// The connections torn down because their route crossed the
-    /// failed element.
-    pub fn torn_down(&self) -> &[ConnectionId] {
-        &self.torn_down
     }
 }
 

@@ -9,8 +9,8 @@ use rtcac_net::{LinkId, MulticastTree, NodeId, Route, Topology};
 use rtcac_signaling::Network;
 
 use crate::queue::QueuedCell;
-use crate::rng::SimRng;
 use crate::stats::{ConnectionStats, PortStats};
+use crate::SimRng;
 use crate::{PriorityFifo, ShapedSource, SimError, SimReport, TrafficPattern};
 
 #[derive(Debug, Clone)]

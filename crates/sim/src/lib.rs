@@ -61,7 +61,6 @@
 mod engine;
 mod error;
 mod queue;
-mod rng;
 mod shaper;
 mod source;
 mod stats;
@@ -69,7 +68,10 @@ mod stats;
 pub use engine::Simulation;
 pub use error::SimError;
 pub use queue::PriorityFifo;
-pub use rng::SimRng;
 pub use shaper::Shaper;
 pub use source::{ShapedSource, TrafficPattern};
 pub use stats::{ConnectionStats, PortStats, SimReport};
+
+// The generator moved to `rtcac-net` so seeded crates need not link the
+// simulator; `rtcac_sim::SimRng` keeps resolving.
+pub use rtcac_net::SimRng;

@@ -2,8 +2,8 @@
 
 use rtcac_bitstream::TrafficContract;
 
-use crate::rng::SimRng;
 use crate::Shaper;
+use crate::SimRng;
 
 /// How a source *wants* to emit; the [`Shaper`] decides what it *may*
 /// emit.

@@ -12,19 +12,6 @@ use rtcac_rational::Ratio;
 
 use crate::SnapError;
 
-/// 64-bit FNV-1a over a byte slice — the snapshot's section and
-/// whole-file checksum (std-only, deterministic, order-sensitive).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
 /// Append-only encoder.
 #[derive(Debug, Default)]
 pub struct Enc {
@@ -299,11 +286,5 @@ mod tests {
         let bytes = enc.finish();
         let mut dec = Dec::new(&bytes);
         assert_eq!(dec.ratio(), Err(SnapError::BadPayload("invalid rational")));
-    }
-
-    #[test]
-    fn fnv64_is_stable() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
     }
 }

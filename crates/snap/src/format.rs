@@ -49,7 +49,8 @@ use rtcac_net::{LinkId, NodeId, NodeKind, Topology};
 use rtcac_rational::Ratio;
 use rtcac_signaling::CdvPolicy;
 
-use crate::codec::{fnv64, Dec, Enc};
+use crate::codec::{Dec, Enc};
+use crate::fnv64;
 use crate::SnapError;
 
 /// The container magic.

@@ -36,7 +36,6 @@ mod error;
 mod format;
 mod ops;
 
-pub use codec::fnv64;
 pub use error::SnapError;
 pub use format::{
     encode_with_version, parse_header, parse_sections, SectionInfo, SnapMeta, SnapshotDoc,
@@ -46,3 +45,6 @@ pub use ops::{
     adopt_into, decode, diff, encode, inspect, load_file, recapture, restore_engine,
     restore_engine_with_registry, save_atomic, sections_of, snapshot_engine, topology_of,
 };
+/// The snapshot's section and whole-file checksum — the one FNV-1a the
+/// flight recorder also uses.
+pub use rtcac_obs::flight::fnv64;

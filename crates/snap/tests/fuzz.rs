@@ -6,10 +6,9 @@
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
 use rtcac_cac::{Priority, SwitchConfig};
 use rtcac_engine::AdmissionEngine;
-use rtcac_net::builders;
+use rtcac_net::{builders, SimRng};
 use rtcac_rational::ratio;
 use rtcac_signaling::{CdvPolicy, SetupRequest};
-use rtcac_sim::SimRng;
 use rtcac_snap::{adopt_into, decode, encode, restore_engine, snapshot_engine, SnapError};
 
 fn populated_engine() -> AdmissionEngine {

@@ -12,10 +12,9 @@ use std::sync::Arc;
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::{ConnectionId, Priority, SwitchConfig};
 use rtcac_engine::{AdmissionEngine, EngineOutcome};
-use rtcac_net::{builders, MulticastTree, NodeId, Topology};
+use rtcac_net::{builders, MulticastTree, NodeId, SimRng, Topology};
 use rtcac_rational::ratio;
 use rtcac_signaling::{CdvPolicy, SetupRequest};
-use rtcac_sim::SimRng;
 use rtcac_snap::{
     adopt_into, decode, encode, load_file, restore_engine, save_atomic, snapshot_engine, SnapError,
 };

@@ -20,8 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use rtcac_net::{LinkId, MulticastTree, NetError, NodeId, Topology};
-use rtcac_sim::SimRng;
+use rtcac_net::{LinkId, MulticastTree, NetError, NodeId, SimRng, Topology};
 
 use crate::impairment::{compile_profile, ImpairmentEvent, ProfileKind};
 use crate::topo::{generate_topology_sized, TopologyKind};

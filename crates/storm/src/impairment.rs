@@ -14,8 +14,7 @@
 //! against a healthy network.
 
 use rtcac_fault::{FaultEvent, FaultPlan};
-use rtcac_net::{LinkId, NodeId, Topology};
-use rtcac_sim::SimRng;
+use rtcac_net::{LinkId, NodeId, SimRng, Topology};
 
 /// The impairment shapes a storm round can schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

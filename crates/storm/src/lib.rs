@@ -26,7 +26,7 @@
 //!   serial signaling path and the concurrent engine, asserting
 //!   decision parity and byte-identical admission ledgers.
 //!
-//! Everything is seeded through [`rtcac_sim::SimRng`]: equal seeds
+//! Everything is seeded through [`rtcac_net::SimRng`]: equal seeds
 //! give equal topologies, schedules, and scenario files, so a failing
 //! storm round replays from its seed alone.
 

@@ -7,8 +7,7 @@
 //! module adds the seeded sparse-WAN generator and the kind selector
 //! the fuzzer draws from.
 
-use rtcac_net::{builders, NetError, NodeId, Topology};
-use rtcac_sim::SimRng;
+use rtcac_net::{builders, NetError, NodeId, SimRng, Topology};
 
 /// The topology families a storm round can draw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

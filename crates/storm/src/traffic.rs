@@ -16,7 +16,7 @@
 //! *arrival intensity*: more active sources in a slot, more connect
 //! directives emitted in that slot.
 
-use rtcac_sim::SimRng;
+use rtcac_net::SimRng;
 
 /// One deterministic on/off phase: active while
 /// `(slot + phase) mod period < on`.
