@@ -25,20 +25,7 @@ pub(crate) struct PiecewiseLinear {
 impl PiecewiseLinear {
     /// The cumulative arrival curve `A(t) = ∫₀ᵗ r(u) du` of a stream.
     pub(crate) fn arrival(stream: &BitStream) -> PiecewiseLinear {
-        let segs = stream.segments();
-        let mut knots = Vec::with_capacity(segs.len());
-        let mut slopes = Vec::with_capacity(segs.len());
-        let mut value = Cells::ZERO;
-        let mut prev: Option<(Rate, Time)> = None;
-        for seg in segs {
-            if let Some((rate, start)) = prev {
-                value += rate * (seg.start - start);
-            }
-            knots.push((seg.start, value));
-            slopes.push(seg.rate.as_ratio());
-            prev = Some((seg.rate, seg.start));
-        }
-        PiecewiseLinear { knots, slopes }
+        PiecewiseLinear::integral(stream, |rate| rate.as_ratio())
     }
 
     /// The leftover service curve `C(t) = ∫₀ᵗ (1 − r₁(u)) du` available
@@ -47,7 +34,19 @@ impl PiecewiseLinear {
     /// The caller must ensure `r₁ <= 1` everywhere (i.e. the
     /// interference stream has been filtered, Algorithm 3.4).
     pub(crate) fn leftover_service(higher: &BitStream) -> PiecewiseLinear {
-        let segs = higher.segments();
+        PiecewiseLinear::integral(higher, |rate| {
+            let slope = Ratio::ONE - rate.as_ratio();
+            debug_assert!(
+                !slope.is_negative(),
+                "leftover_service: interference above link rate"
+            );
+            slope
+        })
+    }
+
+    /// `∫₀ᵗ slope_of(r(u)) du` over a stream's segments.
+    fn integral(stream: &BitStream, slope_of: impl Fn(Rate) -> Ratio) -> PiecewiseLinear {
+        let segs = stream.segments();
         let mut knots = Vec::with_capacity(segs.len());
         let mut slopes = Vec::with_capacity(segs.len());
         let mut value = Cells::ZERO;
@@ -56,11 +55,7 @@ impl PiecewiseLinear {
             if let Some((slope, start)) = prev {
                 value += Rate::new(slope) * (seg.start - start);
             }
-            let slope = Ratio::ONE - seg.rate.as_ratio();
-            debug_assert!(
-                !slope.is_negative(),
-                "leftover_service: interference above link rate"
-            );
+            let slope = slope_of(seg.rate);
             knots.push((seg.start, value));
             slopes.push(slope);
             prev = Some((slope, seg.start));
@@ -68,100 +63,91 @@ impl PiecewiseLinear {
         PiecewiseLinear { knots, slopes }
     }
 
-    /// Curve value at time `t >= 0`.
-    pub(crate) fn value_at(&self, t: Time) -> Cells {
-        debug_assert!(!t.is_negative());
-        let idx = match self.knots.binary_search_by(|(kt, _)| kt.cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let (kt, kv) = self.knots[idx];
-        kv + Rate::new(self.slopes[idx]) * (t - kt)
+    /// Start value and slope of the last (infinite) piece; `None` only
+    /// for an empty curve, which neither constructor produces.
+    fn tail(&self) -> Option<(Cells, Ratio)> {
+        Some((self.knots.last()?.1, *self.slopes.last()?))
     }
+}
 
-    /// The slope of the last (infinite) piece.
-    pub(crate) fn final_slope(&self) -> Ratio {
-        *self.slopes.last().expect("curve has at least one piece")
-    }
+/// Where a curve first reaches a value.
+struct Reached {
+    time: Time,
+    /// The piece in effect at `time` (right-continuous: a knot time
+    /// belongs to the piece that starts there).
+    piece: usize,
+}
 
-    /// The earliest time at which the curve reaches `v`, or `None` if it
-    /// never does (curve saturates below `v`).
-    pub(crate) fn first_time_reaching(&self, v: Cells) -> Option<Time> {
-        if v <= Cells::ZERO {
-            return Some(Time::ZERO);
+/// A forward-only reader of a curve's pseudo-inverse. Queries must come
+/// in non-decreasing order of value; each then resumes where the last
+/// one stopped, so a whole sweep costs one pass over the pieces.
+struct InverseCursor<'a> {
+    curve: &'a PiecewiseLinear,
+    /// The first piece that ends above the last value asked for.
+    piece: usize,
+    /// The first rising piece at or after the last plateau looked at.
+    rising: usize,
+}
+
+impl<'a> InverseCursor<'a> {
+    fn new(curve: &'a PiecewiseLinear) -> InverseCursor<'a> {
+        InverseCursor {
+            curve,
+            piece: 0,
+            rising: 0,
         }
-        for (i, &(kt, kv)) in self.knots.iter().enumerate() {
-            let slope = Rate::new(self.slopes[i]);
-            let end = self.knots.get(i + 1);
-            match end {
-                Some(&(next_t, next_v)) => {
-                    if next_v >= v {
-                        // Reached within this piece (slope > 0 because the
-                        // value strictly increased).
-                        if kv >= v {
-                            return Some(kt);
-                        }
-                        return Some(kt + (v - kv) / slope);
-                    }
-                    let _ = next_t;
-                }
-                None => {
-                    if kv >= v {
-                        return Some(kt);
-                    }
-                    if slope.as_ratio().is_positive() {
-                        return Some(kt + (v - kv) / slope);
-                    }
-                    return None;
-                }
+    }
+
+    /// The earliest time at which the curve reaches `v >= 0`, or `None`
+    /// if it never does (curve saturates below `v`).
+    fn reach(&mut self, v: Cells) -> Option<Reached> {
+        debug_assert!(!v.is_negative());
+        if v.is_zero() {
+            return Some(Reached {
+                time: Time::ZERO,
+                piece: 0,
+            });
+        }
+        let knots = &self.curve.knots;
+        while let Some(&(next_t, next_v)) = knots.get(self.piece + 1) {
+            if next_v == v {
+                return Some(Reached {
+                    time: next_t,
+                    piece: self.piece + 1,
+                });
             }
+            if next_v > v {
+                break;
+            }
+            self.piece += 1;
         }
-        unreachable!("loop always returns on the last piece")
+        // Every earlier piece ends below `v`, so this one starts below
+        // it; unless it is the last, it also ends above `v` and rises.
+        let (kt, kv) = knots[self.piece];
+        let slope = Rate::new(self.curve.slopes[self.piece]);
+        slope.is_positive().then(|| Reached {
+            time: kt + (v - kv) / slope,
+            piece: self.piece,
+        })
     }
 
-    /// The slope in effect at time `t` (right-continuous: a knot time
-    /// reports the slope of the piece that starts there).
-    pub(crate) fn slope_at(&self, t: Time) -> Ratio {
-        debug_assert!(!t.is_negative());
-        let idx = match self.knots.binary_search_by(|(kt, _)| kt.cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        self.slopes[idx]
-    }
-
-    /// The earliest time at which the curve *strictly exceeds* `v` —
-    /// the right limit of the pseudo-inverse. Differs from
-    /// [`Self::first_time_reaching`] exactly when the curve has a
-    /// plateau at value `v`. Returns `None` if the curve saturates at
-    /// or below `v`.
-    pub(crate) fn first_time_strictly_exceeding(&self, v: Cells) -> Option<Time> {
-        let t0 = self.first_time_reaching(v)?;
-        if self.value_at(t0) > v {
-            return Some(t0);
+    /// When the bit that brings the arrivals to `v` departs: the first
+    /// time the curve reaches `v`, or — while traffic is `still_arriving`
+    /// — the first time it *strictly exceeds* `v`, the right limit of
+    /// the pseudo-inverse. The two differ exactly when the curve has a
+    /// plateau at `v`. `None` if the curve saturates first.
+    fn departure(&mut self, v: Cells, still_arriving: bool) -> Option<Time> {
+        let at = self.reach(v)?;
+        if !still_arriving {
+            return Some(at.time);
         }
-        // The curve equals v at t0; it strictly exceeds v as soon as a
+        // The curve equals v here; it strictly exceeds v as soon as a
         // positive slope resumes.
-        let idx = match self.knots.binary_search_by(|(kt, _)| kt.cmp(&t0)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        for i in idx..self.slopes.len() {
-            if self.slopes[i].is_positive() {
-                return Some(t0.max(self.knots[i].0));
-            }
+        self.rising = self.rising.max(at.piece);
+        while !self.curve.slopes.get(self.rising)?.is_positive() {
+            self.rising += 1;
         }
-        None
-    }
-
-    /// Times of all knots.
-    pub(crate) fn knot_times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.knots.iter().map(|&(t, _)| t)
-    }
-
-    /// Knot values.
-    pub(crate) fn knot_values(&self) -> impl Iterator<Item = Cells> + '_ {
-        self.knots.iter().map(|&(_, v)| v)
+        Some(at.time.max(self.curve.knots[self.rising].0))
     }
 }
 
@@ -171,54 +157,43 @@ impl PiecewiseLinear {
 /// (long-run arrival rate exceeds long-run service rate, or the service
 /// saturates below the total arrival volume).
 pub(crate) fn horizontal_deviation(a: &PiecewiseLinear, c: &PiecewiseLinear) -> Option<Time> {
-    let ra = a.final_slope();
-    let rc = c.final_slope();
+    let ((a_max, ra), (c_max, rc)) = (a.tail()?, c.tail()?);
     if ra > rc {
         return None;
     }
-    if ra == rc && rc.is_zero() {
-        // Both curves saturate; the service must cover the total volume.
-        let a_max = a.knot_values().last().expect("non-empty");
-        let c_max = c.knot_values().last().expect("non-empty");
-        if a_max > c_max {
-            return None;
-        }
+    // Both curves saturate; the service must cover the total volume.
+    if ra == rc && rc.is_zero() && a_max > c_max {
+        return None;
     }
     // Candidate times: knots of A, plus preimages (under A) of the
     // values C takes at its knots. Between consecutive candidates the
     // deviation is affine, so the maximum is attained at a candidate.
-    let mut candidates: Vec<Time> = a.knot_times().collect();
-    for v in c.knot_values() {
-        if let Some(t) = a.first_time_reaching(v) {
-            candidates.push(t);
-        }
-    }
+    // Each candidate's deviation is g − t, with g the departure of the
+    // bit arriving exactly at t and — when traffic is still arriving
+    // there — of the bits arriving immediately after it.
+    //
+    // Both families ascend in time and in value, so each is one forward
+    // walk: an A-knot already carries its value and slope, and the
+    // values handed to C only grow.
     let mut best = Time::ZERO;
-    for t in candidates {
-        let v = a.value_at(t);
-        // Departure of the bit arriving exactly at t…
-        let g = c.first_time_reaching(v)?;
-        // …and of bits arriving immediately after t (the supremum is
-        // approached from the right when C has a plateau at value v and
-        // traffic is still arriving).
-        let g = if a.slope_at(t).is_positive() {
-            match c.first_time_strictly_exceeding(v) {
-                Some(g_right) => g.max(g_right),
-                // Still arriving while the service has saturated at v:
-                // unbounded (defensive; the stability pre-check should
-                // have caught this).
-                None => return None,
-            }
-        } else {
-            g
-        };
-        let d = g - t;
-        if d > best {
-            best = d;
-        }
+    let mut service = InverseCursor::new(c);
+    for (&(t, v), slope) in a.knots.iter().zip(&a.slopes) {
+        let g = service.departure(v, slope.is_positive())?;
+        best = best.max(g - t);
+    }
+    let mut service = InverseCursor::new(c);
+    let mut arrival = InverseCursor::new(a);
+    for &(_, v) in &c.knots {
+        // A saturates below this value, hence below all later ones.
+        let Some(at) = arrival.reach(v) else { break };
+        let g = service.departure(v, a.slopes[at.piece].is_positive())?;
+        best = best.max(g - at.time);
     }
     Some(best)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -234,15 +209,23 @@ mod tests {
         .unwrap()
     }
 
+    fn first_time_reaching(curve: &PiecewiseLinear, v: Cells) -> Option<Time> {
+        InverseCursor::new(curve).reach(v).map(|at| at.time)
+    }
+
     #[test]
     fn arrival_values() {
         // Rate 1 on [0,4), then 1/4.
         let s = stream(&[(1, 1, 0, 1), (1, 4, 4, 1)]);
         let a = PiecewiseLinear::arrival(&s);
-        assert_eq!(a.value_at(Time::ZERO), Cells::ZERO);
-        assert_eq!(a.value_at(Time::from_integer(4)), Cells::from_integer(4));
-        assert_eq!(a.value_at(Time::from_integer(8)), Cells::from_integer(5));
-        assert_eq!(a.final_slope(), ratio(1, 4));
+        assert_eq!(
+            a.knots,
+            [
+                (Time::ZERO, Cells::ZERO),
+                (Time::from_integer(4), Cells::from_integer(4))
+            ]
+        );
+        assert_eq!(a.tail(), Some((Cells::from_integer(4), ratio(1, 4))));
     }
 
     #[test]
@@ -251,20 +234,30 @@ mod tests {
         let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
         let c = PiecewiseLinear::leftover_service(&h);
         // No service while interference saturates the link.
-        assert_eq!(c.value_at(Time::from_integer(2)), Cells::ZERO);
-        assert_eq!(c.value_at(Time::from_integer(6)), Cells::from_integer(2));
-        assert_eq!(c.final_slope(), ratio(1, 2));
+        assert_eq!(
+            c.knots,
+            [
+                (Time::ZERO, Cells::ZERO),
+                (Time::from_integer(2), Cells::ZERO)
+            ]
+        );
+        assert_eq!(c.slopes, [Ratio::ZERO, ratio(1, 2)]);
     }
 
     #[test]
     fn first_time_reaching_with_plateau() {
         let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
         let c = PiecewiseLinear::leftover_service(&h);
-        assert_eq!(c.first_time_reaching(Cells::ZERO), Some(Time::ZERO));
+        assert_eq!(first_time_reaching(&c, Cells::ZERO), Some(Time::ZERO));
         // First cell of leftover service completes at t = 2 + 2 = 4.
         assert_eq!(
-            c.first_time_reaching(Cells::ONE),
+            first_time_reaching(&c, Cells::ONE),
             Some(Time::from_integer(4))
+        );
+        // Traffic still arriving at value 0 leaves once the plateau ends.
+        assert_eq!(
+            InverseCursor::new(&c).departure(Cells::ZERO, true),
+            Some(Time::from_integer(2))
         );
     }
 
@@ -274,10 +267,17 @@ mod tests {
         let s = stream(&[(1, 1, 0, 1), (0, 1, 3, 1)]);
         let a = PiecewiseLinear::arrival(&s);
         assert_eq!(
-            a.first_time_reaching(Cells::from_integer(3)),
+            first_time_reaching(&a, Cells::from_integer(3)),
             Some(Time::from_integer(3))
         );
-        assert_eq!(a.first_time_reaching(Cells::from_integer(4)), None);
+        assert_eq!(first_time_reaching(&a, Cells::from_integer(4)), None);
+        // At the saturation value nothing ever strictly exceeds it.
+        let mut cursor = InverseCursor::new(&a);
+        assert_eq!(
+            cursor.departure(Cells::from_integer(3), false),
+            Some(Time::from_integer(3))
+        );
+        assert_eq!(cursor.departure(Cells::from_integer(3), true), None);
     }
 
     #[test]
@@ -322,24 +322,198 @@ mod tests {
 
     #[test]
     fn deviation_equal_final_slopes_saturating() {
-        // Arrival: 2 cells then stop. Service: zero after 1 cell served.
-        let s = stream(&[(1, 1, 0, 1), (0, 1, 2, 1)]);
-        let h_blocking = stream(&[(0, 1, 0, 1)]); // no interference
-        let a = PiecewiseLinear::arrival(&s);
-        // Service saturating at 1 cell: interference becomes full rate
-        // after 1 cell time.
-        let h = BitStream::from_rate_breaks([(ratio(0, 1), ratio(0, 1))]).unwrap();
-        let _ = (h, h_blocking);
-        // Construct service directly: full for 1 cell time, then zero
-        // leftover (interference rate 1 after t=1) — but interference
-        // must be non-increasing, so model via curve arithmetic instead:
-        // here we only verify the saturation comparison path using two
-        // flat curves.
-        let a_sat = PiecewiseLinear::arrival(&s); // saturates at 2
+        // Interference is non-increasing, so no `higher` stream yields a
+        // saturating service curve; two arrival curves stand in for the
+        // pair of flat tails. Arrival: 2 cells then stop.
+        let a_sat = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 2, 1)]));
         let c_sat = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 1, 1)])); // saturates at 1
         assert_eq!(horizontal_deviation(&a_sat, &c_sat), None);
         let c_big = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 5, 1)]));
         assert!(horizontal_deviation(&a_sat, &c_big).is_some());
-        let _ = a;
+    }
+
+    // ---- the sweep against the reference -------------------------------
+
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    fn seed() -> u64 {
+        match std::env::var("RTCAC_TEST_SEED") {
+            Ok(s) => s
+                .parse()
+                .unwrap_or_else(|_| panic!("RTCAC_TEST_SEED={s:?} is not a u64")),
+            Err(_) => 0x41_5EED,
+        }
+    }
+
+    /// Strictly increasing breakpoints from 0, on thirds and halves.
+    fn breakpoints(rng: &mut SplitMix64, n: usize) -> Vec<Ratio> {
+        let mut t = Ratio::ZERO;
+        (0..n)
+            .map(|k| {
+                if k > 0 {
+                    t += ratio(1 + rng.below(9) as i128, 1 + rng.below(3) as i128);
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// A stream of up to seven segments with rates in twelfths, falling
+    /// from at most `peak/12` (exactly that if `pin_peak`) to `last/12`.
+    fn random_stream(rng: &mut SplitMix64, peak: u64, pin_peak: bool, last: u64) -> BitStream {
+        let mut rates = vec![last];
+        let want = 1 + rng.below(7) as usize;
+        while rates.len() < want {
+            let next = rates[rates.len() - 1] + 1 + rng.below(6);
+            if next > peak {
+                break;
+            }
+            rates.push(next);
+        }
+        if pin_peak && rates[rates.len() - 1] < peak {
+            rates.push(peak);
+        }
+        rates.reverse();
+        let times = breakpoints(rng, rates.len());
+        BitStream::from_rate_breaks(
+            rates
+                .iter()
+                .zip(times)
+                .map(|(&q, t)| (ratio(q as i128, 12), t)),
+        )
+        .unwrap()
+    }
+
+    /// An `(arrival, higher)` pair. `higher` is filtered (rates <= 1).
+    /// The draw leans on what the plateau rule exists for: a rate-1
+    /// prefix on `higher` (a zero-slope service piece), arrivals that
+    /// stop (saturating curves), and equal final slopes.
+    fn random_pair(rng: &mut SplitMix64) -> (BitStream, BitStream) {
+        let (higher_last, higher) = match rng.below(8) {
+            0 => (0, BitStream::zero()),
+            1 => (12, random_stream(rng, 12, true, 12)), // the link, forever
+            _ => {
+                let last = rng.below(12);
+                let blackout = rng.one_in(3);
+                (last, random_stream(rng, 12, blackout, last))
+            }
+        };
+        let left = 12 - higher_last;
+        let last = match rng.below(8) {
+            0..=2 => 0,                   // the arrivals stop
+            3..=4 => left,                // equal final slopes
+            5 => left + 1 + rng.below(3), // long-run overload
+            _ => rng.below(left + 1),     // long-run slack
+        };
+        let arrival = if last == 0 && rng.one_in(4) {
+            BitStream::zero()
+        } else {
+            let peak = last + rng.below(30);
+            random_stream(rng, peak, false, last)
+        };
+        (arrival, higher)
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_streams() {
+        let seed = seed();
+        let mut rng = SplitMix64(seed);
+        let (mut bounded, mut unbounded, mut blackout, mut stopped, mut tied) = (0, 0, 0, 0, 0);
+        for case in 0..24_000 {
+            let (arrival, higher) = random_pair(&mut rng);
+            let want = reference::delay_bound(&arrival, &higher);
+            let got = arrival.delay_bound(&higher).ok();
+            assert_eq!(
+                got, want,
+                "RTCAC_TEST_SEED={seed} case {case}: {arrival:?} under {higher:?}"
+            );
+            match want {
+                Some(_) => bounded += 1,
+                None => unbounded += 1,
+            }
+            let full = higher.peak_rate() == Rate::FULL;
+            blackout += usize::from(full && want.is_some_and(|d| d.is_positive()));
+            stopped += usize::from(arrival.long_run_rate().is_zero() && !arrival.is_zero());
+            tied += usize::from(
+                arrival.long_run_rate() + higher.long_run_rate() == Rate::FULL && want.is_some(),
+            );
+        }
+        // Every shape the plateau rule and the pre-checks exist for.
+        for (what, n) in [
+            ("bounded", bounded),
+            ("unbounded", unbounded),
+            ("blackout prefix", blackout),
+            ("stopping arrivals", stopped),
+            ("equal final slopes", tied),
+        ] {
+            assert!(n >= 1_000, "{what}: only {n} cases");
+        }
+    }
+
+    /// Any non-decreasing curve from the origin — plateaus anywhere, not
+    /// only where a stream's integral can put them — as both types.
+    fn random_curve(rng: &mut SplitMix64) -> (PiecewiseLinear, reference::PiecewiseLinear) {
+        let n = 1 + rng.below(6) as usize;
+        let slopes: Vec<Ratio> = (0..n)
+            .map(|_| match rng.below(6) {
+                0 | 1 => Ratio::ZERO,
+                k => ratio(1 + rng.below(4) as i128, k as i128),
+            })
+            .collect();
+        let mut value = Cells::ZERO;
+        let mut knots: Vec<(Time, Cells)> = Vec::new();
+        for (k, t) in breakpoints(rng, n).into_iter().enumerate() {
+            if let Some(&(prev, _)) = knots.last() {
+                value += Rate::new(slopes[k - 1]) * (Time::new(t) - prev);
+            }
+            knots.push((Time::new(t), value));
+        }
+        (
+            PiecewiseLinear {
+                knots: knots.clone(),
+                slopes: slopes.clone(),
+            },
+            reference::PiecewiseLinear { knots, slopes },
+        )
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_arbitrary_curves() {
+        let seed = seed();
+        let mut rng = SplitMix64(seed ^ 0xC0_FFEE);
+        let (mut bounded, mut unbounded) = (0, 0);
+        for case in 0..8_000 {
+            let (a, a_ref) = random_curve(&mut rng);
+            let (c, c_ref) = random_curve(&mut rng);
+            let want = reference::horizontal_deviation(&a_ref, &c_ref);
+            assert_eq!(
+                horizontal_deviation(&a, &c),
+                want,
+                "RTCAC_TEST_SEED={seed} case {case}: {a:?} over {c:?}"
+            );
+            match want {
+                Some(_) => bounded += 1,
+                None => unbounded += 1,
+            }
+        }
+        assert!(bounded >= 1_000 && unbounded >= 1_000);
     }
 }

@@ -58,7 +58,7 @@ impl Neg for Ratio {
     type Output = Ratio;
 
     fn neg(self) -> Ratio {
-        Ratio::ZERO - self
+        self.negated()
     }
 }
 

@@ -53,8 +53,21 @@ pub struct Ratio {
     den: i128,
 }
 
-/// Greatest common divisor of two non-negative integers.
-pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
+// Narrow and wide arithmetic.
+//
+// Every operation below has two bodies. The *wide* one is plain `i128`
+// code: Euclid's loop, checked products, `None` on overflow. The
+// *narrow* one runs when every component of every operand fits 64 bits
+// — the only case the admission workloads produce — and works in
+// machine words: binary GCD, hardware `u64` division, and `i128`
+// products of 64-bit factors, which cannot overflow. Which body runs is
+// decided by operand width alone, and because a reduced fraction with a
+// positive denominator is unique, both return the same `(num, den)`
+// pair; the `differential` test module checks exactly that.
+
+/// Euclid's algorithm on non-negative `i128`s (a software remainder
+/// per step).
+fn gcd_wide(mut a: i128, mut b: i128) -> i128 {
     debug_assert!(a >= 0 && b >= 0);
     while b != 0 {
         let t = a % b;
@@ -62,6 +75,91 @@ pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
         b = t;
     }
     a
+}
+
+/// Binary (Stein) GCD: shifts and subtractions only.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            core::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `(num, den)` as machine words when both fit `i64` — the width at
+/// which every product on the narrow paths fits `i128` unchecked:
+/// `|num| <= 2^63` and `0 < den < 2^63`.
+fn narrow(r: Ratio) -> Option<(i64, i64)> {
+    match (i64::try_from(r.num), i64::try_from(r.den)) {
+        (Ok(num), Ok(den)) => Some((num, den)),
+        _ => None,
+    }
+}
+
+/// `num/den` in lowest terms, `den != 0`.
+fn new_narrow(num: i64, den: i64) -> Ratio {
+    let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+    let g = gcd_u64(n, d);
+    let n = i128::from(n / g);
+    Ratio {
+        num: if (num < 0) ^ (den < 0) { -n } else { n },
+        den: i128::from(d / g),
+    }
+}
+
+/// `a/b + c/d` for reduced word-sized operands. Never overflows: both
+/// cross products are below `2^126`.
+fn add_narrow((a, b): (i64, i64), (c, d): (i64, i64)) -> Ratio {
+    let g = gcd_u64(b.unsigned_abs(), d.unsigned_abs()) as i64;
+    let (b_g, d_g) = (b / g, d / g);
+    let t = i128::from(a) * i128::from(d_g) + i128::from(c) * i128::from(b_g);
+    // With b = g·b', d = g·d' and both operands reduced, t is coprime
+    // to b' and to d', so gcd(t, g·b'·d') = gcd(t, g): the result is
+    // reduced by one more word-sized GCD (Knuth, TAOCP 4.5.1).
+    if g == 1 {
+        return Ratio {
+            num: t,
+            den: i128::from(b) * i128::from(d),
+        };
+    }
+    let (t_abs, g_u) = (t.unsigned_abs(), g.unsigned_abs());
+    let rem = match u64::try_from(t_abs) {
+        Ok(t) => t % g_u,
+        Err(_) => (t_abs % u128::from(g_u)) as u64,
+    };
+    let g2 = gcd_u64(rem, g_u) as i64;
+    let num = match i64::try_from(t) {
+        Ok(t) => i128::from(t / g2),
+        Err(_) => t / i128::from(g2),
+    };
+    Ratio {
+        num,
+        den: i128::from(b_g) * i128::from(d / g2),
+    }
+}
+
+/// `a/b · c/d` for reduced word-sized operands. Cross-reducing two
+/// reduced fractions leaves a reduced product, so no final GCD.
+fn mul_narrow((a, b): (i64, i64), (c, d): (i64, i64)) -> Ratio {
+    let g1 = gcd_u64(a.unsigned_abs(), d.unsigned_abs()) as i64;
+    let g2 = gcd_u64(c.unsigned_abs(), b.unsigned_abs()) as i64;
+    Ratio {
+        num: i128::from(a / g1) * i128::from(c / g2),
+        den: i128::from(b / g2) * i128::from(d / g1),
+    }
 }
 
 impl Ratio {
@@ -87,6 +185,13 @@ impl Ratio {
     /// # Ok::<(), rtcac_rational::RatioError>(())
     /// ```
     pub fn new(num: i128, den: i128) -> Result<Ratio, RatioError> {
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(num), Ok(den)) if den != 0 => Ok(new_narrow(num, den)),
+            _ => Ratio::new_wide(num, den),
+        }
+    }
+
+    fn new_wide(num: i128, den: i128) -> Result<Ratio, RatioError> {
         if den == 0 {
             return Err(RatioError::ZeroDenominator);
         }
@@ -95,7 +200,7 @@ impl Ratio {
         }
         let sign = if (num < 0) ^ (den < 0) { -1 } else { 1 };
         let (num, den) = (num.abs(), den.abs());
-        let g = gcd(num, den);
+        let g = gcd_wide(num, den);
         Ok(Ratio {
             num: sign * (num / g),
             den: den / g,
@@ -259,8 +364,15 @@ impl Ratio {
     ///
     /// Returns `None` on `i128` overflow.
     pub fn checked_add(self, rhs: Ratio) -> Option<Ratio> {
+        match (narrow(self), narrow(rhs)) {
+            (Some(lhs), Some(rhs)) => Some(add_narrow(lhs, rhs)),
+            _ => self.checked_add_wide(rhs),
+        }
+    }
+
+    fn checked_add_wide(self, rhs: Ratio) -> Option<Ratio> {
         // a/b + c/d = (a*(d/g) + c*(b/g)) / (b/g*d) with g = gcd(b, d).
-        let g = gcd(self.den, rhs.den);
+        let g = gcd_wide(self.den, rhs.den);
         let lhs_scale = rhs.den / g;
         let rhs_scale = self.den / g;
         let num = self
@@ -268,29 +380,42 @@ impl Ratio {
             .checked_mul(lhs_scale)?
             .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
         let den = self.den.checked_mul(lhs_scale)?;
-        Ratio::new(num, den).ok()
+        Ratio::new_wide(num, den).ok()
+    }
+
+    /// The additive inverse. Total: [`Ratio::new`] never admits
+    /// `i128::MIN` as a numerator.
+    pub(crate) const fn negated(self) -> Ratio {
+        Ratio {
+            num: -self.num,
+            den: self.den,
+        }
     }
 
     /// Checked subtraction.
     ///
     /// Returns `None` on `i128` overflow.
     pub fn checked_sub(self, rhs: Ratio) -> Option<Ratio> {
-        self.checked_add(Ratio {
-            num: -rhs.num,
-            den: rhs.den,
-        })
+        self.checked_add(rhs.negated())
     }
 
     /// Checked multiplication.
     ///
     /// Returns `None` on `i128` overflow.
     pub fn checked_mul(self, rhs: Ratio) -> Option<Ratio> {
+        match (narrow(self), narrow(rhs)) {
+            (Some(lhs), Some(rhs)) => Some(mul_narrow(lhs, rhs)),
+            _ => self.checked_mul_wide(rhs),
+        }
+    }
+
+    fn checked_mul_wide(self, rhs: Ratio) -> Option<Ratio> {
         // Cross-reduce before multiplying to keep intermediates small.
-        let g1 = gcd(self.num.abs(), rhs.den);
-        let g2 = gcd(rhs.num.abs(), self.den);
+        let g1 = gcd_wide(self.num.abs(), rhs.den);
+        let g2 = gcd_wide(rhs.num.abs(), self.den);
         let num = (self.num / g1).checked_mul(rhs.num / g2)?;
         let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Ratio::new(num, den).ok()
+        Ratio::new_wide(num, den).ok()
     }
 
     /// Checked division.
@@ -443,6 +568,9 @@ impl From<i32> for Ratio {
         Ratio::from_integer(value as i128)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
