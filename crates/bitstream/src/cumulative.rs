@@ -4,8 +4,9 @@
 //! piecewise-linear, non-decreasing *cumulative* curve. Algorithm 4.1
 //! (the queueing delay bound) is the maximum horizontal deviation
 //! between the arrival curve of the priority class and the leftover
-//! service curve under higher-priority interference. Both are
-//! [`PiecewiseLinear`] values here.
+//! service curve under higher-priority interference. The service curve
+//! is a [`PiecewiseLinear`] value; the arrival curve is integrated from
+//! its stream only as far as [`horizontal_deviation`] walks it.
 
 use rtcac_rational::Ratio;
 
@@ -23,30 +24,13 @@ pub(crate) struct PiecewiseLinear {
 }
 
 impl PiecewiseLinear {
-    /// The cumulative arrival curve `A(t) = ∫₀ᵗ r(u) du` of a stream.
-    pub(crate) fn arrival(stream: &BitStream) -> PiecewiseLinear {
-        PiecewiseLinear::integral(stream, |rate| rate.as_ratio())
-    }
-
     /// The leftover service curve `C(t) = ∫₀ᵗ (1 − r₁(u)) du` available
     /// to a priority class under higher-priority interference `r₁`.
     ///
     /// The caller must ensure `r₁ <= 1` everywhere (i.e. the
     /// interference stream has been filtered, Algorithm 3.4).
     pub(crate) fn leftover_service(higher: &BitStream) -> PiecewiseLinear {
-        PiecewiseLinear::integral(higher, |rate| {
-            let slope = Ratio::ONE - rate.as_ratio();
-            debug_assert!(
-                !slope.is_negative(),
-                "leftover_service: interference above link rate"
-            );
-            slope
-        })
-    }
-
-    /// `∫₀ᵗ slope_of(r(u)) du` over a stream's segments.
-    fn integral(stream: &BitStream, slope_of: impl Fn(Rate) -> Ratio) -> PiecewiseLinear {
-        let segs = stream.segments();
+        let segs = higher.segments();
         let mut knots = Vec::with_capacity(segs.len());
         let mut slopes = Vec::with_capacity(segs.len());
         let mut value = Cells::ZERO;
@@ -55,7 +39,11 @@ impl PiecewiseLinear {
             if let Some((slope, start)) = prev {
                 value += Rate::new(slope) * (seg.start - start);
             }
-            let slope = slope_of(seg.rate);
+            let slope = Ratio::ONE - seg.rate.as_ratio();
+            debug_assert!(
+                !slope.is_negative(),
+                "leftover_service: interference above link rate"
+            );
             knots.push((seg.start, value));
             slopes.push(slope);
             prev = Some((slope, seg.start));
@@ -64,132 +52,91 @@ impl PiecewiseLinear {
     }
 
     /// Start value and slope of the last (infinite) piece; `None` only
-    /// for an empty curve, which neither constructor produces.
+    /// for an empty curve, which the constructor never produces.
     fn tail(&self) -> Option<(Cells, Ratio)> {
         Some((self.knots.last()?.1, *self.slopes.last()?))
     }
 }
 
-/// Where a curve first reaches a value.
-struct Reached {
-    time: Time,
-    /// The piece in effect at `time` (right-continuous: a knot time
-    /// belongs to the piece that starts there).
-    piece: usize,
-}
-
-/// A forward-only reader of a curve's pseudo-inverse. Queries must come
-/// in non-decreasing order of value; each then resumes where the last
-/// one stopped, so a whole sweep costs one pass over the pieces.
-struct InverseCursor<'a> {
-    curve: &'a PiecewiseLinear,
-    /// The first piece that ends above the last value asked for.
-    piece: usize,
-    /// The first rising piece at or after the last plateau looked at.
-    rising: usize,
-}
-
-impl<'a> InverseCursor<'a> {
-    fn new(curve: &'a PiecewiseLinear) -> InverseCursor<'a> {
-        InverseCursor {
-            curve,
-            piece: 0,
-            rising: 0,
-        }
-    }
-
-    /// The earliest time at which the curve reaches `v >= 0`, or `None`
-    /// if it never does (curve saturates below `v`).
-    fn reach(&mut self, v: Cells) -> Option<Reached> {
-        debug_assert!(!v.is_negative());
-        if v.is_zero() {
-            return Some(Reached {
-                time: Time::ZERO,
-                piece: 0,
-            });
-        }
-        let knots = &self.curve.knots;
-        while let Some(&(next_t, next_v)) = knots.get(self.piece + 1) {
-            if next_v == v {
-                return Some(Reached {
-                    time: next_t,
-                    piece: self.piece + 1,
-                });
-            }
-            if next_v > v {
-                break;
-            }
-            self.piece += 1;
-        }
-        // Every earlier piece ends below `v`, so this one starts below
-        // it; unless it is the last, it also ends above `v` and rises.
-        let (kt, kv) = knots[self.piece];
-        let slope = Rate::new(self.curve.slopes[self.piece]);
-        slope.is_positive().then(|| Reached {
-            time: kt + (v - kv) / slope,
-            piece: self.piece,
-        })
-    }
-
-    /// When the bit that brings the arrivals to `v` departs: the first
-    /// time the curve reaches `v`, or — while traffic is `still_arriving`
-    /// — the first time it *strictly exceeds* `v`, the right limit of
-    /// the pseudo-inverse. The two differ exactly when the curve has a
-    /// plateau at `v`. `None` if the curve saturates first.
-    fn departure(&mut self, v: Cells, still_arriving: bool) -> Option<Time> {
-        let at = self.reach(v)?;
-        if !still_arriving {
-            return Some(at.time);
-        }
-        // The curve equals v here; it strictly exceeds v as soon as a
-        // positive slope resumes.
-        self.rising = self.rising.max(at.piece);
-        while !self.curve.slopes.get(self.rising)?.is_positive() {
-            self.rising += 1;
-        }
-        Some(at.time.max(self.curve.knots[self.rising].0))
-    }
-}
-
-/// The maximum horizontal deviation `max_t [ C⁻¹(A(t)) − t ]` between an
-/// arrival curve `A` and a service curve `C` — the worst-case FIFO
-/// queueing delay. Returns `None` when the deviation is unbounded
-/// (long-run arrival rate exceeds long-run service rate, or the service
-/// saturates below the total arrival volume).
-pub(crate) fn horizontal_deviation(a: &PiecewiseLinear, c: &PiecewiseLinear) -> Option<Time> {
-    let ((a_max, ra), (c_max, rc)) = (a.tail()?, c.tail()?);
+/// The maximum horizontal deviation `max_t [ C⁻¹(A(t)) − t ]` between
+/// the arrival curve `A = ∫ r` of `arrival` and a service curve `C` —
+/// the worst-case FIFO queueing delay. Returns `None` when the deviation
+/// is unbounded (long-run arrival rate exceeds long-run service rate, or
+/// the service saturates below the total arrival volume).
+///
+/// The deviation `D(t) = g(t) − t`, with `g(t)` the departure of the bit
+/// arriving at `t`, is piecewise linear. It bends only where `A` reaches
+/// one of its own knots (the first candidate family) or one of `C`'s
+/// knot values (the second), and between bends its slope is `r / s − 1`
+/// for `A`'s slope `r` and `C`'s slope `s` at the departure.
+///
+/// `C` must be convex — slopes that never fall, as the integral of
+/// `1 − r₁` has for a non-increasing `r₁` — and `A` is concave because a
+/// stream's rates never rise. Then `C⁻¹` is concave wherever `C` rises,
+/// `g = C⁻¹ ∘ A` is concave, and so is `D`: its maximum sits at the
+/// first bend after which it stops rising (`r <= s`). The walk goes
+/// through both families' bends in order up to that one, integrating `A`
+/// as it goes, and evaluates `D` there alone.
+pub(crate) fn horizontal_deviation(arrival: &BitStream, c: &PiecewiseLinear) -> Option<Time> {
+    debug_assert!(
+        c.slopes.windows(2).all(|w| w[0] <= w[1]),
+        "the peak walk needs a convex service curve: {c:?}"
+    );
+    let (c_max, rc) = c.tail()?;
+    let ra = arrival.long_run_rate().as_ratio();
     if ra > rc {
         return None;
     }
     // Both curves saturate; the service must cover the total volume.
-    if ra == rc && rc.is_zero() && a_max > c_max {
+    if ra == rc && rc.is_zero() && arrival.cumulative(arrival.stabilization_time()) > c_max {
         return None;
     }
-    // Candidate times: knots of A, plus preimages (under A) of the
-    // values C takes at its knots. Between consecutive candidates the
-    // deviation is affine, so the maximum is attained at a candidate.
-    // Each candidate's deviation is g − t, with g the departure of the
-    // bit arriving exactly at t and — when traffic is still arriving
-    // there — of the bits arriving immediately after it.
-    //
-    // Both families ascend in time and in value, so each is one forward
-    // walk: an A-knot already carries its value and slope, and the
-    // values handed to C only grow.
-    let mut best = Time::ZERO;
-    let mut service = InverseCursor::new(c);
-    for (&(t, v), slope) in a.knots.iter().zip(&a.slopes) {
-        let g = service.departure(v, slope.is_positive())?;
-        best = best.max(g - t);
+    let segs = arrival.segments();
+    if !segs[0].rate.is_positive() {
+        // Nothing ever arrives, so nothing waits.
+        return Some(Time::ZERO);
     }
-    let mut service = InverseCursor::new(c);
-    let mut arrival = InverseCursor::new(a);
-    for &(_, v) in &c.knots {
-        // A saturates below this value, hence below all later ones.
-        let Some(at) = arrival.reach(v) else { break };
-        let g = service.departure(v, a.slopes[at.piece].is_positive())?;
-        best = best.max(g - at.time);
+    // The first bits leave once `C` starts rising: at the end of its
+    // flat prefix (the right limit of `C⁻¹` at 0). `m` is the piece of
+    // `C` that serves the bits arriving just after the current bend.
+    let mut m = c.slopes.iter().position(Ratio::is_positive)?;
+    // `A`'s current piece, where it starts, and `A` at the current bend.
+    let (mut k, mut t_k, mut v_k) = (0, Time::ZERO, Cells::ZERO);
+    let mut v = Cells::ZERO;
+    while segs[k].rate.as_ratio() > c.slopes[m] {
+        // The next bend: `A`'s next knot or `C`'s next knot value,
+        // whichever `A` reaches first (both, on a tie).
+        let a_next = segs
+            .get(k + 1)
+            .map(|next| (next.start, v_k + segs[k].rate * (next.start - t_k)));
+        let c_next = c.knots.get(m + 1).map(|&(_, value)| value);
+        match a_next {
+            Some((t, value)) if c_next.is_none_or(|c_value| value <= c_value) => {
+                m += usize::from(c_next == Some(value));
+                (k, t_k, v_k) = (k + 1, t, value);
+                v = value;
+            }
+            // Rising forever is `None`; the long-run check excludes it.
+            _ => {
+                v = c_next?;
+                m += 1;
+            }
+        }
     }
-    Some(best)
+    // `D` at that bend: the bit that brings the arrivals to `v` arrives
+    // at `t` and departs at `g`.
+    let t = if v == v_k {
+        t_k
+    } else {
+        t_k + (v - v_k) / segs[k].rate
+    };
+    let (start, value) = c.knots[m];
+    let g = if v == value {
+        start
+    } else {
+        start + (v - value) / Rate::new(c.slopes[m])
+    };
+    Some(g - t)
 }
 
 #[cfg(test)]
@@ -209,25 +156,6 @@ mod tests {
         .unwrap()
     }
 
-    fn first_time_reaching(curve: &PiecewiseLinear, v: Cells) -> Option<Time> {
-        InverseCursor::new(curve).reach(v).map(|at| at.time)
-    }
-
-    #[test]
-    fn arrival_values() {
-        // Rate 1 on [0,4), then 1/4.
-        let s = stream(&[(1, 1, 0, 1), (1, 4, 4, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
-        assert_eq!(
-            a.knots,
-            [
-                (Time::ZERO, Cells::ZERO),
-                (Time::from_integer(4), Cells::from_integer(4))
-            ]
-        );
-        assert_eq!(a.tail(), Some((Cells::from_integer(4), ratio(1, 4))));
-    }
-
     #[test]
     fn leftover_service_values() {
         // Higher-priority interference: rate 1 on [0,2), then 1/2.
@@ -245,65 +173,26 @@ mod tests {
     }
 
     #[test]
-    fn first_time_reaching_with_plateau() {
-        let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
-        let c = PiecewiseLinear::leftover_service(&h);
-        assert_eq!(first_time_reaching(&c, Cells::ZERO), Some(Time::ZERO));
-        // First cell of leftover service completes at t = 2 + 2 = 4.
-        assert_eq!(
-            first_time_reaching(&c, Cells::ONE),
-            Some(Time::from_integer(4))
-        );
-        // Traffic still arriving at value 0 leaves once the plateau ends.
-        assert_eq!(
-            InverseCursor::new(&c).departure(Cells::ZERO, true),
-            Some(Time::from_integer(2))
-        );
-    }
-
-    #[test]
-    fn first_time_reaching_saturated() {
-        // Arrival that stops: rate 1 on [0, 3), then zero.
-        let s = stream(&[(1, 1, 0, 1), (0, 1, 3, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
-        assert_eq!(
-            first_time_reaching(&a, Cells::from_integer(3)),
-            Some(Time::from_integer(3))
-        );
-        assert_eq!(first_time_reaching(&a, Cells::from_integer(4)), None);
-        // At the saturation value nothing ever strictly exceeds it.
-        let mut cursor = InverseCursor::new(&a);
-        assert_eq!(
-            cursor.departure(Cells::from_integer(3), false),
-            Some(Time::from_integer(3))
-        );
-        assert_eq!(cursor.departure(Cells::from_integer(3), true), None);
-    }
-
-    #[test]
     fn deviation_simple_burst() {
         // Burst: rate 2 for 3 cell times then 0, full service.
         let s = stream(&[(2, 1, 0, 1), (0, 1, 3, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
         let c = PiecewiseLinear::leftover_service(&BitStream::zero());
         // Backlog peaks at 3 cells at t=3; last bit waits 3 cell times.
-        assert_eq!(horizontal_deviation(&a, &c), Some(Time::from_integer(3)));
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
     }
 
     #[test]
     fn deviation_unbounded_on_overload() {
         let s = stream(&[(3, 2, 0, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
         let c = PiecewiseLinear::leftover_service(&BitStream::zero());
-        assert_eq!(horizontal_deviation(&a, &c), None);
+        assert_eq!(horizontal_deviation(&s, &c), None);
     }
 
     #[test]
     fn deviation_zero_for_light_traffic() {
         let s = stream(&[(1, 2, 0, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
         let c = PiecewiseLinear::leftover_service(&BitStream::zero());
-        assert_eq!(horizontal_deviation(&a, &c), Some(Time::ZERO));
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::ZERO));
     }
 
     #[test]
@@ -315,21 +204,65 @@ mod tests {
         // D(t) = 4 - t/2, max at t=0: D = 4.
         let s = stream(&[(1, 2, 0, 1)]);
         let h = stream(&[(1, 1, 0, 1), (0, 1, 4, 1)]);
-        let a = PiecewiseLinear::arrival(&s);
         let c = PiecewiseLinear::leftover_service(&h);
-        assert_eq!(horizontal_deviation(&a, &c), Some(Time::from_integer(4)));
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(4)));
     }
 
     #[test]
     fn deviation_equal_final_slopes_saturating() {
-        // Interference is non-increasing, so no `higher` stream yields a
-        // saturating service curve; two arrival curves stand in for the
-        // pair of flat tails. Arrival: 2 cells then stop.
-        let a_sat = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 2, 1)]));
-        let c_sat = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 1, 1)])); // saturates at 1
-        assert_eq!(horizontal_deviation(&a_sat, &c_sat), None);
-        let c_big = PiecewiseLinear::arrival(&stream(&[(1, 1, 0, 1), (0, 1, 5, 1)]));
-        assert!(horizontal_deviation(&a_sat, &c_big).is_some());
+        // Interference is non-increasing, so the only service curve with
+        // a flat tail is flat throughout: the link busy forever. It
+        // serves an empty arrival and nothing else. Arrival: 2 cells
+        // then stop.
+        let c_none = PiecewiseLinear::leftover_service(&BitStream::constant(Rate::FULL).unwrap());
+        let a_sat = stream(&[(1, 1, 0, 1), (0, 1, 2, 1)]);
+        assert_eq!(horizontal_deviation(&a_sat, &c_none), None);
+        assert_eq!(
+            horizontal_deviation(&BitStream::zero(), &c_none),
+            Some(Time::ZERO)
+        );
+        let c_full = PiecewiseLinear::leftover_service(&BitStream::zero());
+        assert_eq!(horizontal_deviation(&a_sat, &c_full), Some(Time::ZERO));
+    }
+
+    #[test]
+    fn deviation_peak_at_an_arrival_knot() {
+        // A: rate 2 on [0,2), 3/2 on [2,4), 1/4 on [4,8), then 1/8.
+        // Full service, so D at A's knots is 0, 2, 3, 0: the backlog
+        // grows while A outpaces the link and peaks at the third knot,
+        // where A's rate falls to 1/4.
+        let s = stream(&[(2, 1, 0, 1), (3, 2, 2, 1), (1, 4, 4, 1), (1, 8, 8, 1)]);
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero());
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
+        assert_eq!(
+            horizontal_deviation(&s, &c),
+            reference::delay_bound(&s, &BitStream::zero())
+        );
+    }
+
+    #[test]
+    fn deviation_peak_at_a_service_knot() {
+        // A: 3/4 forever. Interference 1/2 until t = 4, then nothing:
+        // C(t) = t/2 up to C(4) = 2, then rises at 1. A outpaces C until
+        // it reaches 2 at t = 8/3; that bit leaves at 4, and after it C
+        // outpaces A. D = 4 - 8/3 = 4/3, at no knot of A.
+        let s = stream(&[(3, 4, 0, 1)]);
+        let h = stream(&[(1, 2, 0, 1), (0, 1, 4, 1)]);
+        let c = PiecewiseLinear::leftover_service(&h);
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::new(ratio(4, 3))));
+        assert_eq!(horizontal_deviation(&s, &c), reference::delay_bound(&s, &h));
+    }
+
+    #[test]
+    fn deviation_after_a_blackout_prefix() {
+        // The link is busy with higher traffic for 2 cell times, then
+        // half free; A sends 1 cell at rate 1. The first bit waits out
+        // the blackout; the last one arrives at 1 and leaves at 4.
+        let s = stream(&[(1, 1, 0, 1), (0, 1, 1, 1)]);
+        let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
+        let c = PiecewiseLinear::leftover_service(&h);
+        assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
+        assert_eq!(horizontal_deviation(&s, &c), reference::delay_bound(&s, &h));
     }
 
     // ---- the sweep against the reference -------------------------------
@@ -468,16 +401,33 @@ mod tests {
         }
     }
 
-    /// Any non-decreasing curve from the origin — plateaus anywhere, not
-    /// only where a stream's integral can put them — as both types.
-    fn random_curve(rng: &mut SplitMix64) -> (PiecewiseLinear, reference::PiecewiseLinear) {
+    /// One to six slopes: a third of them flat, the rest in `[1/5, 2]`.
+    fn random_slopes(rng: &mut SplitMix64) -> Vec<Ratio> {
         let n = 1 + rng.below(6) as usize;
-        let slopes: Vec<Ratio> = (0..n)
+        (0..n)
             .map(|_| match rng.below(6) {
                 0 | 1 => Ratio::ZERO,
                 k => ratio(1 + rng.below(4) as i128, k as i128),
             })
-            .collect();
+            .collect()
+    }
+
+    /// Any arrival curve a stream integrates to: concave, its slopes
+    /// never rising, flat (if at all) only in its final piece.
+    fn random_arrival(rng: &mut SplitMix64) -> BitStream {
+        let mut rates = random_slopes(rng);
+        rates.sort_unstable_by(|a, b| b.cmp(a));
+        let times = breakpoints(rng, rates.len());
+        BitStream::from_rate_breaks(rates.into_iter().zip(times)).unwrap()
+    }
+
+    /// Any convex service curve — slopes never falling, flat (if at all)
+    /// only in a prefix, as a filtered `higher` gives — at any slope
+    /// scale, as both types.
+    fn random_service(rng: &mut SplitMix64) -> (PiecewiseLinear, reference::PiecewiseLinear) {
+        let mut slopes = random_slopes(rng);
+        slopes.sort_unstable();
+        let n = slopes.len();
         let mut value = Cells::ZERO;
         let mut knots: Vec<(Time, Cells)> = Vec::new();
         for (k, t) in breakpoints(rng, n).into_iter().enumerate() {
@@ -499,10 +449,11 @@ mod tests {
     fn sweep_matches_reference_on_arbitrary_curves() {
         let seed = seed();
         let mut rng = SplitMix64(seed ^ 0xC0_FFEE);
-        let (mut bounded, mut unbounded) = (0, 0);
-        for case in 0..8_000 {
-            let (a, a_ref) = random_curve(&mut rng);
-            let (c, c_ref) = random_curve(&mut rng);
+        let (mut bounded, mut unbounded, mut interior) = (0, 0, 0);
+        for case in 0..12_000 {
+            let a = random_arrival(&mut rng);
+            let (c, c_ref) = random_service(&mut rng);
+            let a_ref = reference::PiecewiseLinear::arrival(&a);
             let want = reference::horizontal_deviation(&a_ref, &c_ref);
             assert_eq!(
                 horizontal_deviation(&a, &c),
@@ -513,7 +464,21 @@ mod tests {
                 Some(_) => bounded += 1,
                 None => unbounded += 1,
             }
+            // The deviation at t = 0 is the first candidate of both
+            // families; a peak beyond it is what the walk must find.
+            let first = if a.peak_rate().is_positive() {
+                c_ref.first_time_strictly_exceeding(Cells::ZERO)
+            } else {
+                Some(Time::ZERO)
+            };
+            interior += usize::from(want.zip(first).is_some_and(|(d, f)| d > f));
         }
-        assert!(bounded >= 1_000 && unbounded >= 1_000);
+        for (what, n) in [
+            ("bounded", bounded),
+            ("unbounded", unbounded),
+            ("peak past the first candidate", interior),
+        ] {
+            assert!(n >= 1_000, "{what}: only {n} cases");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Worst-case jitter distortion of a bit stream (Algorithm 3.1).
 
-use crate::filter::smooth;
+use crate::filter::View;
 use crate::{BitStream, Rate, Segment, StreamError, Time};
 
 impl BitStream {
@@ -60,7 +60,7 @@ impl BitStream {
         let shifted = self.shift_left(cdv);
         // Release the clump at full link rate ahead of the shifted
         // stream: envelope min(t, R(t + cdv)).
-        Ok(smooth(clumped, shifted, Rate::FULL))
+        Ok(View::smooth(clumped, &shifted, Rate::FULL).into_stream())
     }
 
     /// The segments of `r(t + cdv)` for `t >= 0` (always starting at 0).

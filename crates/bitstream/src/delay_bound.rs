@@ -46,9 +46,8 @@ impl BitStream {
                 rate: higher.peak_rate(),
             });
         }
-        let arrival = PiecewiseLinear::arrival(self);
         let service = PiecewiseLinear::leftover_service(higher);
-        horizontal_deviation(&arrival, &service).ok_or_else(|| StreamError::Overload {
+        horizontal_deviation(self, &service).ok_or_else(|| StreamError::Overload {
             arrival: self.long_run_rate(),
             service: Rate::FULL - higher.long_run_rate(),
         })

@@ -33,8 +33,7 @@ impl BitStream {
     /// # Ok::<(), rtcac_bitstream::StreamError>(())
     /// ```
     pub fn filter(&self) -> BitStream {
-        self.filter_at(Rate::FULL)
-            .expect("full link rate is always valid")
+        self.clamp(Rate::FULL)
     }
 
     /// [`BitStream::filter`] generalized to an arbitrary positive link
@@ -47,79 +46,125 @@ impl BitStream {
         if !capacity.is_positive() {
             return Err(StreamError::NegativeRate { rate: capacity });
         }
-        Ok(smooth(Cells::ZERO, self.segments().to_vec(), capacity))
+        Ok(self.clamp(capacity))
+    }
+
+    /// Algorithm 3.4 at a positive `capacity`: the stream itself when it
+    /// never exceeds the capacity, the clamped envelope otherwise.
+    fn clamp(&self, capacity: Rate) -> BitStream {
+        if self.peak_rate() <= capacity {
+            return self.clone();
+        }
+        View::smooth(Cells::ZERO, self.segments(), capacity).into_stream()
+    }
+
+    /// This stream, read segment by segment.
+    pub(crate) fn view(&self) -> View<'_> {
+        View::new(&[], self.segments())
+    }
+
+    /// `filter(self)`, read segment by segment without being built.
+    pub(crate) fn filtered(&self) -> View<'_> {
+        if self.peak_rate() <= Rate::FULL {
+            return self.view();
+        }
+        View::smooth(Cells::ZERO, self.segments(), Rate::FULL)
     }
 }
 
-/// The envelope `min(capacity · t, backlog + ∫₀ᵗ r(u) du)` expressed as
-/// a bit stream: the traffic that exits a `capacity`-rate server that
-/// starts with `backlog` queued cells and then receives `segments`.
-///
-/// This is the common core of Algorithm 3.4 (`backlog = 0`) and
-/// Algorithm 3.1 (`backlog` = bits clumped by jitter, `segments` = the
-/// time-shifted remainder).
-pub(crate) fn smooth(backlog: Cells, segments: Vec<Segment>, capacity: Rate) -> BitStream {
-    debug_assert!(capacity.is_positive());
-    debug_assert!(!backlog.is_negative());
-    // Fast path: nothing queued and never above capacity.
-    if backlog.is_zero() && segments.iter().all(|s| s.rate <= capacity) {
-        return BitStream::from_normalized(segments);
-    }
-    // Walk segments tracking the queue; find the drain time t'.
-    let mut queue = backlog;
-    for (i, seg) in segments.iter().enumerate() {
-        let next_start = segments.get(i + 1).map(|s| s.start);
-        let drain_rate = capacity - seg.rate; // positive when draining
-        match next_start {
-            Some(end) => {
-                let span = end - seg.start;
-                if drain_rate.is_positive() {
-                    let can_drain = drain_rate * span;
-                    if can_drain >= queue {
-                        let t_drain = seg.start + queue / drain_rate;
-                        return clamped_output(&segments, i, t_drain, capacity);
-                    }
-                    queue -= can_drain;
-                } else {
-                    queue += (seg.rate - capacity) * span;
-                }
-            }
-            None => {
-                if drain_rate.is_positive() {
-                    let t_drain = seg.start + queue / drain_rate;
-                    return clamped_output(&segments, i, t_drain, capacity);
-                }
-                // Last rate >= capacity with a backlog: never drains.
-                return BitStream::from_normalized(vec![Segment::new(capacity, Time::ZERO)]);
-            }
-        }
-    }
-    unreachable!("segment walk always returns on the last segment")
+/// A canonical stream read segment by segment: at most two leading
+/// segments made up on the spot, then a run borrowed from a stored
+/// stream. Every output of [`View::smooth`] has that shape — the clamp,
+/// the segment the drained queue resumes in, the input's tail — so a
+/// merge can read `filter(s)` without it being built.
+#[derive(Debug, Clone)]
+pub(crate) struct View<'a> {
+    lead: [Segment; 2],
+    lead_len: usize,
+    rest: &'a [Segment],
 }
 
-/// Builds the output stream: `capacity` on `[0, t_drain)`, then the
-/// input from segment `i` onward.
-fn clamped_output(segments: &[Segment], i: usize, t_drain: Time, capacity: Rate) -> BitStream {
-    let mut out = Vec::with_capacity(segments.len() - i + 1);
-    if t_drain.is_positive() {
-        out.push(Segment::new(capacity, Time::ZERO));
+impl<'a> View<'a> {
+    fn new(lead: &[Segment], rest: &'a [Segment]) -> View<'a> {
+        let mut view = View {
+            lead: [Segment::new(Rate::ZERO, Time::ZERO); 2],
+            lead_len: lead.len(),
+            rest,
+        };
+        view.lead[..lead.len()].copy_from_slice(lead);
+        view
     }
-    // The draining segment resumes at t_drain (zero-length if the queue
-    // drains exactly at its end; the dedupe below drops it).
-    let resume = Segment::new(segments[i].rate, t_drain);
-    let mut tail: Vec<Segment> = Vec::with_capacity(segments.len() - i);
-    tail.push(resume);
-    tail.extend(segments.iter().skip(i + 1).copied());
-    for seg in tail {
-        if let Some(last) = out.last_mut() {
-            if last.start == seg.start {
-                last.rate = seg.rate;
-                continue;
+
+    /// The envelope `min(capacity · t, backlog + ∫₀ᵗ r(u) du)` as a
+    /// view: the traffic that exits a `capacity`-rate server that starts
+    /// with `backlog` queued cells and then receives `segments`.
+    ///
+    /// This is the common core of Algorithm 3.4 (`backlog = 0`) and
+    /// Algorithm 3.1 (`backlog` = bits clumped by jitter, `segments` = the
+    /// time-shifted remainder). `segments` must be a canonical stream's.
+    pub(crate) fn smooth(backlog: Cells, segments: &'a [Segment], capacity: Rate) -> View<'a> {
+        debug_assert!(capacity.is_positive());
+        debug_assert!(!backlog.is_negative());
+        // Walk the segments tracking the queue until it drains.
+        let mut queue = backlog;
+        for (i, pair) in segments.windows(2).enumerate() {
+            let (seg, end) = (pair[0], pair[1].start);
+            let drain_rate = capacity - seg.rate; // positive when draining
+            if drain_rate.is_positive() {
+                let t_drain = seg.start + queue / drain_rate;
+                if t_drain <= end {
+                    return View::resumed(segments, i, t_drain, capacity);
+                }
             }
+            queue -= drain_rate * (end - seg.start);
         }
-        out.push(seg);
+        let last = segments.len() - 1;
+        let drain_rate = capacity - segments[last].rate;
+        if drain_rate.is_positive() {
+            let t_drain = segments[last].start + queue / drain_rate;
+            return View::resumed(segments, last, t_drain, capacity);
+        }
+        // Last rate >= capacity with a backlog: never drains.
+        View::new(&[Segment::new(capacity, Time::ZERO)], &[])
     }
-    BitStream::from_normalized(out)
+
+    /// `capacity` on `[0, t_drain)`, then the input from segment `i`
+    /// onward — unless the queue empties exactly where segment `i + 1`
+    /// starts, which leaves nothing of segment `i`.
+    fn resumed(segments: &'a [Segment], i: usize, t_drain: Time, capacity: Rate) -> View<'a> {
+        let rest = &segments[i + 1..];
+        let clamp = Segment::new(capacity, Time::ZERO);
+        let resume = Segment::new(segments[i].rate, t_drain);
+        match (
+            t_drain.is_positive(),
+            rest.first().map(|next| next.start) != Some(t_drain),
+        ) {
+            (true, true) => View::new(&[clamp, resume], rest),
+            (true, false) => View::new(&[clamp], rest),
+            (false, _) => View::new(&[resume], rest),
+        }
+    }
+
+    /// Number of segments.
+    pub(crate) fn len(&self) -> usize {
+        self.lead_len + self.rest.len()
+    }
+
+    /// Segment `n`, if the stream has that many.
+    pub(crate) fn get(&self, n: usize) -> Option<&Segment> {
+        match n.checked_sub(self.lead_len) {
+            None => self.lead.get(n),
+            Some(k) => self.rest.get(k),
+        }
+    }
+
+    /// The stream this view reads, in a buffer of exactly its length.
+    pub(crate) fn into_stream(self) -> BitStream {
+        let mut segments = Vec::with_capacity(self.len());
+        segments.extend_from_slice(&self.lead[..self.lead_len]);
+        segments.extend_from_slice(self.rest);
+        BitStream::from_canonical(segments)
+    }
 }
 
 #[cfg(test)]
@@ -249,11 +294,12 @@ mod tests {
     fn smooth_with_initial_backlog() {
         // Pure backlog of 3 cells, zero-rate input afterwards: the
         // output is rate 1 for 3 cell times.
-        let out = smooth(
+        let out = View::smooth(
             Cells::from_integer(3),
-            vec![Segment::new(Rate::ZERO, Time::ZERO)],
+            &[Segment::new(Rate::ZERO, Time::ZERO)],
             Rate::FULL,
-        );
+        )
+        .into_stream();
         assert_eq!(
             out,
             stream(&[(ratio(1, 1), ratio(0, 1)), (ratio(0, 1), ratio(3, 1))])

@@ -3,7 +3,8 @@
 
 use core::ops::Add;
 
-use crate::{BitStream, Rate, Segment, StreamError};
+use crate::filter::View;
+use crate::{BitStream, Rate, Segment, StreamError, Time};
 
 impl BitStream {
     /// **Algorithm 3.2**: the worst-case multiplex of two streams
@@ -32,9 +33,38 @@ impl BitStream {
     where
         I: IntoIterator<Item = &'a BitStream>,
     {
-        streams
-            .into_iter()
-            .fold(BitStream::zero(), |acc, s| acc.multiplex(s))
+        let mut sum = merge_sum(streams.into_iter().map(BitStream::view));
+        // Exactly as long as a chain of pairwise multiplexes leaves it:
+        // a stored aggregate is counted by its buffer.
+        sum.shrink_to_fit();
+        BitStream::from_canonical(sum)
+    }
+
+    /// Multiplexes the link-filtered form of every stream:
+    /// `Σₖ filter(sₖ)`, the paper's `Soa(j,p) = Σᵢ Sif(i,j,p)`.
+    ///
+    /// Equal to multiplexing the [`BitStream::filter`]s one by one, but
+    /// built in one pass: each input is read as rate 1 until its queue
+    /// drains and then as its own remaining segments, and one merge over
+    /// all of them keeps a running rate sum.
+    ///
+    /// ```
+    /// use rtcac_bitstream::BitStream;
+    /// use rtcac_rational::ratio;
+    ///
+    /// let burst = BitStream::from_rate_breaks([(ratio(2, 1), ratio(0, 1)), (ratio(1, 4), ratio(3, 1))])?;
+    /// let light = BitStream::from_rate_breaks([(ratio(1, 2), ratio(0, 1))])?;
+    /// assert_eq!(
+    ///     BitStream::multiplex_filtered([&burst, &light]),
+    ///     burst.filter().multiplex(&light.filter())
+    /// );
+    /// # Ok::<(), rtcac_bitstream::StreamError>(())
+    /// ```
+    pub fn multiplex_filtered<'a, I>(streams: I) -> BitStream
+    where
+        I: IntoIterator<Item = &'a BitStream>,
+    {
+        BitStream::from_canonical(merge_sum(streams.into_iter().map(BitStream::filtered)))
     }
 
     /// **Algorithm 3.3**: removes a component stream from an aggregate —
@@ -85,14 +115,13 @@ fn merge_rates(a: &BitStream, b: &BitStream, combine: impl Fn(Rate, Rate) -> Rat
     let mut out = Vec::with_capacity(sa.len() + sb.len());
     let (mut ia, mut ib) = (0usize, 0usize);
     // Both streams start at time 0, so the first combined segment does too.
-    while ia < sa.len() || ib < sb.len() {
+    loop {
         let ta = sa.get(ia).map(|s| s.start);
         let tb = sb.get(ib).map(|s| s.start);
         let t = match (ta, tb) {
             (Some(x), Some(y)) => x.min(y),
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
-            (None, None) => unreachable!(),
+            (Some(x), None) | (None, Some(x)) => x,
+            (None, None) => break,
         };
         if ta == Some(t) {
             ia += 1;
@@ -103,6 +132,56 @@ fn merge_rates(a: &BitStream, b: &BitStream, combine: impl Fn(Rate, Rate) -> Rat
         let ra = sa[ia.saturating_sub(1).min(sa.len() - 1)].rate;
         let rb = sb[ib.saturating_sub(1).min(sb.len() - 1)].rate;
         out.push(Segment::new(combine(ra, rb), t));
+    }
+    out
+}
+
+/// `Σₖ vₖ` over canonical views: one k-way merge of their breakpoints
+/// with a running rate sum. Every view's rates fall strictly at each of
+/// its breakpoints, so the sum falls at each breakpoint of the union and
+/// comes out canonical — the same `(rate, start)` list, by uniqueness
+/// of reduced fractions, as any order of pairwise multiplexes.
+fn merge_sum<'a>(views: impl Iterator<Item = View<'a>>) -> Vec<Segment> {
+    struct Head<'a> {
+        view: View<'a>,
+        /// The next segment to read, and the rate of the one before it.
+        next: usize,
+        rate: Rate,
+    }
+    let mut heads: Vec<Head<'a>> = Vec::with_capacity(views.size_hint().0);
+    let mut capacity = 1;
+    let mut rate = Rate::ZERO;
+    for view in views {
+        capacity += view.len();
+        // Every view starts at time 0.
+        let Some(&first) = view.get(0) else { continue };
+        rate += first.rate;
+        heads.push(Head {
+            view,
+            next: 1,
+            rate: first.rate,
+        });
+    }
+    let mut out = Vec::with_capacity(capacity);
+    out.push(Segment::new(rate, Time::ZERO));
+    loop {
+        let mut earliest: Option<Time> = None;
+        for head in &heads {
+            if let Some(seg) = head.view.get(head.next) {
+                if earliest.is_none_or(|t| seg.start < t) {
+                    earliest = Some(seg.start);
+                }
+            }
+        }
+        let Some(t) = earliest else { break };
+        for head in &mut heads {
+            if let Some(&seg) = head.view.get(head.next).filter(|seg| seg.start == t) {
+                rate += seg.rate - head.rate;
+                head.rate = seg.rate;
+                head.next += 1;
+            }
+        }
+        out.push(Segment::new(rate, t));
     }
     out
 }

@@ -182,6 +182,22 @@ impl BitStream {
         }
     }
 
+    /// Internal constructor for segments already in canonical form —
+    /// from 0, starts strictly increasing, rates strictly falling — kept
+    /// in the buffer they came in (its capacity is what
+    /// [`BitStream::resident_bytes`] reports).
+    pub(crate) fn from_canonical(segments: Vec<Segment>) -> BitStream {
+        debug_assert_eq!(segments.first().map(|s| s.start), Some(Time::ZERO));
+        debug_assert!(
+            segments
+                .windows(2)
+                .all(|w| w[0].start < w[1].start && w[0].rate > w[1].rate),
+            "not canonical: {segments:?}"
+        );
+        debug_assert!(segments.iter().all(|s| !s.rate.is_negative()));
+        BitStream { segments }
+    }
+
     /// The segments of the stream, in time order.
     pub fn segments(&self) -> &[Segment] {
         &self.segments

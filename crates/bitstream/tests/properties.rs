@@ -108,6 +108,35 @@ fn multiplex_cumulative_additive() {
 }
 
 #[test]
+fn one_pass_sums_equal_pairwise_chains() {
+    // The k-way merges behind `multiplex_all` and `multiplex_filtered`
+    // against chains of two-way multiplexes (Algorithm 3.2) of the same
+    // streams, filtered one by one (Algorithm 3.4) for the latter.
+    let mut rng = Rng(118);
+    for _ in 0..CASES {
+        let n = rng.range(0, 6);
+        let parts: Vec<BitStream> = (0..n).map(|_| arb_stream(&mut rng)).collect();
+        let chain = |f: fn(&BitStream) -> BitStream| {
+            parts
+                .iter()
+                .fold(BitStream::zero(), |acc, s| acc.multiplex(&f(s)))
+        };
+        let all = BitStream::multiplex_all(&parts);
+        assert_eq!(all, chain(BitStream::clone));
+        // A stored aggregate is counted by its buffer, as long as the
+        // chain leaves it.
+        assert_eq!(
+            all.resident_bytes(),
+            chain(BitStream::clone).resident_bytes()
+        );
+        assert_eq!(
+            BitStream::multiplex_filtered(&parts),
+            chain(BitStream::filter)
+        );
+    }
+}
+
+#[test]
 fn demultiplex_inverts_multiplex() {
     let mut rng = Rng(103);
     for _ in 0..CASES {

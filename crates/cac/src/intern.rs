@@ -95,14 +95,39 @@ impl ContractIntern {
         cdv: Time,
         make: impl FnOnce() -> Result<BitStream, CacError>,
     ) -> Result<ContractHandle, CacError> {
-        if let Some(&slot) = self.index.get(&(contract, cdv)) {
-            match &mut self.slots[slot as usize] {
-                Slot::Occupied(entry) => entry.refs += 1,
-                Slot::Free { .. } => unreachable!("indexed slot is free"),
-            }
-            return Ok(ContractHandle(slot));
+        if let Some(handle) = self.find(contract, cdv) {
+            self.retain(handle);
+            return Ok(handle);
         }
-        let stream = make()?;
+        Ok(self.insert(contract, cdv, make()?))
+    }
+
+    /// The handle of the live entry for `(contract, cdv)`, if any,
+    /// without touching its refcount.
+    pub(crate) fn find(&self, contract: TrafficContract, cdv: Time) -> Option<ContractHandle> {
+        self.index
+            .get(&(contract, cdv))
+            .copied()
+            .map(ContractHandle)
+    }
+
+    /// Adds one reference to a live entry.
+    pub(crate) fn retain(&mut self, handle: ContractHandle) {
+        match &mut self.slots[handle.0 as usize] {
+            Slot::Occupied(entry) => entry.refs += 1,
+            Slot::Free { .. } => unreachable!("indexed slot is free"),
+        }
+    }
+
+    /// Creates the entry for a `(contract, cdv)` pair not yet interned,
+    /// holding `stream` with one reference.
+    pub(crate) fn insert(
+        &mut self,
+        contract: TrafficContract,
+        cdv: Time,
+        stream: BitStream,
+    ) -> ContractHandle {
+        debug_assert!(self.find(contract, cdv).is_none());
         let entry = Entry {
             contract,
             cdv,
@@ -122,7 +147,7 @@ impl ContractIntern {
             (self.slots.len() - 1) as u32
         };
         self.index.insert((contract, cdv), slot);
-        Ok(ContractHandle(slot))
+        ContractHandle(slot)
     }
 
     /// Drops one reference. When the last reference goes, the entry is
@@ -146,18 +171,6 @@ impl ContractIntern {
         };
         self.free_head = slot;
         true
-    }
-
-    /// The interned stream for `(contract, cdv)` if present, without
-    /// touching any refcount — the read-only check path reuses it
-    /// instead of recomputing Alg 2.1 + 3.1 + coarsening.
-    pub(crate) fn lookup(&self, contract: TrafficContract, cdv: Time) -> Option<&BitStream> {
-        self.index
-            .get(&(contract, cdv))
-            .map(|&slot| match &self.slots[slot as usize] {
-                Slot::Occupied(entry) => &entry.stream,
-                Slot::Free { .. } => unreachable!("indexed slot is free"),
-            })
     }
 
     fn entry(&self, handle: ContractHandle) -> &Entry {

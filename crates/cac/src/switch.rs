@@ -4,7 +4,7 @@ use rtcac_bitstream::{BitStream, Rate, StreamError, Time};
 use rtcac_net::LinkId;
 
 use crate::arena::{Leg, LegArena};
-use crate::intern::ContractIntern;
+use crate::intern::{ContractHandle, ContractIntern};
 use crate::tables::Tables;
 use crate::{
     CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SofCache, SwitchConfig,
@@ -55,6 +55,21 @@ impl BoundsReport {
             .find(|(p, _)| *p == priority)
             .map(|&(_, d)| d)
     }
+}
+
+/// A request's worst-case arrival envelope, as the check found it.
+enum Envelope {
+    /// An established leg already carries the same `(contract, CDV)`.
+    Interned(ContractHandle),
+    /// Derived for this check; interned if the leg is committed.
+    Derived(BitStream),
+}
+
+/// What an admitted check hands to the commit: the updated
+/// `Sia(i,j,p) + s` it priced, and the request's envelope.
+struct Commit {
+    sia: BitStream,
+    envelope: Envelope,
 }
 
 /// A CAC-managed static-priority FIFO switch.
@@ -269,9 +284,9 @@ impl Switch {
         )
     }
 
-    /// Commits one leg: acquires (or creates) its intern entry,
-    /// multiplexes the interned envelope into the stream tables, and
-    /// stores the leg in the arena + sorted index. The caller has
+    /// Attaches one leg without a check (the restore path): acquires
+    /// (or creates) its intern entry, multiplexes the interned envelope
+    /// into the stream tables, and stores the leg. The caller has
     /// already checked for duplicates.
     fn attach_leg(
         &mut self,
@@ -292,6 +307,34 @@ impl Switch {
             request.priority(),
             self.intern.stream(handle),
         );
+        self.store_leg(id, handle, request);
+        Ok(())
+    }
+
+    /// Commits one admitted leg: the aggregate and envelope its check
+    /// built become the stored ones, with nothing derived twice.
+    fn commit_leg(&mut self, id: ConnectionId, request: &ConnectionRequest, commit: Commit) {
+        let handle = match commit.envelope {
+            Envelope::Interned(handle) => {
+                self.intern.retain(handle);
+                handle
+            }
+            Envelope::Derived(stream) => {
+                self.intern
+                    .insert(request.contract(), request.cdv(), stream)
+            }
+        };
+        self.tables.set(
+            request.in_link(),
+            request.out_link(),
+            request.priority(),
+            commit.sia,
+        );
+        self.store_leg(id, handle, request);
+    }
+
+    /// Stores a leg in the arena and the sorted index.
+    fn store_leg(&mut self, id: ConnectionId, handle: ContractHandle, request: &ConnectionRequest) {
         let slot = self.legs.insert(Leg {
             id,
             handle,
@@ -302,7 +345,6 @@ impl Switch {
         let key = (id, request.out_link());
         let pos = self.index.partition_point(|&(k, _)| k < key);
         self.index.insert(pos, (key, slot));
-        Ok(())
     }
 
     /// **Steps 1–6 of §4.3**: checks whether a new connection fits,
@@ -315,7 +357,7 @@ impl Switch {
     /// failure. A connection that merely does not fit is reported as
     /// [`AdmissionDecision::Rejected`], not as an error.
     pub fn check(&self, request: &ConnectionRequest) -> Result<AdmissionDecision, CacError> {
-        self.check_inner(request, None)
+        Ok(self.price(request, None)?.0)
     }
 
     /// Like [`Switch::check`], but memoizes the epoch-stable parts of
@@ -332,14 +374,16 @@ impl Switch {
         request: &ConnectionRequest,
         cache: &mut SofCache,
     ) -> Result<AdmissionDecision, CacError> {
-        self.check_inner(request, Some(cache))
+        Ok(self.price(request, Some(cache))?.0)
     }
 
-    fn check_inner(
+    /// Steps 1–6 for [`Switch::check`] and [`Switch::admit`]: the
+    /// decision, plus — when it admits — what committing it stores.
+    fn price(
         &self,
         request: &ConnectionRequest,
         mut cache: Option<&mut SofCache>,
-    ) -> Result<AdmissionDecision, CacError> {
+    ) -> Result<(AdmissionDecision, Option<Commit>), CacError> {
         let p = request.priority();
         let advertised = self.config.bound(p)?;
         let (i, j) = (request.in_link(), request.out_link());
@@ -347,31 +391,30 @@ impl Switch {
         // Step 1: worst-case arrival stream of the new connection
         // (coarsened onto the configured grid, if any — a dominating
         // approximation, so all bounds stay valid).
-        let s = self.arrival_of(request)?;
+        let envelope = self.envelope_of(request)?;
+        let s = match &envelope {
+            Envelope::Interned(handle) => self.intern.stream(*handle),
+            Envelope::Derived(s) => s,
+        };
 
         // The incoming link itself must be able to carry the new
         // connection in the long run; without this check, filtering
         // would silently truncate an infeasible aggregate to the link
         // rate and hide the overload.
         if self.tables.in_link_long_run(i) + s.long_run_rate() > Rate::FULL {
-            return Ok(AdmissionDecision::Rejected(
-                RejectReason::IncomingOverload {
-                    in_link: i,
-                    priority: p,
-                },
-            ));
+            let reason = RejectReason::IncomingOverload {
+                in_link: i,
+                priority: p,
+            };
+            return Ok((AdmissionDecision::Rejected(reason), None));
         }
 
-        // Step 2: updated incoming aggregate and its link-filtered form.
-        let sia_new = self.tables.arrival(i, j, p).multiplex(&s);
-        let sif_new = sia_new.filter();
+        // Step 2: updated incoming aggregate.
+        let sia_new = self.tables.arrival_plus(i, j, p, s);
 
-        // Step 3: updated output aggregate — swap in-link i's old
-        // contribution for the new one.
-        let soa_new = self
-            .tables
-            .output_aggregate_excluding(j, p, Some(i))
-            .multiplex(&sif_new);
+        // Step 3: updated output aggregate — in-link i's filtered
+        // contribution swapped for the new one, in one pass.
+        let soa_new = self.tables.output_aggregate_with(j, p, (i, &sia_new));
 
         // Step 4: delay bound at the connection's own priority under
         // the (unchanged) higher-priority interference.
@@ -382,7 +425,7 @@ impl Switch {
         let mut bounds = Vec::new();
         match Self::bound_or_reject(&soa_new, &sof, j, p, advertised)? {
             Ok(d) => bounds.push((p, d)),
-            Err(reason) => return Ok(AdmissionDecision::Rejected(reason)),
+            Err(reason) => return Ok((AdmissionDecision::Rejected(reason), None)),
         }
 
         // Step 5–6: every lower priority must still meet its bound with
@@ -400,17 +443,22 @@ impl Switch {
                 bounds.push((p1, Time::ZERO));
                 continue;
             }
-            let sof1 = self.tables.interference_with(j, p1, Some((i, &s)));
+            let sof1 = self.tables.interference_with(j, p1, Some((i, s)));
             match Self::bound_or_reject(&soa1, &sof1, j, p1, advertised1)? {
                 Ok(d) => bounds.push((p1, d)),
-                Err(reason) => return Ok(AdmissionDecision::Rejected(reason)),
+                Err(reason) => return Ok((AdmissionDecision::Rejected(reason), None)),
             }
         }
 
-        Ok(AdmissionDecision::Admitted(BoundsReport {
+        let report = BoundsReport {
             out_link: j,
             bounds,
-        }))
+        };
+        let commit = Commit {
+            sia: sia_new,
+            envelope,
+        };
+        Ok((AdmissionDecision::Admitted(report), Some(commit)))
     }
 
     /// Runs the CAC check and, if it passes, commits the connection
@@ -455,9 +503,9 @@ impl Switch {
         if self.find_leg(id, request.out_link()).is_some() {
             return Err(CacError::DuplicateConnection(id));
         }
-        let decision = self.check_inner(&request, cache)?;
-        if decision.is_admitted() {
-            self.attach_leg(id, &request)?;
+        let (decision, commit) = self.price(&request, cache)?;
+        if let Some(commit) = commit {
+            self.commit_leg(id, &request, commit);
             self.epoch += 1;
         }
         Ok(decision)
@@ -560,16 +608,16 @@ impl Switch {
 
     /// The (possibly quantized) worst-case arrival stream of a request.
     /// When an identical `(contract, CDV)` pair is already interned,
-    /// its envelope is reused — the same pure function evaluated once.
-    fn arrival_of(&self, request: &ConnectionRequest) -> Result<BitStream, CacError> {
-        if let Some(s) = self.intern.lookup(request.contract(), request.cdv()) {
-            return Ok(s.clone());
+    /// its envelope is borrowed — the same pure function evaluated once.
+    fn envelope_of(&self, request: &ConnectionRequest) -> Result<Envelope, CacError> {
+        if let Some(handle) = self.intern.find(request.contract(), request.cdv()) {
+            return Ok(Envelope::Interned(handle));
         }
         let s = request.arrival_stream();
-        match self.config.quantization() {
-            Some(grid) => s.coarsen(grid).map_err(CacError::from),
-            None => Ok(s),
-        }
+        Ok(Envelope::Derived(match self.config.quantization() {
+            Some(grid) => s.coarsen(grid)?,
+            None => s,
+        }))
     }
 
     fn bound_or_reject(

@@ -1,18 +1,27 @@
 //! The per-switch stream bookkeeping of §4.3.
 //!
-//! For every (incoming link `i`, outgoing link `j`, priority `p`) the
-//! switch stores the aggregated worst-case arrival stream
-//! `Sia(i,j,p)` of the admitted connections. All other streams of the
-//! paper's data-structure list are derived from it:
+//! **Stored:** for every (incoming link `i`, outgoing link `j`, priority
+//! `p`) the aggregated worst-case arrival stream `Sia(i,j,p)` of the
+//! admitted connections, and nothing else. The aggregates are grouped by
+//! port: each `(j, p)` holds its in-links' `Sia` sorted by `i`, so a
+//! check that prices one port reads that port's entries (or the `(j, ·)`
+//! range of levels above `p`) and never the rest of the switch.
+//!
+//! **Derived per check,** from one port's entries, never stored:
 //!
 //! - `Sif(i,j,p) = filter(Sia(i,j,p))` — what can actually cross the
-//!   incoming link;
+//!   incoming link; read as a filtered view inside the sum below, never
+//!   built on its own;
 //! - `Soa(j,p)   = Σᵢ Sif(i,j,p)` — the aggregate arriving at output
-//!   port `j` for priority `p`;
+//!   port `j` for priority `p`, one fused pass
+//!   ([`BitStream::multiplex_filtered`]);
 //! - `Sia(i,j)(p) = Σ_{p' ≻ p} Sia(i,j,p')` — the higher-priority
 //!   aggregate per incoming link;
 //! - `Sof(j)(p)  = filter(Σᵢ filter(Sia(i,j)(p)))` — the worst-case
 //!   higher-priority *transmission* stream that interferes with `p`.
+//!
+//! Storing `Sif` or `Soa` as well would trade resident memory per
+//! connection for check time; DESIGN.md §5 records why it does not pay.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -22,13 +31,26 @@ use rtcac_net::LinkId;
 
 use crate::Priority;
 
-/// Key of one aggregate: (incoming link, outgoing link, priority).
-pub(crate) type Key = (LinkId, LinkId, Priority);
+/// What one stored aggregate is counted as besides its segments: its
+/// (incoming link, outgoing link, priority) key.
+type Key = (LinkId, LinkId, Priority);
 
-/// The stored `Sia(i,j,p)` aggregates of one switch.
+/// One port's aggregates: `(i, Sia(i,j,p))`, sorted by `i`.
+type Entries = Vec<(LinkId, BitStream)>;
+
+/// The stored `Sia(i,j,p)` aggregates of one switch, keyed by port.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Tables {
-    sia: BTreeMap<Key, BitStream>,
+    /// `(j, p)` → that port's non-zero aggregates; no port is empty.
+    ports: BTreeMap<(LinkId, Priority), Entries>,
+}
+
+/// The aggregate of in-link `i` among one port's entries.
+fn find(entries: &[(LinkId, BitStream)], i: LinkId) -> Option<&BitStream> {
+    entries
+        .binary_search_by_key(&i, |&(k, _)| k)
+        .ok()
+        .map(|at| &entries[at].1)
 }
 
 impl Tables {
@@ -36,129 +58,143 @@ impl Tables {
         Tables::default()
     }
 
-    /// The stored aggregate for a key, or the zero stream.
-    pub(crate) fn arrival(&self, i: LinkId, j: LinkId, p: Priority) -> BitStream {
-        self.sia
-            .get(&(i, j, p))
-            .cloned()
-            .unwrap_or_else(BitStream::zero)
+    /// One port's entries (empty if it carries nothing).
+    fn port(&self, j: LinkId, p: Priority) -> &[(LinkId, BitStream)] {
+        self.ports.get(&(j, p)).map_or(&[], Vec::as_slice)
+    }
+
+    /// The entries of every level at port `j` that outranks `p`.
+    fn higher(&self, j: LinkId, p: Priority) -> impl Iterator<Item = &Entries> {
+        self.ports
+            .range((j, Priority::HIGHEST)..(j, p))
+            .map(|(_, entries)| entries)
+    }
+
+    /// The stored aggregate for a key, if any.
+    pub(crate) fn arrival(&self, i: LinkId, j: LinkId, p: Priority) -> Option<&BitStream> {
+        find(self.port(j, p), i)
+    }
+
+    /// `Sia(i,j,p) + stream`, the key's aggregate with one more stream
+    /// multiplexed in (zero plus `stream` is `stream`).
+    pub(crate) fn arrival_plus(
+        &self,
+        i: LinkId,
+        j: LinkId,
+        p: Priority,
+        stream: &BitStream,
+    ) -> BitStream {
+        self.arrival(i, j, p)
+            .map_or_else(|| stream.clone(), |sia| sia.multiplex(stream))
     }
 
     /// Multiplexes a stream into a key's aggregate.
     pub(crate) fn add(&mut self, i: LinkId, j: LinkId, p: Priority, stream: &BitStream) {
-        let entry = self.sia.entry((i, j, p)).or_insert_with(BitStream::zero);
-        *entry = entry.multiplex(stream);
+        self.set(i, j, p, self.arrival_plus(i, j, p, stream));
     }
 
-    /// Replaces a key's aggregate wholesale (used when recomputing
-    /// after a release); a zero stream removes the entry.
+    /// Replaces a key's aggregate wholesale (an admission commits the
+    /// aggregate its check built; a release recomputes it); a zero
+    /// stream removes the entry.
     pub(crate) fn set(&mut self, i: LinkId, j: LinkId, p: Priority, stream: BitStream) {
         if stream.is_zero() {
-            self.sia.remove(&(i, j, p));
-        } else {
-            self.sia.insert((i, j, p), stream);
+            if let Some(entries) = self.ports.get_mut(&(j, p)) {
+                if let Ok(at) = entries.binary_search_by_key(&i, |&(k, _)| k) {
+                    entries.remove(at);
+                }
+                if entries.is_empty() {
+                    self.ports.remove(&(j, p));
+                }
+            }
+            return;
+        }
+        let entries = self.ports.entry((j, p)).or_default();
+        match entries.binary_search_by_key(&i, |&(k, _)| k) {
+            Ok(at) => entries[at].1 = stream,
+            Err(at) => entries.insert(at, (i, stream)),
         }
     }
 
     /// Number of non-zero aggregates.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn len(&self) -> usize {
-        self.sia.len()
+        self.ports.values().map(Vec::len).sum()
     }
 
     /// Approximate resident heap bytes of the stored aggregates.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.sia
+        self.ports
             .values()
-            .map(|s| std::mem::size_of::<Key>() + s.resident_bytes())
+            .flatten()
+            .map(|(_, s)| std::mem::size_of::<Key>() + s.resident_bytes())
             .sum()
     }
 
     /// The total long-run rate currently crossing incoming link `i`
     /// (all outgoing links and priorities).
     pub(crate) fn in_link_long_run(&self, i: LinkId) -> rtcac_bitstream::Rate {
-        self.sia
-            .iter()
-            .filter(|(&(ki, _, _), _)| ki == i)
-            .map(|(_, s)| s.long_run_rate())
+        self.ports
+            .values()
+            .filter_map(|entries| find(entries, i))
+            .map(BitStream::long_run_rate)
             .sum()
-    }
-
-    /// All incoming links that currently feed output link `j` (at any
-    /// priority).
-    pub(crate) fn in_links(&self, j: LinkId) -> BTreeSet<LinkId> {
-        self.sia
-            .keys()
-            .filter(|&&(_, kj, _)| kj == j)
-            .map(|&(ki, _, _)| ki)
-            .collect()
     }
 
     /// All output links with any stored aggregate.
     pub(crate) fn out_links(&self) -> BTreeSet<LinkId> {
-        self.sia.keys().map(|&(_, kj, _)| kj).collect()
+        self.ports.keys().map(|&(j, _)| j).collect()
     }
 
-    /// `Soa(j,p) = Σᵢ filter(Sia(i,j,p))`, optionally excluding one
-    /// incoming link (Step 3 swaps that link's contribution for an
-    /// updated one).
-    pub(crate) fn output_aggregate_excluding(
+    /// `Soa(j,p) = Σᵢ filter(Sia(i,j,p))`.
+    pub(crate) fn output_aggregate(&self, j: LinkId, p: Priority) -> BitStream {
+        BitStream::multiplex_filtered(self.port(j, p).iter().map(|(_, s)| s))
+    }
+
+    /// `Soa(j,p)` with in-link `i`'s aggregate swapped for `sia` — Step
+    /// 3's updated output aggregate, in the same single pass.
+    pub(crate) fn output_aggregate_with(
         &self,
         j: LinkId,
         p: Priority,
-        skip: Option<LinkId>,
+        (i, sia): (LinkId, &BitStream),
     ) -> BitStream {
-        let mut agg = BitStream::zero();
-        for (&(ki, kj, kp), stream) in &self.sia {
-            if kj == j && kp == p && Some(ki) != skip {
-                agg = agg.multiplex(&stream.filter());
-            }
-        }
-        agg
-    }
-
-    /// `Soa(j,p)` with nothing excluded.
-    pub(crate) fn output_aggregate(&self, j: LinkId, p: Priority) -> BitStream {
-        self.output_aggregate_excluding(j, p, None)
+        let others = self.port(j, p).iter().filter(|&&(k, _)| k != i);
+        BitStream::multiplex_filtered(others.map(|(_, s)| s).chain([sia]))
     }
 
     /// `Sia(i,j)(p) = Σ_{p' ≻ p} Sia(i,j,p')`: the higher-priority
     /// aggregate on one incoming link.
     pub(crate) fn higher_in(&self, i: LinkId, j: LinkId, p: Priority) -> BitStream {
-        let mut agg = BitStream::zero();
-        for (&(ki, kj, kp), stream) in &self.sia {
-            if ki == i && kj == j && kp.outranks(p) {
-                agg = agg.multiplex(stream);
-            }
-        }
-        agg
+        BitStream::multiplex_all(self.higher(j, p).filter_map(|entries| find(entries, i)))
     }
 
     /// `Sof(j)(p) = filter(Σᵢ filter(Sia(i,j)(p)))` — the filtered
     /// higher-priority interference at output port `j`, optionally with
     /// an extra stream injected at one incoming link (Step 5 evaluates
-    /// the effect of the candidate connection on lower priorities).
+    /// the effect of the candidate connection on lower priorities). A
+    /// level nothing outranks reads an empty range: the zero stream.
     pub(crate) fn interference_with(
         &self,
         j: LinkId,
         p: Priority,
         extra: Option<(LinkId, &BitStream)>,
     ) -> BitStream {
-        let mut links = self.in_links(j);
-        if let Some((i, _)) = extra {
-            links.insert(i);
-        }
-        let mut agg = BitStream::zero();
-        for i in links {
-            let mut per_link = self.higher_in(i, j, p);
-            if let Some((ei, stream)) = extra {
-                if ei == i {
-                    per_link = per_link.multiplex(stream);
+        let mut links: BTreeSet<LinkId> = self
+            .higher(j, p)
+            .flat_map(|entries| entries.iter().map(|&(i, _)| i))
+            .collect();
+        links.extend(extra.map(|(i, _)| i));
+        let per_link: Vec<BitStream> = links
+            .into_iter()
+            .map(|i| {
+                let higher = self.higher_in(i, j, p);
+                match extra {
+                    Some((ei, stream)) if ei == i => higher.multiplex(stream),
+                    _ => higher,
                 }
-            }
-            agg = agg.multiplex(&per_link.filter());
-        }
-        agg.filter()
+            })
+            .collect();
+        BitStream::multiplex_filtered(&per_link).filter()
     }
 
     /// `Sof(j)(p)` with no hypothetical addition.
@@ -188,12 +224,15 @@ mod tests {
     #[test]
     fn add_and_arrival() {
         let mut t = Tables::new();
-        assert!(t.arrival(l(0), l(1), Priority::HIGHEST).is_zero());
+        assert!(t.arrival(l(0), l(1), Priority::HIGHEST).is_none());
         let s = burst(1, 4, 2);
         t.add(l(0), l(1), Priority::HIGHEST, &s);
-        assert_eq!(t.arrival(l(0), l(1), Priority::HIGHEST), s);
+        assert_eq!(t.arrival(l(0), l(1), Priority::HIGHEST), Some(&s));
         t.add(l(0), l(1), Priority::HIGHEST, &s);
-        assert_eq!(t.arrival(l(0), l(1), Priority::HIGHEST), s.multiplex(&s));
+        assert_eq!(
+            t.arrival(l(0), l(1), Priority::HIGHEST),
+            Some(&s.multiplex(&s))
+        );
         assert_eq!(t.len(), 1);
     }
 
@@ -203,7 +242,8 @@ mod tests {
         t.add(l(0), l(1), Priority::HIGHEST, &burst(1, 4, 2));
         t.set(l(0), l(1), Priority::HIGHEST, BitStream::zero());
         assert_eq!(t.len(), 0);
-        assert!(t.arrival(l(0), l(1), Priority::HIGHEST).is_zero());
+        assert!(t.arrival(l(0), l(1), Priority::HIGHEST).is_none());
+        assert_eq!(t, Tables::new(), "an emptied port is dropped");
     }
 
     #[test]
@@ -212,10 +252,20 @@ mod tests {
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 1));
         t.add(l(1), l(5), Priority::new(1), &burst(1, 8, 1));
         t.add(l(0), l(6), Priority::HIGHEST, &burst(1, 8, 1));
-        let ins: Vec<LinkId> = t.in_links(l(5)).into_iter().collect();
-        assert_eq!(ins, vec![l(0), l(1)]);
         let outs: Vec<LinkId> = t.out_links().into_iter().collect();
         assert_eq!(outs, vec![l(5), l(6)]);
+    }
+
+    #[test]
+    fn in_link_long_run_sums_every_port_and_level() {
+        let mut t = Tables::new();
+        t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 1));
+        t.add(l(0), l(5), Priority::new(2), &burst(1, 4, 1));
+        t.add(l(1), l(5), Priority::HIGHEST, &burst(1, 2, 1));
+        t.add(l(0), l(6), Priority::new(1), &burst(1, 16, 1));
+        assert_eq!(t.in_link_long_run(l(0)), Rate::new(ratio(7, 16)));
+        assert_eq!(t.in_link_long_run(l(1)), Rate::new(ratio(1, 2)));
+        assert_eq!(t.in_link_long_run(l(9)), Rate::ZERO);
     }
 
     #[test]
@@ -231,12 +281,40 @@ mod tests {
     }
 
     #[test]
-    fn output_aggregate_excluding_skips_link() {
+    fn output_aggregate_is_the_sum_of_filtered_in_links() {
+        let mut t = Tables::new();
+        let parts = [burst(1, 8, 2), burst(1, 4, 3), burst(1, 2, 1)];
+        for (k, s) in parts.iter().enumerate() {
+            t.add(l(k as u32), l(5), Priority::HIGHEST, s);
+        }
+        t.add(l(0), l(6), Priority::HIGHEST, &burst(1, 2, 9));
+        let pairwise = parts
+            .iter()
+            .fold(BitStream::zero(), |acc, s| acc.multiplex(&s.filter()));
+        assert_eq!(t.output_aggregate(l(5), Priority::HIGHEST), pairwise);
+        assert!(t.output_aggregate(l(5), Priority::new(1)).is_zero());
+    }
+
+    #[test]
+    fn output_aggregate_with_swaps_one_link() {
         let mut t = Tables::new();
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 2));
         t.add(l(1), l(5), Priority::HIGHEST, &burst(1, 8, 2));
-        let partial = t.output_aggregate_excluding(l(5), Priority::HIGHEST, Some(l(1)));
-        assert_eq!(partial, t.arrival(l(0), l(5), Priority::HIGHEST).filter());
+        let p = Priority::HIGHEST;
+        let sia0 = t.arrival(l(0), l(5), p).unwrap().clone();
+        // Swapping in-link 1 for nothing leaves in-link 0 alone.
+        let partial = t.output_aggregate_with(l(5), p, (l(1), &BitStream::zero()));
+        assert_eq!(partial, sia0.filter());
+        // Swapping a link for its own aggregate changes nothing.
+        let same = t.output_aggregate_with(l(5), p, (l(1), &burst(1, 8, 2)));
+        assert_eq!(same, t.output_aggregate(l(5), p));
+        // A fresh in-link adds its filtered aggregate.
+        let added = t.output_aggregate_with(l(5), p, (l(7), &burst(1, 4, 3)));
+        assert_eq!(
+            added,
+            t.output_aggregate(l(5), p)
+                .multiplex(&burst(1, 4, 3).filter())
+        );
     }
 
     #[test]
