@@ -391,16 +391,6 @@ fn main() {
             ),
         );
     }
-    header(
-        "sof_cache",
-        format!(
-            "hits={} misses={}",
-            snapshot.counter("engine_sof_cache_hits_total").unwrap_or(0),
-            snapshot
-                .counter("engine_sof_cache_misses_total")
-                .unwrap_or(0)
-        ),
-    );
 
     if let Some(path) = metrics_path {
         std::fs::write(&path, snapshot.to_prometheus()).expect("write metrics file");

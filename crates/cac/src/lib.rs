@@ -65,7 +65,6 @@ mod error;
 mod intern;
 mod plan;
 mod report;
-mod sof_cache;
 mod switch;
 mod tables;
 
@@ -80,5 +79,4 @@ pub use plan::{
     LOCAL_INJECTION,
 };
 pub use report::{AdmissionReport, AdmissionVerdict, HopRow, HopVerdict};
-pub use sof_cache::SofCache;
 pub use switch::{AdmissionDecision, BoundsReport, Switch};

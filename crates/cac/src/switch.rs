@@ -6,9 +6,7 @@ use rtcac_net::LinkId;
 use crate::arena::{Leg, LegArena};
 use crate::intern::{ContractHandle, ContractIntern};
 use crate::tables::Tables;
-use crate::{
-    CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SofCache, SwitchConfig,
-};
+use crate::{CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SwitchConfig};
 
 /// The outcome of a CAC check: either the connection fits (with the
 /// computed worst-case bounds as evidence) or it must be rejected.
@@ -158,25 +156,23 @@ impl Switch {
         &self.config
     }
 
-    /// The table epoch: a counter bumped on every state mutation
-    /// (successful admit or release). [`SofCache`] entries are tagged
-    /// with the epoch they were computed at, so a cached Algorithm 4.1
-    /// result is valid exactly while the epoch is unchanged.
+    /// The mutation counter: bumped on every successful admit or
+    /// release, never by a check or a rejection. It is persisted with
+    /// the switch's legs so that snapshot → restore → snapshot is
+    /// byte-identical.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Rewinds the table epoch to `to`, an earlier value previously
-    /// observed via [`Switch::epoch`].
+    /// Rewinds the mutation counter to `to`, an earlier value
+    /// previously observed via [`Switch::epoch`].
     ///
     /// The caller must guarantee the stream tables and connection set
     /// are bit-identical to their state when `to` was read — i.e. every
     /// admit since then has been undone by a matching release. A
     /// two-phase engine uses this after rolling back an aborted
-    /// reservation so the shard is indistinguishable from the
-    /// pre-reserve state and warm [`SofCache`] entries stay valid;
-    /// pair it with [`SofCache::invalidate_newer`] so entries written
-    /// during the rolled-back window can never be mistaken for current.
+    /// reservation, so the aborted reserve leaves no trace: the shard,
+    /// and any snapshot taken of it, match the pre-reserve state.
     ///
     /// # Panics
     ///
@@ -357,24 +353,7 @@ impl Switch {
     /// failure. A connection that merely does not fit is reported as
     /// [`AdmissionDecision::Rejected`], not as an error.
     pub fn check(&self, request: &ConnectionRequest) -> Result<AdmissionDecision, CacError> {
-        Ok(self.price(request, None)?.0)
-    }
-
-    /// Like [`Switch::check`], but memoizes the epoch-stable parts of
-    /// the computation (the `Sof` interference chains and lower-priority
-    /// output aggregates) in `cache`. Entries from an older table epoch
-    /// miss and are recomputed, so the result is always identical to an
-    /// uncached [`Switch::check`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::check`].
-    pub fn check_cached(
-        &self,
-        request: &ConnectionRequest,
-        cache: &mut SofCache,
-    ) -> Result<AdmissionDecision, CacError> {
-        Ok(self.price(request, Some(cache))?.0)
+        Ok(self.price(request)?.0)
     }
 
     /// Steps 1–6 for [`Switch::check`] and [`Switch::admit`]: the
@@ -382,7 +361,6 @@ impl Switch {
     fn price(
         &self,
         request: &ConnectionRequest,
-        mut cache: Option<&mut SofCache>,
     ) -> Result<(AdmissionDecision, Option<Commit>), CacError> {
         let p = request.priority();
         let advertised = self.config.bound(p)?;
@@ -418,10 +396,7 @@ impl Switch {
 
         // Step 4: delay bound at the connection's own priority under
         // the (unchanged) higher-priority interference.
-        let sof = match cache.as_deref_mut() {
-            Some(c) => c.interference(self.epoch, (j, p), || self.tables.interference(j, p)),
-            None => self.tables.interference(j, p),
-        };
+        let sof = self.tables.interference(j, p);
         let mut bounds = Vec::new();
         match Self::bound_or_reject(&soa_new, &sof, j, p, advertised)? {
             Ok(d) => bounds.push((p, d)),
@@ -435,10 +410,7 @@ impl Switch {
                 continue;
             }
             let advertised1 = self.config.bound(p1)?;
-            let soa1 = match cache.as_deref_mut() {
-                Some(c) => c.aggregate(self.epoch, (j, p1), || self.tables.output_aggregate(j, p1)),
-                None => self.tables.output_aggregate(j, p1),
-            };
+            let soa1 = self.tables.output_aggregate(j, p1);
             if soa1.is_zero() {
                 bounds.push((p1, Time::ZERO));
                 continue;
@@ -475,35 +447,10 @@ impl Switch {
         id: ConnectionId,
         request: ConnectionRequest,
     ) -> Result<AdmissionDecision, CacError> {
-        self.admit_inner(id, request, None)
-    }
-
-    /// Like [`Switch::admit`], but runs the check through `cache`
-    /// (see [`Switch::check_cached`]). A successful admission bumps the
-    /// table epoch, implicitly invalidating every cached entry.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::admit`].
-    pub fn admit_cached(
-        &mut self,
-        id: ConnectionId,
-        request: ConnectionRequest,
-        cache: &mut SofCache,
-    ) -> Result<AdmissionDecision, CacError> {
-        self.admit_inner(id, request, Some(cache))
-    }
-
-    fn admit_inner(
-        &mut self,
-        id: ConnectionId,
-        request: ConnectionRequest,
-        cache: Option<&mut SofCache>,
-    ) -> Result<AdmissionDecision, CacError> {
         if self.find_leg(id, request.out_link()).is_some() {
             return Err(CacError::DuplicateConnection(id));
         }
-        let (decision, commit) = self.price(&request, cache)?;
+        let (decision, commit) = self.price(&request)?;
         if let Some(commit) = commit {
             self.commit_leg(id, &request, commit);
             self.epoch += 1;
@@ -577,28 +524,6 @@ impl Switch {
         }
         let sof = self.tables.interference(out_link, priority);
         soa.delay_bound(&sof).map_err(CacError::from)
-    }
-
-    /// Like [`Switch::computed_bound`], but memoizes the Algorithm 4.1
-    /// result in `cache`, keyed by `(out_link, priority)` and tagged
-    /// with the current table epoch.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::computed_bound`].
-    pub fn computed_bound_cached(
-        &self,
-        out_link: LinkId,
-        priority: Priority,
-        cache: &mut SofCache,
-    ) -> Result<Time, CacError> {
-        self.config.bound(priority)?;
-        if let Some(bound) = cache.bound(self.epoch, (out_link, priority)) {
-            return Ok(bound);
-        }
-        let bound = self.computed_bound(out_link, priority)?;
-        cache.store_bound(self.epoch, (out_link, priority), bound);
-        Ok(bound)
     }
 
     /// All outgoing links with established traffic.
@@ -993,95 +918,6 @@ mod tests {
         assert_eq!(sw.epoch(), 1);
         sw.release(ConnectionId::new(1)).unwrap();
         assert_eq!(sw.epoch(), 2);
-    }
-
-    #[test]
-    fn rewind_epoch_with_invalidation_keeps_cache_honest() {
-        let mut sw = one_level_switch(32);
-        let mut cache = SofCache::new();
-        sw.admit(ConnectionId::new(1), request(cbr(1, 8), 0, 0, 0))
-            .unwrap();
-        let pre = sw.epoch();
-        let bound_pre = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        // A reserve that later aborts: admit then undo via release.
-        sw.admit_cached(
-            ConnectionId::new(2),
-            request(cbr(1, 8), 0, 1, 0),
-            &mut cache,
-        )
-        .unwrap();
-        sw.release(ConnectionId::new(2)).unwrap();
-        sw.rewind_epoch(pre);
-        cache.invalidate_newer(pre);
-        assert_eq!(sw.epoch(), pre);
-        // The pre-reserve entry survives and is served as a hit...
-        let hits_before = cache.hits();
-        let bound_back = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(bound_back, bound_pre);
-        assert_eq!(cache.hits(), hits_before + 1);
-        // ...and when the epoch re-advances past the invalidated window
-        // with *different* tables, no stale entry can answer: the next
-        // lookup must miss and recompute.
-        sw.admit(ConnectionId::new(3), request(cbr(1, 4), 0, 2, 0))
-            .unwrap();
-        let fresh = sw.computed_bound(l(100), Priority::HIGHEST).unwrap();
-        let misses_before = cache.misses();
-        let cached = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(cached, fresh);
-        assert_eq!(cache.misses(), misses_before + 1);
-    }
-
-    #[test]
-    fn cached_check_agrees_with_uncached() {
-        let mut sw = one_level_switch(8);
-        let mut cache = SofCache::new();
-        for k in 0..12u64 {
-            let req = request(cbr(1, 10), 30, k as u32, 0);
-            let plain = sw.check(&req).unwrap();
-            let cached = sw.check_cached(&req, &mut cache).unwrap();
-            assert_eq!(plain, cached);
-            let d = sw
-                .admit_cached(ConnectionId::new(k), req, &mut cache)
-                .unwrap();
-            assert_eq!(d, plain);
-        }
-        assert!(
-            cache.hits() > 0,
-            "repeat lookups at a stable epoch must hit"
-        );
-    }
-
-    #[test]
-    fn cached_bound_invalidated_by_epoch_bump() {
-        let mut sw = one_level_switch(32);
-        let mut cache = SofCache::new();
-        sw.admit(ConnectionId::new(1), request(cbr(1, 8), 0, 0, 0))
-            .unwrap();
-        let b1 = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        // Second lookup at the same epoch: served from cache.
-        let hits_before = cache.hits();
-        let b2 = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(b1, b2);
-        assert_eq!(cache.hits(), hits_before + 1);
-        // Mutating the switch invalidates the entry: the next lookup
-        // recomputes and returns the fresh value.
-        sw.admit(ConnectionId::new(2), request(cbr(1, 8), 16, 1, 0))
-            .unwrap();
-        let fresh = sw.computed_bound(l(100), Priority::HIGHEST).unwrap();
-        let cached = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(cached, fresh);
     }
 
     #[test]

@@ -433,7 +433,7 @@ pub fn engine(
     let stats = engine.stats();
     let _ = writeln!(
         out,
-        "stats: submitted={} admitted={} rejected={} aborted={} rerouted={} mcast={}/{} cache {}/{} hits",
+        "stats: submitted={} admitted={} rejected={} aborted={} rerouted={} mcast={}/{}",
         stats.submitted,
         stats.admitted,
         stats.rejected,
@@ -441,8 +441,6 @@ pub fn engine(
         stats.rerouted,
         stats.mcast_admitted,
         stats.mcast_submitted,
-        stats.cache_hits,
-        stats.cache_hits + stats.cache_misses
     );
     port_report(scenario, &EngineDriver::new(engine), &mut out)?;
     if let (Some(path), Some(registry)) = (metrics_path, &registry) {
@@ -1787,7 +1785,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         let prom = std::fs::read_to_string(&path).unwrap();
         assert!(prom.contains("engine_setups_submitted_total 3"), "{prom}");
         assert!(prom.contains("engine_reserve_ns_count"), "{prom}");
-        assert!(prom.contains("engine_sof_cache"), "{prom}");
+        assert!(prom.contains("engine_lock_hold_ns_count"), "{prom}");
         assert!(prom.contains("engine_shard_lock_wait_ns"), "{prom}");
 
         let json = std::fs::read_to_string(format!("{path_str}.json")).unwrap();

@@ -82,8 +82,8 @@ USAGE:
       Batch-admit the scenario through the concurrent sharded engine
       (two-phase reserve/commit, N worker threads) and report outcomes,
       engine statistics, and final port bounds. With --metrics, the
-      observability snapshot (phase timings, lock waits, cache and
-      outcome counters) is written to PATH in Prometheus text format
+      observability snapshot (phase timings, lock waits and outcome
+      counters) is written to PATH in Prometheus text format
       and to PATH.json in JSON.
 
   rtcac serve [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--nodes N]

@@ -393,19 +393,15 @@ impl Driver for EngineDriver {
         Ok((self.engine.publish_orphan_audit(), broken))
     }
 
-    /// Served from the shard cache, which an idle shard never touches.
     fn computed_bound(
         &self,
         node: NodeId,
         link: LinkId,
         priority: Priority,
     ) -> Result<Time, CliError> {
-        let legs = self.engine.shard_connection_count(node);
-        if legs.map_err(CliError::domain)? == 0 {
-            return Ok(Time::ZERO);
-        }
-        let bound = self.engine.computed_bound(node, link, priority);
-        bound.map_err(CliError::domain)
+        self.engine
+            .computed_bound(node, link, priority)
+            .map_err(CliError::domain)
     }
 }
 

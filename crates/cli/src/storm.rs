@@ -38,10 +38,8 @@ use std::sync::Arc;
 
 use rtcac_bitstream::TrafficContract;
 use rtcac_cac::AdmissionReport;
-use rtcac_engine::EngineStats;
 use rtcac_fault::{
-    endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosReport, ChaosState,
-    FaultPlan,
+    endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosState, FaultPlan,
 };
 use rtcac_net::SimRng;
 use rtcac_snap::{decode, encode, restore_engine, snapshot_engine};
@@ -471,18 +469,6 @@ fn audit<D: Driver>(side: &str, driver: &D, violations: &mut Vec<String>) -> Res
     Ok(())
 }
 
-/// Cache counters are the one legitimate difference after a restore
-/// (the restored engine starts cold), so resume parity compares with
-/// both zeroed.
-fn normalized(mut report: ChaosReport) -> ChaosReport {
-    report.stats = EngineStats {
-        cache_hits: 0,
-        cache_misses: 0,
-        ..report.stats
-    };
-    report
-}
-
 /// Runs an embedded `chaos` directive on a fresh engine over the
 /// scenario's topology. The run always uses resumable
 /// [`ChaosState`] segments; with `check_resume` it is additionally
@@ -551,7 +537,7 @@ fn run_chaos_directive(
              from the uninterrupted run"
         )));
     }
-    if normalized(control_report) != normalized(report) {
+    if control_report != report {
         return Ok(Some(format!(
             "chaos seed={seed}: final report after kill/snapshot-restore diverged \
              from the uninterrupted run"

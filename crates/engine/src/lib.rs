@@ -5,8 +5,11 @@
 //! indistinguishable from *some* serial order through
 //! [`rtcac_signaling::Network`]:
 //!
-//! * **Shards** — one [`rtcac_cac::Switch`] plus one
-//!   [`rtcac_cac::SofCache`] per switch node, each behind its own mutex.
+//! * **Shards** — one [`rtcac_cac::Switch`] per switch node, each
+//!   behind its own mutex. Reserve, commit and release call
+//!   [`Switch::admit`](rtcac_cac::Switch::admit) and
+//!   [`Switch::release`](rtcac_cac::Switch::release) exactly as the
+//!   serial [`rtcac_signaling::Network`] does.
 //! * **Two-phase setups** — phase 1 reserves capacity hop by hop with
 //!   every route shard locked in ascending [`rtcac_net::NodeId`] order
 //!   (a global lock order, hence deadlock-free); phase 2 commits, or
@@ -17,22 +20,20 @@
 //!   core, so unicast routes and multicast trees
 //!   ([`AdmissionEngine::admit_multicast`]) take the same path the
 //!   serial [`rtcac_signaling::Network`] drivers take.
-//! * **Memoization** — delay-bound and interference computations
-//!   (Algorithm 4.1 and the Sof tables) are cached per shard, keyed by
-//!   (out-link, priority, table epoch); the epoch bumps on every commit
-//!   and release, so a cached value can never be stale.
+//! * **Rollback** — an aborted reserve releases its legs and rewinds
+//!   each touched shard's mutation counter
+//!   ([`Switch::epoch`](rtcac_cac::Switch::epoch)), so it leaves no
+//!   trace in the shard or in a later snapshot.
 //! * **Worker pools** — [`EnginePool`] runs a fixed set of
 //!   `std::thread` workers pulling a *batch* of jobs from an `mpsc`
 //!   submission queue; [`ServicePool`] is its resident sibling, serving
 //!   setups indefinitely with per-job reply channels (the front end the
 //!   `rtcac-serve` admission service dispatches onto).
 //! * **Statistics** — lock-free submitted/admitted/rejected/aborted/
-//!   released counters plus per-shard cache hit/miss totals,
-//!   snapshotted as [`EngineStats`] (invariant: every submitted setup
-//!   lands in exactly one outcome bucket).
+//!   released counters, snapshotted as [`EngineStats`] (invariant:
+//!   every submitted setup lands in exactly one outcome bucket).
 //! * **Observability** — phase timings (reserve/commit/rollback),
-//!   per-shard lock-wait histograms, cache hit/miss counters and abort
-//!   events, recorded through [`rtcac_obs`] handles that are no-ops
+//!   per-shard lock-wait histograms and abort events, recorded through [`rtcac_obs`] handles that are no-ops
 //!   (near-zero cost, no clock reads) when no registry is installed.
 //!   Use [`AdmissionEngine::with_registry`] for an explicit registry.
 

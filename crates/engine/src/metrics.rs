@@ -46,8 +46,6 @@ pub(crate) struct EngineMetrics {
     pub node_failures: Counter,
     pub node_heals: Counter,
     pub orphaned: Gauge,
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
     pub reserve_ns: Histogram,
     pub commit_ns: Histogram,
     pub rollback_ns: Histogram,
@@ -107,8 +105,6 @@ impl EngineMetrics {
             node_failures: r.counter_with("engine_element_failures_total", &[("element", "node")]),
             node_heals: r.counter_with("engine_element_heals_total", &[("element", "node")]),
             orphaned: r.gauge("engine_orphaned_reservations"),
-            cache_hits: r.counter("engine_sof_cache_hits_total"),
-            cache_misses: r.counter("engine_sof_cache_misses_total"),
             reserve_ns: r.histogram("engine_reserve_ns"),
             commit_ns: r.histogram("engine_commit_ns"),
             rollback_ns: r.histogram("engine_rollback_ns"),

@@ -1,23 +1,15 @@
-//! Per-switch shards: one lock, one [`Switch`], one [`SofCache`].
+//! Per-switch shards: one lock around one [`Switch`].
 
 use std::sync::{Mutex, MutexGuard};
 
-use rtcac_cac::{SofCache, Switch, SwitchConfig};
+use rtcac_cac::{Switch, SwitchConfig};
 
-/// The state guarded by one shard lock.
-#[derive(Debug)]
-pub(crate) struct ShardState {
-    pub switch: Switch,
-    pub cache: SofCache,
-}
-
-/// One shard: a CAC-managed switch plus its memoization cache behind a
-/// single mutex. Shards are only ever locked in ascending `NodeId`
-/// order (see the two-phase protocol in [`crate::AdmissionEngine`]),
-/// which rules out deadlock.
+/// One shard: a CAC-managed switch behind a single mutex. Shards are
+/// only ever locked in ascending `NodeId` order (see the two-phase
+/// protocol in [`crate::AdmissionEngine`]), which rules out deadlock.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    state: Mutex<ShardState>,
+    switch: Mutex<Switch>,
 }
 
 impl Shard {
@@ -25,22 +17,17 @@ impl Shard {
         Shard::from_switch(Switch::new(config))
     }
 
-    /// Wraps an already-populated switch (the warm-restart path) with a
-    /// cold cache — correct because cache entries are epoch-tagged
-    /// memoization and misses recompute identical results.
+    /// Wraps an already-populated switch (the warm-restart path).
     pub fn from_switch(switch: Switch) -> Shard {
         Shard {
-            state: Mutex::new(ShardState {
-                switch,
-                cache: SofCache::new(),
-            }),
+            switch: Mutex::new(switch),
         }
     }
 
     /// Locks the shard. Mutex poisoning is unrecoverable for admission
     /// state (a panicked worker may have left a half-reserved setup),
     /// so it propagates as a panic rather than a lying `Ok`.
-    pub fn lock(&self) -> MutexGuard<'_, ShardState> {
-        self.state.lock().expect("shard mutex poisoned")
+    pub fn lock(&self) -> MutexGuard<'_, Switch> {
+        self.switch.lock().expect("shard mutex poisoned")
     }
 }

@@ -6,7 +6,7 @@
 //! the same guarantees after a process restart:
 //!
 //! * one [`SwitchState`] per switch shard — the admitted connection
-//!   *legs* plus the table epoch. The `Sia`/`Sif`/`Soa`/`Sof` stream
+//!   *legs* plus the switch's mutation counter (its epoch). The `Sia`/`Sif`/`Soa`/`Sof` stream
 //!   tables themselves are **not** stored: each leg's arrival stream is
 //!   a pure function of its [`ConnectionRequest`] and the switch
 //!   quantization grid, and the restore constructor rebuilds the table
@@ -21,11 +21,8 @@
 //! * the element-health overlay, drain flag, reroute budget, next
 //!   connection id and outcome counters.
 //!
-//! The per-shard [`SofCache`](rtcac_cac::SofCache) is deliberately
-//! absent: it is epoch-tagged memoization, and a cold cache recomputes
-//! identical results. Its hit/miss counters are likewise excluded from
-//! [`EngineState::counters`] (reported as zero) so that
-//! `snapshot → restore → snapshot` is value-identical.
+//! Nothing else is kept per shard, so `snapshot → restore → snapshot`
+//! is value-identical.
 
 use rtcac_bitstream::Time;
 use rtcac_cac::{ConnectionId, ConnectionRequest, Priority, SwitchConfig};
@@ -57,14 +54,13 @@ pub struct EngineState {
     pub switches: Vec<SwitchState>,
     /// One entry per established connection, ascending by id.
     pub connections: Vec<ConnectionState>,
-    /// Outcome counters at the cut (`cache_hits`/`cache_misses` are
-    /// reported as zero — see the module docs).
+    /// Outcome counters at the cut.
     pub counters: EngineStats,
 }
 
-/// One switch shard's restorable state: its configuration, table epoch
-/// and admitted connection legs (the generating set of its stream
-/// tables).
+/// One switch shard's restorable state: its configuration, mutation
+/// counter and admitted connection legs (the generating set of its
+/// stream tables).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchState {
     /// The switch node this shard manages.
@@ -72,8 +68,11 @@ pub struct SwitchState {
     /// The shard's priority configuration (advertised bounds and
     /// quantization grid).
     pub config: SwitchConfig,
-    /// The table epoch at the cut, restored verbatim so epoch-derived
-    /// invariants (monotonicity across a restart) keep holding.
+    /// The switch's mutation counter ([`Switch::epoch`]) at the cut,
+    /// restored verbatim so `snapshot → restore → snapshot` is
+    /// byte-identical and the counter stays monotonic across a restart.
+    ///
+    /// [`Switch::epoch`]: rtcac_cac::Switch::epoch
     pub epoch: u64,
     /// Every admitted `(connection, leg)` pair, ascending by
     /// `(connection id, out-link)` — a multicast connection holds one

@@ -40,10 +40,7 @@ impl Counters {
 /// refusals that reserved nothing (the QoS gate or the first hop
 /// refusing); the two are disjoint. `rerouted` counts setups that
 /// committed on an *alternate* route after their submitted route died
-/// under them — disjoint from `admitted`. The cache counters aggregate
-/// every shard's [`SofCache`] hit/miss totals.
-///
-/// [`SofCache`]: rtcac_cac::SofCache
+/// under them — disjoint from `admitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Setups that entered the engine (before any outcome).
@@ -67,10 +64,6 @@ pub struct EngineStats {
     /// Connections force-released because an element on their route
     /// failed (disjoint from `released`).
     pub failed_over: u64,
-    /// Delay-bound / interference lookups served from a shard cache.
-    pub cache_hits: u64,
-    /// Lookups that had to recompute (cold or stale epoch).
-    pub cache_misses: u64,
     /// Point-to-multipoint setups that entered the engine (a subset of
     /// `submitted`; tree setups land in the same outcome buckets).
     pub mcast_submitted: u64,

@@ -10,10 +10,9 @@
 
 use rtcac_bitstream::Time;
 use rtcac_cac::SwitchConfig;
-use rtcac_engine::{AdmissionEngine, EngineStats};
+use rtcac_engine::AdmissionEngine;
 use rtcac_fault::{
-    endpoint_pairs, finish_report, run_chaos, run_chaos_segment, ChaosConfig, ChaosReport,
-    ChaosState, FaultPlan,
+    endpoint_pairs, finish_report, run_chaos, run_chaos_segment, ChaosConfig, ChaosState, FaultPlan,
 };
 use rtcac_net::builders;
 use rtcac_signaling::CdvPolicy;
@@ -33,22 +32,9 @@ fn fresh_engine() -> AdmissionEngine {
     AdmissionEngine::new(sr.topology().clone(), config, CdvPolicy::Hard)
 }
 
-/// Cache counters are the one legitimate difference after a restore
-/// (the restored engine starts cold), so parity compares with both
-/// zeroed.
-fn normalized(mut report: ChaosReport) -> ChaosReport {
-    report.stats = EngineStats {
-        cache_hits: 0,
-        cache_misses: 0,
-        ..report.stats
-    };
-    report
-}
-
 /// Runs the same seeded chaos session twice — once uninterrupted, once
 /// killed at `cut` steps and restored from a snapshot taken at the cut
-/// — and demands identical decisions and an identical normalized
-/// report.
+/// — and demands identical decisions and an identical report.
 fn assert_kill_restore_parity(seed: u64, cut: u64) {
     let config = ChaosConfig {
         seed,
@@ -125,8 +111,7 @@ fn assert_kill_restore_parity(seed: u64, cut: u64) {
          (seed {seed}, cut {cut})"
     );
     assert_eq!(
-        normalized(control_report),
-        normalized(report),
+        control_report, report,
         "final reports diverged (seed {seed}, cut {cut})"
     );
 }

@@ -766,8 +766,6 @@ fn decode_counters(bytes: &[u8]) -> Result<EngineStats, SnapError> {
         rerouted: dec.u64()?,
         released: dec.u64()?,
         failed_over: dec.u64()?,
-        cache_hits: 0,
-        cache_misses: 0,
         mcast_submitted: dec.u64()?,
         mcast_admitted: dec.u64()?,
         mcast_rejected: dec.u64()?,

@@ -24,8 +24,7 @@
 //! * **Forward-refusing.** An unknown format version is an error, never
 //!   a best-effort parse.
 //! * **Deterministic bytes.** Encoding contains no timestamps or
-//!   randomness: `snapshot → restore → snapshot` is byte-identical
-//!   (restored caches are cold, so cache counters are excluded).
+//!   randomness: `snapshot → restore → snapshot` is byte-identical.
 //! * **Atomic writes.** [`save_atomic`] writes a temp sibling, fsyncs,
 //!   and renames — a crash leaves the old snapshot or none.
 
