@@ -28,32 +28,21 @@
 //!
 //! # Container (`.rtfr`)
 //!
-//! Same discipline as the `rtcac-snap` container (`RTSN`), which this
-//! crate cannot depend on (snap → engine → obs):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "RTFR"
-//! 4       2     format version (u16 BE) — forward-refusing
-//! 6       1     section count (5)
-//! 7       25×N  directory: id u8, offset u64, len u64, fnv64 u64
-//! …       …     payloads (contiguous, directory order)
-//! end-8   8     whole-file FNV-1a 64
-//! ```
-//!
-//! Sections: 1 meta, 2 series (the tick ring), 3 events, 4 spans,
+//! The shared sectioned file of [`crate::codec`] (the snapshot's
+//! `RTSN` is the other user) with magic `RTFR`, version 1 and five
+//! sections: 1 meta, 2 series (the tick ring), 3 events, 4 spans,
 //! 5 gauges. A reader refuses unknown versions and any checksum
 //! mismatch — a corrupted black box must say so, not half-render.
 //!
-//! Dumps are written atomically (temp file in the target directory,
-//! fsync, rename) so a crash mid-dump never leaves a torn `.rtfr`.
+//! Dumps are written with [`write_atomic`] (temp sibling, fsync,
+//! rename) so a crash mid-dump never leaves a torn `.rtfr`.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::codec::{write_atomic, CodecError, Container, Dec, Enc};
 use crate::registry::{MetricId, Registry};
 use crate::series::TickDelta;
 use crate::trace::{SpanId, SpanRecord, TraceId};
@@ -66,186 +55,27 @@ pub const VERSION: u16 = 1;
 /// Decode refuses files larger than this.
 pub const MAX_DUMP: u64 = 64 << 20;
 
-const SECTION_IDS: [(u8, &str); 5] = [
-    (1, "meta"),
-    (2, "series"),
-    (3, "events"),
-    (4, "spans"),
-    (5, "gauges"),
-];
+/// The dump's checksum — the one FNV-1a every container uses.
+pub use crate::codec::fnv64;
 
-/// Everything that can be wrong with a flight-dump file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightError {
-    /// The file does not start with `RTFR`.
-    BadMagic,
-    /// The file's format version is newer than this build understands.
-    UnsupportedVersion {
-        /// Version found in the file.
-        got: u16,
-        /// Newest version this build reads.
-        supported: u16,
-    },
-    /// A section or whole-file checksum did not match.
-    ChecksumMismatch {
-        /// Which checksum failed (`"file"` or a section name).
-        over: &'static str,
-    },
-    /// The file ended before a required field.
-    Truncated,
-    /// A structurally invalid payload.
-    BadPayload(&'static str),
-    /// The file exceeds [`MAX_DUMP`].
-    Oversized,
-}
+const CONTAINER: Container = Container {
+    magic: MAGIC,
+    versions: VERSION..=VERSION,
+    sections: &[
+        (1, "meta"),
+        (2, "series"),
+        (3, "events"),
+        (4, "spans"),
+        (5, "gauges"),
+    ],
+    max_len: MAX_DUMP,
+};
 
-impl std::fmt::Display for FlightError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlightError::BadMagic => write!(f, "not a flight dump (bad magic)"),
-            FlightError::UnsupportedVersion { got, supported } => write!(
-                f,
-                "flight dump version {got} is newer than supported {supported}"
-            ),
-            FlightError::ChecksumMismatch { over } => {
-                write!(f, "flight dump checksum mismatch over {over}")
-            }
-            FlightError::Truncated => write!(f, "flight dump truncated"),
-            FlightError::BadPayload(what) => write!(f, "flight dump invalid: {what}"),
-            FlightError::Oversized => write!(f, "flight dump exceeds {MAX_DUMP} bytes"),
-        }
-    }
-}
+/// Everything that can be wrong with a flight-dump file: the shared
+/// codec's error, since the container and every field go through it.
+pub type FlightError = CodecError;
 
-impl std::error::Error for FlightError {}
-
-// ── private codec (mirrors crates/snap/src/codec.rs discipline) ─────
-
-/// 64-bit FNV-1a over a byte slice — the section and whole-file
-/// checksum of flight dumps and (re-exported by `rtcac-snap`) of
-/// snapshots: std-only, deterministic, order-sensitive.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) -> &mut Enc {
-        self.buf.push(v);
-        self
-    }
-
-    fn flag(&mut self, v: bool) -> &mut Enc {
-        self.u8(u8::from(v))
-    }
-
-    fn u16(&mut self, v: u16) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    fn u32(&mut self, v: u32) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    fn u64(&mut self, v: u64) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    fn string(&mut self, v: &str) -> &mut Enc {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
-        self
-    }
-}
-
-struct Dec<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(data: &'a [u8]) -> Dec<'a> {
-        Dec { data, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let end = self.at.checked_add(n).ok_or(FlightError::Truncated)?;
-        if end > self.data.len() {
-            return Err(FlightError::Truncated);
-        }
-        let slice = &self.data[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, FlightError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn flag(&mut self) -> Result<bool, FlightError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(FlightError::BadPayload("flag must be 0 or 1")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, FlightError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, FlightError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FlightError::BadPayload("string is not UTF-8"))
-    }
-
-    /// Validates a declared element count against the bytes actually
-    /// remaining (`min_size` per element) before any allocation.
-    fn check_count(&self, count: u32, min_size: usize) -> Result<usize, FlightError> {
-        let count = count as usize;
-        let needed = count.checked_mul(min_size).ok_or(FlightError::Truncated)?;
-        if needed > self.data.len() - self.at {
-            return Err(FlightError::Truncated);
-        }
-        Ok(count)
-    }
-
-    fn expect_end(&self) -> Result<(), FlightError> {
-        if self.at == self.data.len() {
-            Ok(())
-        } else {
-            Err(FlightError::BadPayload("trailing bytes in section"))
-        }
-    }
-}
+// ── section codecs ──────────────────────────────────────────────────
 
 fn enc_metric_id(enc: &mut Enc, id: &MetricId) {
     enc.string(id.name());
@@ -255,16 +85,44 @@ fn enc_metric_id(enc: &mut Enc, id: &MetricId) {
     }
 }
 
+/// A `u32`-counted list of `(metric id, value)` pairs.
+fn enc_metric_values(enc: &mut Enc, values: &[(MetricId, u64)]) {
+    enc.u32(values.len() as u32);
+    for (id, v) in values {
+        enc_metric_id(enc, id);
+        enc.u64(*v);
+    }
+}
+
+fn dec_metric_values(dec: &mut Dec<'_>) -> Result<Vec<(MetricId, u64)>, FlightError> {
+    dec.list(4 + 1 + 8, |d| Ok((dec_metric_id(d)?, d.u64()?)))
+}
+
 fn dec_metric_id(dec: &mut Dec<'_>) -> Result<MetricId, FlightError> {
     let name = dec.string()?;
     let label_count = dec.u8()?;
     let mut labels = Vec::with_capacity(label_count as usize);
     for _ in 0..label_count {
-        let k = dec.string()?;
-        let v = dec.string()?;
-        labels.push((k, v));
+        labels.push((dec.string()?, dec.string()?));
     }
     Ok(MetricId::from_parts(name, labels))
+}
+
+/// One histogram of a tick: its id, then sparse `(bucket, count)` pairs.
+fn dec_histogram(dec: &mut Dec<'_>) -> Result<(MetricId, HistogramSnapshot), FlightError> {
+    let id = dec_metric_id(dec)?;
+    let mut h = HistogramSnapshot::default();
+    for _ in 0..dec.u8()? {
+        let idx = dec.u8()? as usize;
+        if idx >= BUCKET_COUNT {
+            return Err(FlightError::Invalid("bucket index out of range"));
+        }
+        h.buckets[idx] = dec.u64()?;
+    }
+    h.count = h.buckets.iter().sum();
+    h.sum = dec.u64()?;
+    h.max = dec.u64()?;
+    Ok((id, h))
 }
 
 /// Interns a decoded span/attr name, giving it the `&'static str` the
@@ -318,63 +176,35 @@ pub struct FlightDump {
 impl FlightDump {
     /// Encodes the dump into its container bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let payloads: Vec<(u8, Vec<u8>)> = vec![
-            (1, self.encode_meta()),
-            (2, self.encode_series()),
-            (3, self.encode_events()),
-            (4, self.encode_spans()),
-            (5, self.encode_gauges()),
-        ];
-        let mut header = Enc::default();
-        for &b in &MAGIC {
-            header.u8(b);
-        }
-        header.u16(VERSION);
-        header.u8(payloads.len() as u8);
-        let dir_start = 4 + 2 + 1;
-        let mut offset = (dir_start + payloads.len() * 25) as u64;
-        for (id, payload) in &payloads {
-            header
-                .u8(*id)
-                .u64(offset)
-                .u64(payload.len() as u64)
-                .u64(fnv64(payload));
-            offset += payload.len() as u64;
-        }
-        let mut bytes = header.finish();
-        for (_, payload) in &payloads {
-            bytes.extend_from_slice(payload);
-        }
-        let file_sum = fnv64(&bytes);
-        bytes.extend_from_slice(&file_sum.to_be_bytes());
-        bytes
+        CONTAINER.write(
+            VERSION,
+            &[
+                self.encode_meta(),
+                self.encode_series(),
+                self.encode_events(),
+                self.encode_spans(),
+                self.encode_gauges(),
+            ],
+        )
     }
 
     fn encode_meta(&self) -> Vec<u8> {
-        let mut enc = Enc::default();
-        enc.string(&self.reason)
+        Enc::new()
+            .string(&self.reason)
             .string(&self.detail)
             .u64(self.seq)
             .u64(self.trigger_tick)
-            .flag(self.forced);
-        enc.finish()
+            .flag(self.forced)
+            .finish()
     }
 
     fn encode_series(&self) -> Vec<u8> {
-        let mut enc = Enc::default();
+        let mut enc = Enc::new();
         enc.u32(self.ticks.len() as u32);
         for tick in &self.ticks {
             enc.u64(tick.tick).u64(tick.elapsed_ms);
-            enc.u32(tick.counters.len() as u32);
-            for (id, v) in &tick.counters {
-                enc_metric_id(&mut enc, id);
-                enc.u64(*v);
-            }
-            enc.u32(tick.gauges.len() as u32);
-            for (id, v) in &tick.gauges {
-                enc_metric_id(&mut enc, id);
-                enc.u64(*v);
-            }
+            enc_metric_values(&mut enc, &tick.counters);
+            enc_metric_values(&mut enc, &tick.gauges);
             enc.u32(tick.histograms.len() as u32);
             for (id, h) in &tick.histograms {
                 enc_metric_id(&mut enc, id);
@@ -397,7 +227,7 @@ impl FlightDump {
     }
 
     fn encode_events(&self) -> Vec<u8> {
-        let mut enc = Enc::default();
+        let mut enc = Enc::new();
         enc.u64(self.events.recorded)
             .u64(self.events.dropped)
             .u64(self.events.evicted);
@@ -409,7 +239,7 @@ impl FlightDump {
     }
 
     fn encode_spans(&self) -> Vec<u8> {
-        let mut enc = Enc::default();
+        let mut enc = Enc::new();
         enc.u32(self.spans.len() as u32);
         for s in &self.spans {
             enc.u64(s.trace.get()).u64(s.span.get());
@@ -427,12 +257,8 @@ impl FlightDump {
     }
 
     fn encode_gauges(&self) -> Vec<u8> {
-        let mut enc = Enc::default();
-        enc.u32(self.gauges.len() as u32);
-        for (id, v) in &self.gauges {
-            enc_metric_id(&mut enc, id);
-            enc.u64(*v);
-        }
+        let mut enc = Enc::new();
+        enc_metric_values(&mut enc, &self.gauges);
         enc.finish()
     }
 
@@ -445,66 +271,8 @@ impl FlightDump {
     /// A [`FlightError`] naming the first thing wrong with the bytes —
     /// a single flipped bit anywhere in the file is refused.
     pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-        if bytes.len() as u64 > MAX_DUMP {
-            return Err(FlightError::Oversized);
-        }
-        if bytes.len() < 4 || bytes[..4] != MAGIC {
-            return Err(FlightError::BadMagic);
-        }
-        if bytes.len() < 4 + 2 + 1 + 8 {
-            return Err(FlightError::Truncated);
-        }
-        let mut head = Dec::new(&bytes[4..7]);
-        let version = head.u16()?;
-        if version != VERSION {
-            return Err(FlightError::UnsupportedVersion {
-                got: version,
-                supported: VERSION,
-            });
-        }
-        let body_end = bytes.len() - 8;
-        let stored_sum = u64::from_be_bytes(bytes[body_end..].try_into().unwrap());
-        if fnv64(&bytes[..body_end]) != stored_sum {
-            return Err(FlightError::ChecksumMismatch { over: "file" });
-        }
-        let count = head.u8()? as usize;
-        if count != SECTION_IDS.len() {
-            return Err(FlightError::BadPayload("dump has exactly five sections"));
-        }
-        let dir_end = 7 + count * 25;
-        if dir_end > body_end {
-            return Err(FlightError::Truncated);
-        }
-        let mut dec = Dec::new(&bytes[7..dir_end]);
-        let mut payloads = Vec::with_capacity(count);
-        let mut expected_offset = dir_end as u64;
-        for &(expected_id, name) in &SECTION_IDS {
-            let id = dec.u8()?;
-            let offset = dec.u64()?;
-            let len = dec.u64()?;
-            let checksum = dec.u64()?;
-            if id != expected_id {
-                return Err(FlightError::BadPayload("unknown or out-of-order section"));
-            }
-            if offset != expected_offset {
-                return Err(FlightError::BadPayload("sections must be contiguous"));
-            }
-            let end = offset
-                .checked_add(len)
-                .ok_or(FlightError::BadPayload("section extent overflows"))?;
-            if end > body_end as u64 {
-                return Err(FlightError::BadPayload("section extends past payload"));
-            }
-            let payload = &bytes[offset as usize..end as usize];
-            if fnv64(payload) != checksum {
-                return Err(FlightError::ChecksumMismatch { over: name });
-            }
-            expected_offset = end;
-            payloads.push(payload);
-        }
-        if expected_offset != body_end as u64 {
-            return Err(FlightError::BadPayload("payload bytes outside any section"));
-        }
+        let (_, sections) = CONTAINER.parse(bytes)?;
+        let payloads: Vec<&[u8]> = sections.iter().map(|s| s.payload(bytes)).collect();
         let mut dump = FlightDump::decode_meta(payloads[0])?;
         dump.ticks = FlightDump::decode_series(payloads[1])?;
         dump.events = FlightDump::decode_events(payloads[2])?;
@@ -533,100 +301,59 @@ impl FlightDump {
 
     fn decode_series(bytes: &[u8]) -> Result<Vec<TickDelta>, FlightError> {
         let mut dec = Dec::new(bytes);
-        let tick_count = dec.u32()?;
-        let tick_count = dec.check_count(tick_count, 8 + 8 + 4 + 4 + 4)?;
-        let mut ticks = Vec::with_capacity(tick_count);
-        for _ in 0..tick_count {
-            let tick = dec.u64()?;
-            let elapsed_ms = dec.u64()?;
-            let mut counters = Vec::new();
-            let n = dec.u32()?;
-            for _ in 0..dec.check_count(n, 4 + 1 + 8)? {
-                let id = dec_metric_id(&mut dec)?;
-                counters.push((id, dec.u64()?));
-            }
-            let mut gauges = Vec::new();
-            let n = dec.u32()?;
-            for _ in 0..dec.check_count(n, 4 + 1 + 8)? {
-                let id = dec_metric_id(&mut dec)?;
-                gauges.push((id, dec.u64()?));
-            }
-            let mut histograms = Vec::new();
-            let n = dec.u32()?;
-            for _ in 0..dec.check_count(n, 4 + 1 + 1 + 8 + 8)? {
-                let id = dec_metric_id(&mut dec)?;
-                let mut h = HistogramSnapshot::default();
-                let nonzero = dec.u8()?;
-                for _ in 0..nonzero {
-                    let idx = dec.u8()? as usize;
-                    if idx >= BUCKET_COUNT {
-                        return Err(FlightError::BadPayload("bucket index out of range"));
-                    }
-                    h.buckets[idx] = dec.u64()?;
-                }
-                h.count = h.buckets.iter().sum();
-                h.sum = dec.u64()?;
-                h.max = dec.u64()?;
-                histograms.push((id, h));
-            }
-            ticks.push(TickDelta {
-                tick,
-                elapsed_ms,
-                counters,
-                gauges,
-                histograms,
-            });
-        }
+        let ticks = dec.list(8 + 8 + 4 + 4 + 4, |d| {
+            Ok(TickDelta {
+                tick: d.u64()?,
+                elapsed_ms: d.u64()?,
+                counters: dec_metric_values(d)?,
+                gauges: dec_metric_values(d)?,
+                histograms: d.list(4 + 1 + 1 + 8 + 8, dec_histogram)?,
+            })
+        })?;
         dec.expect_end()?;
         Ok(ticks)
     }
 
     fn decode_events(bytes: &[u8]) -> Result<EventsSnapshot, FlightError> {
         let mut dec = Dec::new(bytes);
-        let mut events = EventsSnapshot {
+        let events = EventsSnapshot {
             recorded: dec.u64()?,
             dropped: dec.u64()?,
             evicted: dec.u64()?,
-            ..EventsSnapshot::default()
+            events: dec.list(8 + 4 + 4, |d| {
+                Ok(crate::Event {
+                    seq: d.u64()?,
+                    name: intern(d.string()?),
+                    detail: d.string()?,
+                })
+            })?,
         };
-        let n = dec.u32()?;
-        for _ in 0..dec.check_count(n, 8 + 4 + 4)? {
-            let seq = dec.u64()?;
-            let name = intern(dec.string()?);
-            let detail = dec.string()?;
-            events.events.push(crate::Event { seq, name, detail });
-        }
         dec.expect_end()?;
         Ok(events)
     }
 
     fn decode_spans(bytes: &[u8]) -> Result<Vec<SpanRecord>, FlightError> {
         let mut dec = Dec::new(bytes);
-        let n = dec.u32()?;
-        let n = dec.check_count(n, 8 + 8 + 1 + 4 + 8 + 8 + 1)?;
-        let mut spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            let trace = TraceId::new(dec.u64()?);
-            let span = SpanId::new(dec.u64()?);
-            let parent = if dec.flag()? {
-                Some(SpanId::new(dec.u64()?))
+        let spans = dec.list(8 + 8 + 1 + 4 + 8 + 8 + 1, |d| {
+            let trace = TraceId::new(d.u64()?);
+            let span = SpanId::new(d.u64()?);
+            let parent = if d.flag()? {
+                Some(SpanId::new(d.u64()?))
             } else {
                 None
             };
-            let name = intern(dec.string()?);
-            let begin_ns = dec.u64()?;
-            let end_ns = dec.u64()?;
+            let name = intern(d.string()?);
+            let begin_ns = d.u64()?;
+            let end_ns = d.u64()?;
             if end_ns < begin_ns {
-                return Err(FlightError::BadPayload("span ends before it begins"));
+                return Err(FlightError::Invalid("span ends before it begins"));
             }
-            let attr_count = dec.u8()?;
+            let attr_count = d.u8()?;
             let mut attrs = Vec::with_capacity(attr_count as usize);
             for _ in 0..attr_count {
-                let k = intern(dec.string()?);
-                let v = dec.string()?;
-                attrs.push((k, v));
+                attrs.push((intern(d.string()?), d.string()?));
             }
-            spans.push(SpanRecord {
+            Ok(SpanRecord {
                 trace,
                 span,
                 parent,
@@ -634,21 +361,15 @@ impl FlightDump {
                 begin_ns,
                 end_ns,
                 attrs,
-            });
-        }
+            })
+        })?;
         dec.expect_end()?;
         Ok(spans)
     }
 
     fn decode_gauges(bytes: &[u8]) -> Result<Vec<(MetricId, u64)>, FlightError> {
         let mut dec = Dec::new(bytes);
-        let n = dec.u32()?;
-        let n = dec.check_count(n, 4 + 1 + 8)?;
-        let mut gauges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = dec_metric_id(&mut dec)?;
-            gauges.push((id, dec.u64()?));
-        }
+        let gauges = dec_metric_values(&mut dec)?;
         dec.expect_end()?;
         Ok(gauges)
     }
@@ -929,19 +650,7 @@ impl FlightRecorder {
             .config
             .dir
             .join(format!("flight-{:04}-{slug}.rtfr", dump.seq));
-        let tmp_path = self
-            .config
-            .dir
-            .join(format!(".flight-{:04}-{slug}.tmp", dump.seq));
-        {
-            let mut file = std::fs::File::create(&tmp_path)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        if let Ok(dir) = std::fs::File::open(&self.config.dir) {
-            let _ = dir.sync_all();
-        }
+        write_atomic(&final_path, &bytes)?;
         self.dumps_written.fetch_add(1, Ordering::Relaxed);
         *self.last_path.lock().expect("last path poisoned") = Some(final_path.clone());
         self.registry
@@ -972,12 +681,6 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::series::TimeSeries;
-
-    #[test]
-    fn fnv64_is_stable() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
-    }
 
     fn registry_with_activity() -> Arc<Registry> {
         let r = Arc::new(Registry::new());
@@ -1072,6 +775,30 @@ mod tests {
             FlightDump::decode(&future),
             Err(FlightError::UnsupportedVersion { .. })
         ));
+    }
+
+    #[test]
+    fn failed_dump_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("rtfr-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = FlightRecorder::new(
+            registry_with_activity(),
+            FlightConfig {
+                dir: dir.clone(),
+                ..FlightConfig::default()
+            },
+        );
+        // The first dump's target name is taken by a directory, so the
+        // rename fails after the temp file was written.
+        std::fs::create_dir_all(dir.join("flight-0000-blocked.rtfr")).unwrap();
+        assert!(recorder.force_dump("blocked", "rename fails").is_err());
+        assert_eq!(recorder.dumps_written(), 0);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["flight-0000-blocked.rtfr"], "no temp file left");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

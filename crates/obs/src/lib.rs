@@ -23,6 +23,9 @@
 //!   ([`Sampling`]), flushed into a lock-sharded span ring and
 //!   exported as Chrome `trace_event` JSON ([`chrome_trace`]) or an
 //!   indented text tree ([`render_spans`]).
+//! * [`codec`] — the one bounds-checked binary codec, sectioned-file
+//!   container and atomic file write, shared by the wire protocol, the
+//!   snapshot and the flight dump.
 //!
 //! # The no-op default
 //!
@@ -54,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod alloc;
+pub mod codec;
 mod expo;
 pub mod flight;
 mod histogram;

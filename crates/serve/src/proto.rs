@@ -13,11 +13,14 @@
 //! client can never make the engine touch a link that does not exist —
 //! a bad route is a typed [`Response::Error`], not a panic.
 
-use rtcac_bitstream::{CbrParams, Time, TrafficContract, VbrParams};
+use rtcac_bitstream::Time;
 use rtcac_cac::Priority;
 use rtcac_signaling::{SetupRejection, SetupRequest};
 
-use crate::wire::{Dec, Enc, WireError, PROTO_VERSION};
+use rtcac_obs::codec::{Dec, Enc};
+use rtcac_snap::{DecExact as _, EncExact as _};
+
+use crate::wire::{frame, WireError, PROTO_VERSION};
 
 /// Frame type bytes. Kept in one place so the codec and the fuzz loop
 /// agree about what "every known frame" means.
@@ -248,75 +251,38 @@ pub fn rejection_class(rejection: &SetupRejection) -> u8 {
     }
 }
 
-fn encode_setup_request(enc: &mut Enc, request: &SetupRequest) {
-    match request.contract() {
-        TrafficContract::Cbr(cbr) => {
-            enc.u8(0);
-            enc.rate(cbr.pcr());
-        }
-        TrafficContract::Vbr(vbr) => {
-            enc.u8(1);
-            enc.rate(vbr.pcr());
-            enc.rate(vbr.scr());
-            enc.u64(vbr.mbs());
-        }
-    }
-    enc.u8(request.priority().level());
-    enc.time(request.delay_bound());
+/// Appends a setup's §4.1 parameters and finishes the frame.
+fn finish_setup_request(enc: &mut Enc, request: &SetupRequest) -> Vec<u8> {
+    enc.contract(request.contract())
+        .u8(request.priority().level())
+        .time(request.delay_bound())
+        .finish()
 }
 
 fn decode_setup_request(dec: &mut Dec<'_>) -> Result<SetupRequest, WireError> {
-    let contract = match dec.u8()? {
-        0 => TrafficContract::Cbr(
-            CbrParams::new(dec.rate()?)
-                .map_err(|_| WireError::BadPayload("invalid CBR contract"))?,
-        ),
-        1 => {
-            let pcr = dec.rate()?;
-            let scr = dec.rate()?;
-            let mbs = dec.u64()?;
-            TrafficContract::Vbr(
-                VbrParams::new(pcr, scr, mbs)
-                    .map_err(|_| WireError::BadPayload("invalid VBR contract"))?,
-            )
-        }
-        _ => return Err(WireError::BadPayload("unknown contract tag")),
-    };
+    let contract = dec.contract()?;
     let priority = Priority::new(dec.u8()?);
-    let delay_bound = dec.time()?;
-    Ok(SetupRequest::new(contract, priority, delay_bound))
+    Ok(SetupRequest::new(contract, priority, dec.time()?))
 }
 
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Request::Hello => Enc::frame(frame_type::HELLO).finish(),
-            Request::Setup { links, request } => {
-                let mut enc = Enc::frame(frame_type::SETUP);
-                enc.u32_list(links);
-                encode_setup_request(&mut enc, request);
-                enc.finish()
-            }
-            Request::SetupMcast { links, request } => {
-                let mut enc = Enc::frame(frame_type::SETUP_MCAST);
-                enc.u32_list(links);
-                encode_setup_request(&mut enc, request);
-                enc.finish()
-            }
-            Request::Release { id } => {
-                let mut enc = Enc::frame(frame_type::RELEASE);
-                enc.u64(*id);
-                enc.finish()
-            }
-            Request::Query { id } => {
-                let mut enc = Enc::frame(frame_type::QUERY);
-                enc.u64(*id);
-                enc.finish()
-            }
-            Request::Drain => Enc::frame(frame_type::DRAIN).finish(),
-            Request::Stats => Enc::frame(frame_type::STATS).finish(),
-            Request::Dump => Enc::frame(frame_type::DUMP).finish(),
+            Request::Hello => frame(frame_type::HELLO).finish(),
+            Request::Setup { links, request } => finish_setup_request(
+                frame(frame_type::SETUP).u32_list(links.iter().copied()),
+                request,
+            ),
+            Request::SetupMcast { links, request } => finish_setup_request(
+                frame(frame_type::SETUP_MCAST).u32_list(links.iter().copied()),
+                request,
+            ),
+            Request::Release { id } => frame(frame_type::RELEASE).u64(*id).finish(),
+            Request::Query { id } => frame(frame_type::QUERY).u64(*id).finish(),
+            Request::Drain => frame(frame_type::DRAIN).finish(),
+            Request::Stats => frame(frame_type::STATS).finish(),
+            Request::Dump => frame(frame_type::DUMP).finish(),
         }
     }
 
@@ -364,51 +330,35 @@ impl Response {
                 terminals,
                 levels,
                 bound,
-            } => {
-                let mut enc = Enc::frame(frame_type::SERVER_INFO);
-                enc.u32(*nodes);
-                enc.u32(*terminals);
-                enc.u8(*levels);
-                enc.time(*bound);
-                enc.finish()
-            }
+            } => frame(frame_type::SERVER_INFO)
+                .u32(*nodes)
+                .u32(*terminals)
+                .u8(*levels)
+                .time(*bound)
+                .finish(),
             Response::Admitted {
                 id,
                 guaranteed_delay,
                 attempts,
-            } => {
-                let mut enc = Enc::frame(frame_type::ADMITTED);
-                enc.u64(*id);
-                enc.time(*guaranteed_delay);
-                enc.u32(*attempts);
-                enc.finish()
-            }
-            Response::Rejected { id, code, detail } => {
-                let mut enc = Enc::frame(frame_type::REJECTED);
-                enc.u64(*id);
-                enc.u8(*code);
-                enc.string(detail);
-                enc.finish()
-            }
-            Response::Released { id } => {
-                let mut enc = Enc::frame(frame_type::RELEASED);
-                enc.u64(*id);
-                enc.finish()
-            }
+            } => frame(frame_type::ADMITTED)
+                .u64(*id)
+                .time(*guaranteed_delay)
+                .u32(*attempts)
+                .finish(),
+            Response::Rejected { id, code, detail } => frame(frame_type::REJECTED)
+                .u64(*id)
+                .u8(*code)
+                .string(detail)
+                .finish(),
+            Response::Released { id } => frame(frame_type::RELEASED).u64(*id).finish(),
             Response::QueryResult {
                 found,
                 guaranteed_delay,
-            } => {
-                let mut enc = Enc::frame(frame_type::QUERY_RESULT);
-                enc.u8(u8::from(*found));
-                enc.time(*guaranteed_delay);
-                enc.finish()
-            }
-            Response::Draining { active } => {
-                let mut enc = Enc::frame(frame_type::DRAINING);
-                enc.u64(*active);
-                enc.finish()
-            }
+            } => frame(frame_type::QUERY_RESULT)
+                .u8(u8::from(*found))
+                .time(*guaranteed_delay)
+                .finish(),
+            Response::Draining { active } => frame(frame_type::DRAINING).u64(*active).finish(),
             Response::StatsReply {
                 active,
                 admitted,
@@ -416,28 +366,21 @@ impl Response {
                 released,
                 orphans,
                 draining,
-            } => {
-                let mut enc = Enc::frame(frame_type::STATS_REPLY);
-                enc.u64(*active);
-                enc.u64(*admitted);
-                enc.u64(*rejected);
-                enc.u64(*released);
-                enc.u64(*orphans);
-                enc.u8(u8::from(*draining));
-                enc.finish()
-            }
+            } => frame(frame_type::STATS_REPLY)
+                .u64(*active)
+                .u64(*admitted)
+                .u64(*rejected)
+                .u64(*released)
+                .u64(*orphans)
+                .u8(u8::from(*draining))
+                .finish(),
             Response::Dumped { path, dumps } => {
-                let mut enc = Enc::frame(frame_type::DUMPED);
-                enc.string(path);
-                enc.u64(*dumps);
-                enc.finish()
+                frame(frame_type::DUMPED).string(path).u64(*dumps).finish()
             }
-            Response::Error { code, message } => {
-                let mut enc = Enc::frame(frame_type::ERROR);
-                enc.u8(*code as u8);
-                enc.string(message);
-                enc.finish()
-            }
+            Response::Error { code, message } => frame(frame_type::ERROR)
+                .u8(*code as u8)
+                .string(message)
+                .finish(),
         }
     }
 

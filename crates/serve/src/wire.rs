@@ -1,4 +1,4 @@
-//! The length-prefixed frame layer and primitive value codec.
+//! The length-prefixed frame layer.
 //!
 //! Every message on the wire is one *frame*:
 //!
@@ -14,17 +14,18 @@
 //! The length prefix is validated *before* any allocation, so a
 //! hostile peer cannot make the decoder reserve unbounded memory: a
 //! frame longer than [`MAX_PAYLOAD`] is refused with
-//! [`WireError::Oversized`] and the connection should be closed. All
-//! multi-byte integers are big-endian; exact rationals travel as an
-//! `(i128 numerator, i128 denominator)` pair and are re-validated by
-//! [`rtcac_rational::Ratio::new`] on decode, so a malformed ratio is a
-//! typed [`WireError::BadPayload`], never a panic.
+//! [`WireError::Oversized`] and the connection should be closed.
+//!
+//! Bodies are written and read with the one shared codec
+//! ([`rtcac_obs::codec`]), exact rationals with `rtcac-snap`'s
+//! [`EncExact`](rtcac_snap::EncExact)/[`DecExact`](rtcac_snap::DecExact);
+//! every decode failure is a typed [`WireError::BadPayload`], never a
+//! panic.
 
 use core::fmt;
 use std::io::{self, Read, Write};
 
-use rtcac_bitstream::{Rate, Time};
-use rtcac_rational::Ratio;
+use rtcac_obs::codec::{CodecError, Enc};
 
 /// Version byte every frame carries. Receivers refuse frames with a
 /// different version with a typed error instead of guessing.
@@ -106,6 +107,17 @@ impl std::error::Error for WireError {}
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> WireError {
         WireError::Io(e)
+    }
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        WireError::BadPayload(match e {
+            CodecError::Truncated { .. } => "body truncated",
+            CodecError::Invalid(what) => what,
+            // The container variants never arise from a frame body.
+            _ => "not a frame body",
+        })
     }
 }
 
@@ -208,185 +220,23 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), WireEr
     Ok(())
 }
 
-/// Append-only encoder over a byte vector.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// Starts a payload with the version and frame-type bytes.
-    pub fn frame(frame_type: u8) -> Enc {
-        let mut enc = Enc {
-            buf: Vec::with_capacity(32),
-        };
-        enc.u8(PROTO_VERSION);
-        enc.u8(frame_type);
-        enc
-    }
-
-    /// The encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a big-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian i128.
-    pub fn i128(&mut self, v: i128) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends an exact rational as numerator, denominator.
-    pub fn ratio(&mut self, r: Ratio) {
-        self.i128(r.numer());
-        self.i128(r.denom());
-    }
-
-    /// Appends a time value (its underlying rational).
-    pub fn time(&mut self, t: Time) {
-        self.ratio(t.as_ratio());
-    }
-
-    /// Appends a rate value (its underlying rational).
-    pub fn rate(&mut self, r: Rate) {
-        self.ratio(r.as_ratio());
-    }
-
-    /// Appends a length-prefixed UTF-8 string (u32 length).
-    pub fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed list of u32s (link indices).
-    pub fn u32_list(&mut self, items: &[u32]) {
-        self.u32(items.len() as u32);
-        for &item in items {
-            self.u32(item);
-        }
-    }
-}
-
-/// Cursor-based decoder over a received payload. Every read is
-/// bounds-checked; running past the end is [`WireError::BadPayload`],
-/// never a panic.
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// Wraps a payload for decoding.
-    pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, at: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    /// Fails unless the whole payload was consumed — trailing garbage
-    /// means the sender and receiver disagree about the frame layout.
-    pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::BadPayload("trailing bytes after frame body"))
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::BadPayload("body truncated"));
-        }
-        let slice = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a big-endian u64.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a big-endian i128.
-    pub fn i128(&mut self) -> Result<i128, WireError> {
-        Ok(i128::from_be_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    /// Reads and validates an exact rational.
-    pub fn ratio(&mut self) -> Result<Ratio, WireError> {
-        let num = self.i128()?;
-        let den = self.i128()?;
-        Ratio::new(num, den).map_err(|_| WireError::BadPayload("invalid rational"))
-    }
-
-    /// Reads a time value.
-    pub fn time(&mut self) -> Result<Time, WireError> {
-        Ok(Time::new(self.ratio()?))
-    }
-
-    /// Reads a rate value.
-    pub fn rate(&mut self) -> Result<Rate, WireError> {
-        Ok(Rate::new(self.ratio()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string. The length is checked
-    /// against the remaining bytes before any allocation.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::BadPayload("string length beyond body"));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload("string not UTF-8"))
-    }
-
-    /// Reads a length-prefixed list of u32s. The element count is
-    /// checked against the remaining bytes before any allocation, so a
-    /// forged count cannot reserve unbounded memory.
-    pub fn u32_list(&mut self) -> Result<Vec<u32>, WireError> {
-        let count = self.u32()? as usize;
-        if count.checked_mul(4).is_none_or(|b| b > self.remaining()) {
-            return Err(WireError::BadPayload("list length beyond body"));
-        }
-        (0..count).map(|_| self.u32()).collect()
-    }
+/// Starts a frame payload with the version and frame-type bytes.
+#[inline]
+pub fn frame(frame_type: u8) -> Enc {
+    let mut enc = Enc::with_capacity(32);
+    enc.u8(PROTO_VERSION).u8(frame_type);
+    enc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use rtcac_obs::codec::Dec;
+
     #[test]
     fn frame_roundtrip() {
-        let mut enc = Enc::frame(0x42);
+        let mut enc = frame(0x42);
         enc.u64(7);
         let payload = enc.finish();
         let mut wire = Vec::new();
@@ -426,13 +276,13 @@ mod tests {
 
     #[test]
     fn forged_list_count_is_a_typed_error() {
-        let mut enc = Enc::frame(0x01);
+        let mut enc = frame(0x01);
         enc.u32(u32::MAX); // claims 4 billion entries, provides none
         let payload = enc.finish();
         let mut dec = Dec::new(&payload[2..]);
         assert!(matches!(
-            dec.u32_list(),
-            Err(WireError::BadPayload("list length beyond body"))
+            dec.u32_list().map_err(WireError::from),
+            Err(WireError::BadPayload("body truncated"))
         ));
     }
 }

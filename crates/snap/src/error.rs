@@ -3,6 +3,8 @@
 
 use core::fmt;
 
+use rtcac_obs::codec::CodecError;
+
 /// Decode, verification and restore failures.
 ///
 /// Restores are all-or-nothing: when any variant is returned, no engine
@@ -83,6 +85,24 @@ impl std::error::Error for SnapError {}
 impl From<std::io::Error> for SnapError {
     fn from(e: std::io::Error) -> SnapError {
         SnapError::Io(e.to_string())
+    }
+}
+
+impl From<CodecError> for SnapError {
+    fn from(e: CodecError) -> SnapError {
+        match e {
+            CodecError::Truncated { needed, remaining } => {
+                SnapError::Truncated { needed, remaining }
+            }
+            CodecError::Invalid(what) => SnapError::BadPayload(what),
+            CodecError::BadMagic => SnapError::BadMagic,
+            CodecError::UnsupportedVersion { got, supported } => {
+                SnapError::UnsupportedVersion { got, supported }
+            }
+            CodecError::Oversized { len, max } => SnapError::Oversized { len, max },
+            CodecError::ChecksumMismatch { over } => SnapError::ChecksumMismatch { over },
+            CodecError::BadSection(what) => SnapError::BadSection(what),
+        }
     }
 }
 

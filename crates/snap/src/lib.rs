@@ -27,6 +27,11 @@
 //!   randomness: `snapshot → restore → snapshot` is byte-identical.
 //! * **Atomic writes.** [`save_atomic`] writes a temp sibling, fsyncs,
 //!   and renames — a crash leaves the old snapshot or none.
+//!
+//! The container, the field codec and the atomic write are the shared
+//! ones of [`rtcac_obs::codec`]; this crate adds the six section codecs
+//! and the exact-rational fields ([`EncExact`], [`DecExact`]) the wire
+//! protocol reuses.
 
 #![forbid(unsafe_code)]
 
@@ -35,15 +40,16 @@ mod error;
 mod format;
 mod ops;
 
+pub use codec::{DecExact, EncExact};
 pub use error::SnapError;
 pub use format::{
-    encode_with_version, parse_header, parse_sections, SectionInfo, SnapMeta, SnapshotDoc,
-    TopologySpec, MAGIC, MAX_SNAPSHOT, MIN_VERSION, VERSION,
+    decode, encode, encode_with_version, parse_header, parse_sections, SectionInfo, SnapMeta,
+    SnapshotDoc, TopologySpec, MAGIC, MAX_SNAPSHOT, MIN_VERSION, VERSION,
 };
 pub use ops::{
-    adopt_into, decode, diff, encode, inspect, load_file, recapture, restore_engine,
-    restore_engine_with_registry, save_atomic, sections_of, snapshot_engine, topology_of,
+    adopt_into, diff, inspect, load_file, recapture, restore_engine, restore_engine_with_registry,
+    save_atomic, sections_of, snapshot_engine, topology_of,
 };
-/// The snapshot's section and whole-file checksum — the one FNV-1a the
-/// flight recorder also uses.
-pub use rtcac_obs::flight::fnv64;
+/// The snapshot's section and whole-file checksum — the one FNV-1a of
+/// the shared codec.
+pub use rtcac_obs::codec::fnv64;

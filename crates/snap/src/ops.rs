@@ -2,13 +2,13 @@
 //! inspect and diff.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use rtcac_engine::{AdmissionEngine, EngineState};
 use rtcac_net::Topology;
 
-use crate::format::{self, SectionInfo, SnapMeta, SnapshotDoc, TopologySpec};
+use crate::format::{self, decode, encode, SectionInfo, SnapMeta, SnapshotDoc, TopologySpec};
 use crate::SnapError;
 
 /// Captures a consistent snapshot of a live engine (all shards locked
@@ -66,20 +66,6 @@ pub fn adopt_into(engine: &AdmissionEngine, doc: &SnapshotDoc) -> Result<(), Sna
     Ok(engine.adopt_state(&doc.state)?)
 }
 
-/// Encodes a snapshot to container bytes.
-pub fn encode(doc: &SnapshotDoc) -> Vec<u8> {
-    format::encode(doc)
-}
-
-/// Decodes and fully verifies container bytes.
-///
-/// # Errors
-///
-/// Any [`SnapError`] decode variant; never panics on hostile input.
-pub fn decode(bytes: &[u8]) -> Result<SnapshotDoc, SnapError> {
-    format::decode(bytes)
-}
-
 /// Reads and decodes a snapshot file (size-capped before reading).
 ///
 /// # Errors
@@ -89,12 +75,11 @@ pub fn load_file(path: &Path) -> Result<SnapshotDoc, SnapError> {
     decode(&read_capped(path)?)
 }
 
-/// Writes a snapshot atomically: encode to a sibling temp file, fsync,
-/// then rename over the target and fsync the parent directory (Unix),
-/// so the rename itself survives power loss. A crash mid-write leaves
-/// either the old snapshot or none — never a torn file. On non-Unix
-/// platforms rename durability is best-effort: the file contents are
-/// synced, but the directory entry may revert on power loss.
+/// Writes a snapshot atomically through
+/// [`rtcac_obs::codec::write_atomic`]: a sibling `<name>.tmp`, fsync,
+/// rename over the target, then (Unix) an fsync of the parent
+/// directory. A crash mid-write leaves the old snapshot or the new one —
+/// never a torn file — and no temp file survives a failed write.
 ///
 /// # Errors
 ///
@@ -102,32 +87,8 @@ pub fn load_file(path: &Path) -> Result<SnapshotDoc, SnapError> {
 /// size in bytes on success.
 pub fn save_atomic(doc: &SnapshotDoc, path: &Path) -> Result<u64, SnapError> {
     let bytes = encode(doc);
-    let tmp = temp_sibling(path);
-    let result = (|| -> Result<(), SnapError> {
-        {
-            use std::io::Write as _;
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        // The rename is only durable once the new directory entry is on
-        // disk; without this a just-written snapshot can silently
-        // revert to the previous one after power loss.
-        #[cfg(unix)]
-        {
-            let parent = match path.parent() {
-                Some(p) if !p.as_os_str().is_empty() => p,
-                _ => Path::new("."),
-            };
-            fs::File::open(parent)?.sync_all()?;
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result.map(|()| bytes.len() as u64)
+    rtcac_obs::codec::write_atomic(path, &bytes)?;
+    Ok(bytes.len() as u64)
 }
 
 /// A human-readable report of a snapshot file's container structure and
@@ -158,7 +119,7 @@ pub fn inspect(path: &Path) -> Result<String, SnapError> {
             ),
         );
     }
-    let doc = format::decode(&bytes)?;
+    let doc = decode(&bytes)?;
     push(&mut out, format_args!("  origin: {}", doc.meta.origin));
     push(
         &mut out,
@@ -335,15 +296,6 @@ fn read_capped(path: &Path) -> Result<Vec<u8>, SnapError> {
     Ok(fs::read(path)?)
 }
 
-fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "snapshot".into());
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 fn push(out: &mut String, args: std::fmt::Arguments<'_>) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "{args}");
@@ -357,4 +309,36 @@ fn push(out: &mut String, args: std::fmt::Arguments<'_>) {
 /// [`SnapError::BadPayload`] on an invalid topology section.
 pub fn topology_of(doc: &SnapshotDoc) -> Result<Topology, SnapError> {
     doc.topology.build()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtcac_bitstream::Time;
+    use rtcac_cac::SwitchConfig;
+    use rtcac_signaling::CdvPolicy;
+
+    #[test]
+    fn failed_save_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("rtcac-snap-fail-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // The target name is taken by a directory, so the rename fails
+        // after the temp file was written.
+        let target = dir.join("state.rtsn");
+        fs::create_dir_all(&target).unwrap();
+        let topology = rtcac_net::builders::star_ring(2, 1)
+            .unwrap()
+            .topology()
+            .clone();
+        let config = SwitchConfig::uniform(1, Time::from_integer(64)).unwrap();
+        let engine = AdmissionEngine::new(topology, config, CdvPolicy::Hard);
+        let doc = snapshot_engine(&engine, "fail");
+        assert!(matches!(save_atomic(&doc, &target), Err(SnapError::Io(_))));
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["state.rtsn"], "no temp file left");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
