@@ -92,8 +92,9 @@ USAGE:
               [--flight-dir DIR] [--watchdog-ns NS]
       Run the resident admission service on a star-ring: a TCP server
       speaking the length-prefixed SETUP / SETUP-MCAST / RELEASE /
-      QUERY / DRAIN / STATS protocol, dispatching onto the concurrent
-      engine's worker pool. Sessions own the connections they admit; a
+      QUERY / DRAIN / STATS protocol onto the concurrent engine. Each
+      session prices its own setups; --workers bounds how many are
+      priced at once. Sessions own the connections they admit; a
       dead client's reservations are released on cleanup. With
       --metrics-addr, a trivial HTTP endpoint serves /metrics
       (Prometheus), /metrics.json, and /healthz. --snapshot-free runs

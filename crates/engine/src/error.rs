@@ -36,8 +36,8 @@ pub enum EngineError {
         /// Submitted jobs that never produced a result.
         missing: u64,
     },
-    /// The resident service pool has shut down (or its worker died), so
-    /// the submitted setup was never decided. Unlike
+    /// The resident service pool has shut down (or the setup panicked
+    /// while being decided), so the submitted setup has no verdict. Unlike
     /// [`EngineError::WorkerPanicked`] this is a per-job verdict: the
     /// caller knows exactly which setup was dropped and can retry
     /// against a live pool.

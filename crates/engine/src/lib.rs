@@ -24,11 +24,11 @@
 //!   each touched shard's mutation counter
 //!   ([`Switch::epoch`](rtcac_cac::Switch::epoch)), so it leaves no
 //!   trace in the shard or in a later snapshot.
-//! * **Worker pools** — [`EnginePool`] runs a fixed set of
-//!   `std::thread` workers pulling a *batch* of jobs from an `mpsc`
-//!   submission queue; [`ServicePool`] is its resident sibling, serving
-//!   setups indefinitely with per-job reply channels (the front end the
-//!   `rtcac-serve` admission service dispatches onto).
+//! * **Pools** — [`EnginePool`] runs a fixed set of `std::thread`
+//!   workers pulling a *batch* of jobs from an `mpsc` submission queue;
+//!   [`ServicePool`] is its resident sibling, a counting permit under
+//!   which callers on their own threads (the `rtcac-serve` sessions)
+//!   decide setups indefinitely, at most `workers` at once.
 //! * **Statistics** — lock-free submitted/admitted/rejected/aborted/
 //!   released counters, snapshotted as [`EngineStats`] (invariant:
 //!   every submitted setup lands in exactly one outcome bucket).

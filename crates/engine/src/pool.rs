@@ -1,7 +1,11 @@
-//! A fixed worker pool pulling setups from a submission queue.
+//! Two front ends onto one [`AdmissionEngine`]: [`EnginePool`], a fixed
+//! worker pool pulling a batch of setups from a submission queue, and
+//! [`ServicePool`], a counting permit under which resident callers
+//! decide their own setups.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use rtcac_cac::ConnectionId;
@@ -193,29 +197,20 @@ impl EnginePool {
     }
 }
 
-/// One queued setup of a [`ServicePool`], answered over its own reply
-/// channel instead of a shared ticketed result stream.
-struct ServiceJob {
-    id: ConnectionId,
-    route: Route,
-    request: SetupRequest,
-    ctx: TraceCtx,
-    queue_span: SpanId,
-    reply: mpsc::SyncSender<Result<EngineOutcome, EngineError>>,
-}
-
-/// The resident variant of [`EnginePool`]: a fixed worker pool that
-/// serves setups *indefinitely* — submissions come from any number of
-/// threads (e.g. one per client session of `rtcac-serve`), each job is
-/// answered over its own reply channel, and the pool keeps running
-/// between jobs instead of being consumed by a batch-final `finish`.
+/// The resident admission front end: a counting permit that lets at
+/// most `workers` setups be decided at once, each *on the thread that
+/// submits it* (e.g. one per client session of `rtcac-serve`). Admission
+/// CPU is thereby bounded by the permit count, not the submitter count,
+/// and no setup crosses a thread to be priced.
 ///
-/// Shutting down ([`ServicePool::shutdown`], or dropping the pool)
-/// closes the submission queue; workers finish the jobs already queued
-/// and exit. A job submitted after shutdown — or orphaned by a worker
-/// panic — resolves to [`EngineError::ServiceStopped`] rather than
-/// blocking forever, because each worker replies through a channel
-/// whose disconnection the waiting submitter observes.
+/// A submitter that finds every permit taken waits (the `pool.queue`
+/// span of its trace). A panic while deciding is caught on the
+/// submitter's thread and resolves to [`EngineError::ServiceStopped`];
+/// its permit comes back, so the pool keeps its full width. Shutting
+/// down ([`ServicePool::shutdown`], or dropping the pool) wakes every
+/// waiter, and those waiters and every later submission resolve to
+/// [`EngineError::ServiceStopped`]; setups already holding a permit
+/// are decided.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -245,45 +240,30 @@ struct ServiceJob {
 #[derive(Debug)]
 pub struct ServicePool {
     engine: Arc<AdmissionEngine>,
-    // `None` once shut down; a Mutex because submitters on many session
-    // threads share the pool behind an `Arc`.
-    job_tx: Mutex<Option<mpsc::Sender<ServiceJob>>>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// `(free permits, stopped)`.
+    permits: Mutex<(usize, bool)>,
+    /// Signalled when a permit comes back or the pool stops.
+    changed: Condvar,
+}
+
+/// One held permit of a [`ServicePool`]; dropping it hands it back.
+struct Permit<'a>(&'a ServicePool);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock_permits().0 += 1;
+        self.0.changed.notify_one();
+    }
 }
 
 impl ServicePool {
-    /// Spawns `workers` threads (at least one) serving `engine` until
-    /// [`ServicePool::shutdown`].
+    /// A pool deciding at most `workers` setups (at least one) at once
+    /// on `engine`, until [`ServicePool::shutdown`].
     pub fn new(engine: Arc<AdmissionEngine>, workers: usize) -> ServicePool {
-        let (job_tx, job_rx) = mpsc::channel::<ServiceJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let job_rx = Arc::clone(&job_rx);
-                thread::spawn(move || loop {
-                    let job = {
-                        let rx = job_rx.lock().expect("service queue poisoned");
-                        rx.recv()
-                    };
-                    let Ok(mut job) = job else {
-                        break; // queue closed: pool is shutting down
-                    };
-                    job.ctx.end(job.queue_span);
-                    let outcome =
-                        engine.admit_with_ctx(job.id, &job.route, job.request, &mut job.ctx);
-                    job.ctx.finish(AdmissionEngine::outcome_rejects(&outcome));
-                    // The submitter may have given up (its session
-                    // died); the decision is already committed either
-                    // way, so a failed send is not an error here.
-                    let _ = job.reply.send(outcome);
-                })
-            })
-            .collect();
         ServicePool {
             engine,
-            job_tx: Mutex::new(Some(job_tx)),
-            handles: Mutex::new(handles),
+            permits: Mutex::new((workers.max(1), false)),
+            changed: Condvar::new(),
         }
     }
 
@@ -292,53 +272,61 @@ impl ServicePool {
         &self.engine
     }
 
-    /// Submits one setup and blocks until a worker decides it.
+    /// Waits for a free permit to decide one setup with the calling
+    /// thread, and blocks until that setup is decided.
     ///
     /// # Errors
     ///
-    /// [`EngineError::ServiceStopped`] if the pool is shut down (or its
-    /// worker died before replying); otherwise as
+    /// [`EngineError::ServiceStopped`] if the pool is shut down (or the
+    /// setup panicked while being decided); otherwise as
     /// [`AdmissionEngine::admit_with_id`].
     pub fn admit(&self, route: Route, request: SetupRequest) -> Result<EngineOutcome, EngineError> {
         let id = self.engine.allocate_id();
         let mut ctx = self.engine.start_trace("engine.admit", id);
         let queue_span = ctx.begin("pool.queue");
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        {
-            let guard = self.job_tx.lock().expect("service pool poisoned");
-            let Some(tx) = guard.as_ref() else {
-                return Err(EngineError::ServiceStopped);
-            };
-            if tx
-                .send(ServiceJob {
-                    id,
-                    route,
-                    request,
-                    ctx,
-                    queue_span,
-                    reply: reply_tx,
-                })
-                .is_err()
-            {
-                return Err(EngineError::ServiceStopped);
-            }
-        }
-        reply_rx.recv().unwrap_or(Err(EngineError::ServiceStopped))
+        let permit = self.acquire();
+        ctx.end(queue_span);
+        let Some(_permit) = permit else {
+            return Err(EngineError::ServiceStopped);
+        };
+        // The engine is shared across threads anyway, so a panic here
+        // leaves it as any panicking thread would: a shard it poisoned
+        // stays poisoned and panics its next user, which lands here too.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.engine.admit_with_ctx(id, &route, request, &mut ctx)
+        }))
+        .unwrap_or(Err(EngineError::ServiceStopped));
+        ctx.finish(AdmissionEngine::outcome_rejects(&outcome));
+        outcome
     }
 
-    /// Closes the submission queue and joins every worker; jobs already
-    /// queued are still decided first. Idempotent.
+    /// Stops the pool: every waiting and later submission resolves to
+    /// [`EngineError::ServiceStopped`]; setups already holding a permit
+    /// are still decided. Idempotent.
     pub fn shutdown(&self) {
-        *self.job_tx.lock().expect("service pool poisoned") = None;
-        let handles: Vec<_> = self
-            .handles
-            .lock()
-            .expect("service pool poisoned")
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
+        self.lock_permits().1 = true;
+        self.changed.notify_all();
+    }
+
+    /// Takes a permit, waiting while none is free; `None` once stopped.
+    fn acquire(&self) -> Option<Permit<'_>> {
+        let mut permits = self
+            .changed
+            .wait_while(self.lock_permits(), |&mut (free, stopped)| {
+                free == 0 && !stopped
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if permits.1 {
+            return None;
         }
+        permits.0 -= 1;
+        Some(Permit(self))
+    }
+
+    /// The permit state. It is a counter and a flag, each updated in one
+    /// step, so a poisoned lock still holds valid data.
+    fn lock_permits(&self) -> MutexGuard<'_, (usize, bool)> {
+        self.permits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -370,6 +358,8 @@ pub fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
     use rtcac_cac::{Priority, SwitchConfig};
     use rtcac_net::builders;
@@ -499,8 +489,8 @@ mod tests {
         let node = route.queueing_points(engine.topology()).unwrap()[0].0;
         engine.poison_shard(node);
         let pool = ServicePool::new(Arc::clone(&engine), 1);
-        // The single worker panics on the poisoned shard; the blocked
-        // submitter must get ServiceStopped, not hang forever.
+        // The setup panics on the poisoned shard; the submitter must get
+        // ServiceStopped, not hang forever.
         match pool.admit(
             route,
             SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(500)),
@@ -508,6 +498,81 @@ mod tests {
             Err(EngineError::ServiceStopped) => {}
             other => panic!("expected ServiceStopped, got {other:?}"),
         }
+        // The panic cost the pool nothing: its one permit came back, and
+        // a setup on a healthy shard is decided through it.
+        let healthy = sr.terminal_route((1, 0), (1, 1)).unwrap();
+        let outcome = pool
+            .admit(
+                healthy,
+                SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(500)),
+            )
+            .unwrap();
+        assert!(outcome.is_admitted());
+    }
+
+    #[test]
+    fn service_pool_admits_no_more_at_once_than_its_permits() {
+        let sr = builders::star_ring(4, 2).unwrap();
+        let config = SwitchConfig::uniform(1, Time::from_integer(64)).unwrap();
+        let engine = Arc::new(AdmissionEngine::new(
+            sr.topology().clone(),
+            config,
+            CdvPolicy::Hard,
+        ));
+        let pool = Arc::new(ServicePool::new(Arc::clone(&engine), 2));
+        let held = [pool.acquire().unwrap(), pool.acquire().unwrap()];
+        let (tx, rx) = mpsc::channel();
+        let submitter = Arc::clone(&pool);
+        let route = sr.terminal_route((0, 0), (0, 1)).unwrap();
+        thread::spawn(move || {
+            let request = SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(500));
+            let _ = tx.send(submitter.admit(route, request));
+        });
+        // With both permits held, the third setup waits undecided…
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(engine.connection_count(), 0);
+        assert!(rx.try_recv().is_err());
+        // …and is decided as soon as one permit comes back.
+        let [first, _second] = held;
+        drop(first);
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+        assert!(outcome.is_admitted());
+        assert_eq!(engine.connection_count(), 1);
+    }
+
+    #[test]
+    fn service_pool_shutdown_wakes_every_waiter() {
+        let sr = builders::star_ring(4, 2).unwrap();
+        let config = SwitchConfig::uniform(1, Time::from_integer(64)).unwrap();
+        let engine = Arc::new(AdmissionEngine::new(
+            sr.topology().clone(),
+            config,
+            CdvPolicy::Hard,
+        ));
+        let pool = Arc::new(ServicePool::new(Arc::clone(&engine), 1));
+        let held = pool.acquire().unwrap();
+        let (tx, rx) = mpsc::channel();
+        for node in 0..2 {
+            let (tx, submitter) = (tx.clone(), Arc::clone(&pool));
+            let route = sr.terminal_route((node, 0), (node, 1)).unwrap();
+            thread::spawn(move || {
+                let request =
+                    SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(500));
+                let _ = tx.send(submitter.admit(route, request));
+            });
+        }
+        thread::sleep(Duration::from_millis(50));
+        // Shutdown returns although a permit is still held, and both
+        // waiters resolve without that permit ever coming back.
+        pool.shutdown();
+        for _ in 0..2 {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(Err(EngineError::ServiceStopped)) => {}
+                other => panic!("expected ServiceStopped, got {other:?}"),
+            }
+        }
+        drop(held);
+        assert_eq!(engine.connection_count(), 0);
     }
 
     #[test]

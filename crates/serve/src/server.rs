@@ -1,9 +1,10 @@
 //! The resident admission server: sessions, ownership, drain.
 //!
-//! One OS thread per client session reads frames off the socket and
-//! dispatches them; unicast setups go through the engine's resident
-//! [`ServicePool`] (so admission CPU is bounded by the worker count,
-//! not the session count), releases and queries hit the engine
+//! One OS thread per client session reads frames off the socket,
+//! dispatches them and writes the replies. Each session prices its own
+//! unicast setups, under a permit of the engine's [`ServicePool`] (so
+//! admission CPU is bounded by the worker count, not the session
+//! count); multicast setups, releases and queries hit the engine
 //! directly. Every session tracks the connections *it* admitted, and a
 //! session that ends for any reason — clean close, socket error, or a
 //! client that simply vanishes mid-burst — releases its surviving
@@ -60,7 +61,7 @@ pub struct ServeConfig {
     pub terminals: usize,
     /// The uniform advertised per-hop delay bound, in cell times.
     pub bound: Time,
-    /// Admission worker threads in the [`ServicePool`].
+    /// Unicast setups the [`ServicePool`] lets sessions price at once.
     pub workers: usize,
     /// Run without metric recording: the engine gets no registry and
     /// every service-level handle is a no-op (near-zero observability

@@ -1,9 +1,11 @@
 //! End-to-end service behavior over loopback: ownership enforcement,
-//! typed protocol errors, multicast setups, live stats, and a DRAIN
-//! arriving in the middle of an active setup burst.
+//! typed protocol errors, multicast setups, live stats, more sessions
+//! than admission permits, and a DRAIN arriving in the middle of an
+//! active setup burst.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
@@ -155,6 +157,63 @@ fn protocol_errors_are_typed_and_survivable() {
     client.drain().unwrap();
     drop((client, raw, stream));
     assert!(server.join().is_clean());
+}
+
+#[test]
+fn more_sessions_than_permits_are_all_answered() {
+    // One permit, four sessions pipelining 16 setups each at once on
+    // disjoint ring switches: every session waits its turn for the
+    // permit, and no setup is lost or refused while it waits.
+    const SESSIONS: usize = 4;
+    const SETUPS: usize = 16;
+    let server = Server::start(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        nodes: SESSIONS,
+        terminals: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let sr = builders::star_ring(SESSIONS, 2).unwrap();
+    let addr = server.addr();
+    let start = Arc::new(Barrier::new(SESSIONS));
+    let sessions: Vec<_> = (0..SESSIONS)
+        .map(|node| {
+            let links = links_of(&sr, (node, 0), (node, 1));
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let setup = Request::Setup {
+                    links,
+                    request: setup_request(),
+                };
+                for _ in 0..SETUPS {
+                    client.send(&setup).unwrap();
+                }
+                start.wait();
+                client.flush().unwrap();
+                let ids: Vec<u64> = (0..SETUPS)
+                    .map(|_| match client.recv().unwrap() {
+                        Response::Admitted { id, .. } => id,
+                        other => panic!("session {node}: expected ADMITTED, got {other:?}"),
+                    })
+                    .collect();
+                for id in ids {
+                    assert!(matches!(
+                        client.release(id).unwrap(),
+                        Response::Released { .. }
+                    ));
+                }
+            })
+        })
+        .collect();
+    for session in sessions {
+        session.join().unwrap();
+    }
+    Client::connect(addr).unwrap().drain().unwrap();
+    let summary = server.join();
+    assert!(summary.is_clean(), "{summary:?}");
+    assert_eq!(summary.cleanup_released, 0, "{summary:?}");
 }
 
 #[test]
