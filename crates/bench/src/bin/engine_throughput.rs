@@ -1,7 +1,7 @@
 //! Admission throughput of the concurrent sharded engine: setups per
 //! second at 1/2/4/8 workers on the paper's 16-node star-ring, with
 //! per-ring-node terminal routes so the shards are disjoint and the
-//! worker pool can scale.
+//! admitting threads can scale.
 //!
 //! Besides the worker sweep, the run ends with three A/B arms: the
 //! same batch timed with no metrics registry (no-op handles) versus an
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use rtcac_bench::{columns, f, header, row};
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::{Priority, SwitchConfig};
-use rtcac_engine::{AdmissionEngine, EnginePool};
+use rtcac_engine::AdmissionEngine;
 use rtcac_net::builders::{self, StarRing};
 use rtcac_obs::{FlightConfig, FlightRecorder, Registry, Sampler, Sampling, Tracer};
 use rtcac_rational::ratio;
@@ -39,7 +39,7 @@ fn fresh_engine(
     sr: &StarRing,
     registry: Option<&Arc<Registry>>,
     tracer: Option<&Tracer>,
-) -> Arc<AdmissionEngine> {
+) -> AdmissionEngine {
     let config = SwitchConfig::uniform(1, Time::from_integer(64)).expect("switch config");
     let mut engine = match registry {
         Some(registry) => AdmissionEngine::with_registry(
@@ -53,12 +53,14 @@ fn fresh_engine(
     if let Some(tracer) = tracer {
         engine.set_tracer(tracer.clone());
     }
-    Arc::new(engine)
+    engine
 }
 
-/// One measured round: a full batch of admissions through a fresh
-/// pool on a fresh engine, so every round starts from empty tables.
-/// Returns the wall-clock seconds of the batch and its admitted count.
+/// One measured round: a full batch of admissions striped over
+/// `workers` scoped threads — thread `t` takes setups `t`,
+/// `t + workers`, … — on a fresh engine, so every round starts from
+/// empty tables. Returns the wall-clock seconds of the batch and its
+/// admitted count.
 fn run_round(
     sr: &StarRing,
     workers: usize,
@@ -74,24 +76,39 @@ fn run_round(
     let vbr = TrafficContract::vbr(
         VbrParams::new(Rate::new(ratio(1, 8)), Rate::new(ratio(1, 128)), 8).expect("vbr"),
     );
-    let mut pool = EnginePool::new(Arc::clone(&engine), workers);
-    let start = Instant::now();
+    let mut jobs = Vec::with_capacity(RING_NODES * setups_per_node);
     for i in 0..RING_NODES {
         for k in 0..setups_per_node {
             let route = sr.terminal_route((i, 0), (i, 1)).expect("terminal route");
             let contract = if k % 2 == 0 { cbr } else { vbr };
             let request =
                 SetupRequest::new(contract, Priority::HIGHEST, Time::from_integer(10_000));
-            pool.submit(route, request);
+            jobs.push((route, request));
         }
     }
-    let results = pool.finish().expect("no worker died");
-    let elapsed = start.elapsed().as_secs_f64();
-    let admitted = results
-        .iter()
-        .filter(|r| r.outcome.as_ref().expect("engine outcome").is_admitted())
-        .count();
-    (elapsed, admitted)
+    let jobs = &jobs;
+    let engine = &engine;
+    let start = Instant::now();
+    let admitted = std::thread::scope(|s| {
+        let stripes: Vec<_> = (0..workers)
+            .map(|t| {
+                s.spawn(move || {
+                    let stripe = jobs.iter().skip(t).step_by(workers);
+                    stripe
+                        .filter(|(route, request)| {
+                            let outcome = engine.admit(route, *request).expect("engine outcome");
+                            outcome.is_admitted()
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        stripes
+            .into_iter()
+            .map(|stripe| stripe.join().expect("no admitting thread panicked"))
+            .sum()
+    });
+    (start.elapsed().as_secs_f64(), admitted)
 }
 
 /// Interleaved A/B comparison: alternates whole rounds between the
@@ -237,7 +254,7 @@ fn main() {
     // is what turning observability on costs. Rounds interleave and
     // each arm keeps its best time, so machine noise cancels.
     let ab_pairs = if smoke { 12 } else { 16 };
-    // Larger rounds than the sweep's: per-round noise (pool spawn,
+    // Larger rounds than the sweep's: per-round noise (thread spawn,
     // scheduler) shrinks relative to the measured work, which the
     // few-percent A/B deltas need even in smoke mode.
     let ab_setups_per_node = setups_per_node * 4;

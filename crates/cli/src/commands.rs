@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rtcac_bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::Priority;
-use rtcac_engine::{AdmissionEngine, EngineOutcome, EnginePool};
+use rtcac_engine::AdmissionEngine;
 use rtcac_fault::{endpoint_pairs, run_chaos, ChaosConfig, FaultPlan};
 use rtcac_net::{LinkId, NodeId};
 use rtcac_obs::{chrome_trace, render_spans, Sampling, Tracer};
@@ -287,56 +287,22 @@ fn require_connect_only(scenario: &Scenario, why: &str) -> Result<(), CliError> 
     }
 }
 
-/// Per-setup results of one engine batch: admission outcome, or the
-/// engine-side failure that kept a setup from finishing.
-type BatchResults = Vec<Result<EngineOutcome, rtcac_engine::EngineError>>;
-
-/// Builds the sharded engine for a scenario (optionally observed by an
-/// explicit registry) and pushes every `connect` through it as one
-/// batch: unicast setups go to a pool of `workers` threads, while
-/// point-to-multipoint setups run through
-/// [`AdmissionEngine::admit_multicast`] on the submitting thread —
-/// both take the same two-phase reserve/commit path, so the batch is
-/// serializable as a whole. Outcomes come back in scenario order.
-fn run_engine_scenario(
+/// Replays a connect-only scenario through `engine` in file order —
+/// the same [`Replay`] `check --engine` drives, so every setup is priced
+/// against the tables its predecessors left — and returns the replay
+/// with the [`Step`] of each connect.
+fn replay_connects(
     scenario: &Scenario,
-    workers: usize,
-    registry: Option<&Arc<rtcac_obs::Registry>>,
-    tracer: Option<&Tracer>,
-) -> Result<(Arc<AdmissionEngine>, BatchResults), CliError> {
+    engine: AdmissionEngine,
+) -> Result<(Replay<'_, EngineDriver>, Vec<Step>), CliError> {
     require_connect_only(scenario, "a batch admits connects only")?;
-    let mut engine = build_engine(scenario, registry)?;
-    if let Some(tracer) = tracer {
-        engine.set_tracer(tracer.clone());
-    }
-    let engine = Arc::new(engine);
-
-    let mut pool = EnginePool::new(Arc::clone(&engine), workers.max(1));
-    let mut slots: Vec<Option<Result<EngineOutcome, rtcac_engine::EngineError>>> =
-        Vec::with_capacity(scenario.connections.len());
-    // Scenario index of each pool ticket, in submission order.
-    let mut pooled: Vec<usize> = Vec::new();
-    for (i, spec) in scenario.connections.iter().enumerate() {
-        match &spec.route {
-            RouteKind::Unicast(route) => {
-                pool.submit(route.clone(), spec.request);
-                pooled.push(i);
-                slots.push(None);
-            }
-            RouteKind::Multicast(tree) => {
-                slots.push(Some(engine.admit_multicast(tree, spec.request)));
-            }
-        }
-    }
-    let results = pool.finish().map_err(CliError::domain)?;
-    for (result, &i) in results.into_iter().zip(&pooled) {
-        slots[i] = Some(result.outcome);
-    }
-    let outcomes = slots
-        .into_iter()
-        .map(|slot| slot.expect("every connect produced an outcome"))
-        .collect();
-    Ok((engine, outcomes))
+    let mut replay = Replay::new(scenario, EngineDriver::new(Arc::new(engine)), None);
+    let steps = scenario
+        .actions
+        .iter()
+        .map(|action| replay.step(action))
+        .collect::<Result<_, _>>()?;
+    Ok((replay, steps))
 }
 
 /// Builds the sharded admission engine for a scenario's topology and
@@ -363,10 +329,10 @@ pub(crate) fn build_engine(
     Ok(engine)
 }
 
-/// `rtcac engine`: push every `connect` of the scenario — unicast and
-/// point-to-multipoint — through the concurrent sharded admission
-/// engine as one batch served by `workers` threads, then report
-/// outcomes, engine statistics, and the final computed port bounds.
+/// `rtcac engine`: replay every `connect` of the scenario — unicast and
+/// point-to-multipoint — in file order through the concurrent sharded
+/// admission engine, then report outcomes, engine statistics, and the
+/// final computed port bounds.
 ///
 /// With `metrics_path`, the run is observed by a fresh
 /// [`rtcac_obs::Registry`] whose final snapshot is written to
@@ -377,57 +343,51 @@ pub(crate) fn build_engine(
 ///
 /// Returns [`CliError::Domain`] on API-level failures; rejections are
 /// reported in the output, not raised.
-pub fn engine(
-    scenario: &Scenario,
-    workers: usize,
-    metrics_path: Option<&str>,
-) -> Result<String, CliError> {
+pub fn engine(scenario: &Scenario, metrics_path: Option<&str>) -> Result<String, CliError> {
     let registry = metrics_path.map(|_| Arc::new(rtcac_obs::Registry::new()));
-    let (engine, outcomes) = run_engine_scenario(scenario, workers, registry.as_ref(), None)?;
+    let (replay, steps) = replay_connects(scenario, build_engine(scenario, registry.as_ref())?)?;
+    let engine = &replay.driver.engine;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "engine: {} setups through {} workers over {} shards",
-        outcomes.len(),
-        workers.max(1),
+        "engine: {} setups over {} shards",
+        steps.len(),
         scenario.topology.switches().count()
     );
-    for (spec, outcome) in scenario.connections.iter().zip(&outcomes) {
-        match outcome.as_ref().map_err(|e| CliError::domain(e.clone()))? {
-            EngineOutcome::Admitted {
-                id,
-                guaranteed_delay,
+    for step in steps {
+        match step {
+            Step::Connected {
+                index,
+                delay,
+                detour,
             } => {
-                if let RouteKind::Multicast(_) = &spec.route {
-                    let leaves = engine.per_leaf_bounds(*id).map_or(0, |b| b.len());
-                    let _ = writeln!(
+                let spec = &scenario.connections[index];
+                let name = &spec.name;
+                let _ = match (detour, &spec.route) {
+                    (Some(Detour::Rerouted { attempts }), _) => writeln!(
                         out,
-                        "{}: ADMITTED (p2mp) worst_leaf_delay={guaranteed_delay} cells over {leaves} leaves",
-                        spec.name
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{}: ADMITTED guaranteed_delay={guaranteed_delay} cells",
-                        spec.name
-                    );
-                }
+                        "{name}: REROUTED after {attempts} attempt(s), guaranteed_delay={delay} cells"
+                    ),
+                    (_, RouteKind::Multicast(_)) => {
+                        let leaves = engine.per_leaf_bounds(replay.established[&index]);
+                        let leaves = leaves.map_or(0, |b| b.len());
+                        writeln!(
+                            out,
+                            "{name}: ADMITTED (p2mp) worst_leaf_delay={delay} cells over {leaves} leaves"
+                        )
+                    }
+                    (_, RouteKind::Unicast(_)) => {
+                        writeln!(out, "{name}: ADMITTED guaranteed_delay={delay} cells")
+                    }
+                };
             }
-            EngineOutcome::Rejected { rejection, .. } => {
-                let _ = writeln!(out, "{}: REJECTED ({rejection})", spec.name);
+            Step::Rejected { index, reason, .. } => {
+                let name = &scenario.connections[index].name;
+                let _ = writeln!(out, "{name}: REJECTED ({reason})");
             }
-            EngineOutcome::Rerouted {
-                guaranteed_delay,
-                attempts,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{}: REROUTED after {attempts} attempt(s), guaranteed_delay={guaranteed_delay} cells",
-                    spec.name
-                );
-            }
+            // A connect-only replay steps nothing else.
+            _ => {}
         }
     }
     let stats = engine.stats();
@@ -442,7 +402,7 @@ pub fn engine(
         stats.mcast_admitted,
         stats.mcast_submitted,
     );
-    port_report(scenario, &EngineDriver::new(engine), &mut out)?;
+    port_report(scenario, &replay.driver, &mut out)?;
     if let (Some(path), Some(registry)) = (metrics_path, &registry) {
         export_metrics(registry, path, &mut out)?;
     }
@@ -524,22 +484,23 @@ pub(crate) fn write_metrics_file(path: &str, contents: &str) -> Result<(), CliEr
         .map_err(|e| CliError::Domain(format!("cannot write '{path}': {e}")))
 }
 
-/// `rtcac stats`: push the scenario through the sharded engine under a
-/// fresh [`rtcac_obs::Registry`] and print the resulting metrics
-/// snapshot — Prometheus text by default, JSON with `json`. The output
-/// is the bare exposition, suitable for piping.
+/// `rtcac stats`: replay the scenario in file order through the sharded
+/// engine under a fresh [`rtcac_obs::Registry`] and print the resulting
+/// metrics snapshot — Prometheus text by default, JSON with `json`. The
+/// output is the bare exposition, suitable for piping.
 ///
 /// # Errors
 ///
 /// As [`engine`].
-pub fn stats(scenario: &Scenario, workers: usize, json: bool) -> Result<String, CliError> {
+pub fn stats(scenario: &Scenario, json: bool) -> Result<String, CliError> {
     let registry = Arc::new(rtcac_obs::Registry::new());
     // A registry-linked tracer rides along so the exposition also
     // carries the per-span duration histograms (`trace_span_ns`) and
     // the span-ring accounting.
     let tracer = Tracer::with_registry(Sampling::Always, Arc::clone(&registry));
-    let (_engine, _outcomes) =
-        run_engine_scenario(scenario, workers, Some(&registry), Some(&tracer))?;
+    let mut engine = build_engine(scenario, Some(&registry))?;
+    engine.set_tracer(tracer.clone());
+    replay_connects(scenario, engine)?;
     registry
         .gauge("obs_trace_spans_recorded")
         .set(tracer.recorded());
@@ -559,15 +520,14 @@ pub fn stats(scenario: &Scenario, workers: usize, json: bool) -> Result<String, 
 
 /// `rtcac trace`: replay the scenario with an always-sampling
 /// [`Tracer`] installed and print the causal span tree of every setup
-/// — queue wait (engine mode), crankback attempts, the
-/// price/reserve/commit phases, per-hop admission events, and
-/// `reject.provenance` events carrying the refusing hop's
-/// bound-vs-deadline comparison. Serial replay by default; with
-/// `engine_mode` the same scenario runs through the concurrent sharded
-/// engine (fault directives replay on the submitting thread, plain
-/// batches go through the worker pool so traces cover the queue wait).
-/// With `out_path`, the spans are also written as Chrome
-/// `trace_event` JSON loadable in `chrome://tracing` / Perfetto.
+/// — crankback attempts, the price/reserve/commit phases, per-hop
+/// admission events, and `reject.provenance` events carrying the
+/// refusing hop's bound-vs-deadline comparison. Serial replay by
+/// default; with `engine_mode` the same file-order replay runs through
+/// the concurrent sharded engine on this thread, so no setup waits in a
+/// queue and no span covers one. With `out_path`, the spans are also
+/// written as Chrome `trace_event` JSON loadable in `chrome://tracing` /
+/// Perfetto.
 ///
 /// # Errors
 ///
@@ -576,32 +536,21 @@ pub fn stats(scenario: &Scenario, workers: usize, json: bool) -> Result<String, 
 pub fn trace(
     scenario: &Scenario,
     engine_mode: bool,
-    workers: usize,
     out_path: Option<&str>,
 ) -> Result<String, CliError> {
     let tracer = Tracer::new(Sampling::Always);
     let mut out = String::new();
-    if !engine_mode {
-        let mut network = build_network(scenario)?;
-        network.set_tracer(tracer.clone());
-        let mut replay = Replay::new(scenario, network, Some(&tracer));
-        echo_replay(&mut replay, false, &mut out)?;
-    } else if !scenario.is_connect_only() {
+    if engine_mode {
         let mut engine = build_engine(scenario, None)?;
         engine.set_tracer(tracer.clone());
         let driver = EngineDriver::new(Arc::new(engine));
         let mut replay = Replay::new(scenario, driver, Some(&tracer));
         echo_replay(&mut replay, false, &mut out)?;
     } else {
-        let (_engine, outcomes) = run_engine_scenario(scenario, workers, None, Some(&tracer))?;
-        for (spec, outcome) in scenario.connections.iter().zip(&outcomes) {
-            let verdict = match outcome.as_ref().map_err(|e| CliError::domain(e.clone()))? {
-                EngineOutcome::Admitted { .. } => "ADMITTED",
-                EngineOutcome::Rerouted { .. } => "REROUTED",
-                EngineOutcome::Rejected { .. } => "REJECTED",
-            };
-            let _ = writeln!(out, "{}: {verdict}", spec.name);
-        }
+        let mut network = build_network(scenario)?;
+        network.set_tracer(tracer.clone());
+        let mut replay = Replay::new(scenario, network, Some(&tracer));
+        echo_replay(&mut replay, false, &mut out)?;
     }
     let spans = tracer.snapshot();
     let traces = {
@@ -1390,29 +1339,20 @@ pub fn stats_remote(addr: &str, json: bool) -> Result<String, CliError> {
         .map_err(|e| CliError::Domain(format!("cannot scrape {addr}{path}: {e}")))
 }
 
-/// `rtcac snapshot save`: batch-admit the scenario through the
+/// `rtcac snapshot save`: replay the scenario in file order through the
 /// concurrent engine, then write the resulting admission state to
 /// `out_path` as a versioned snapshot (atomically: temp + rename).
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Domain`] on engine or I/O failures.
-pub fn snapshot_save(
-    scenario: &Scenario,
-    out_path: &str,
-    workers: usize,
-) -> Result<String, CliError> {
-    let (engine, outcomes) = run_engine_scenario(scenario, workers, None, None)?;
-    let admitted = outcomes
+pub fn snapshot_save(scenario: &Scenario, out_path: &str) -> Result<String, CliError> {
+    let (replay, steps) = replay_connects(scenario, build_engine(scenario, None)?)?;
+    let admitted = steps
         .iter()
-        .filter(|o| {
-            matches!(
-                o,
-                Ok(EngineOutcome::Admitted { .. } | EngineOutcome::Rerouted { .. })
-            )
-        })
+        .filter(|step| matches!(step, Step::Connected { .. }))
         .count();
-    let doc = rtcac_snap::snapshot_engine(&engine, "rtcac-cli");
+    let doc = rtcac_snap::snapshot_engine(&replay.driver.engine, "rtcac-cli");
     let bytes =
         rtcac_snap::save_atomic(&doc, std::path::Path::new(out_path)).map_err(CliError::domain)?;
     let mut out = String::new();
@@ -1424,7 +1364,7 @@ pub fn snapshot_save(
     let _ = writeln!(
         out,
         "snapshot: {admitted} of {} setups admitted; {} connection(s) over {} switch section(s)",
-        outcomes.len(),
+        steps.len(),
         doc.state.connections.len(),
         doc.state.switches.len()
     );
@@ -1666,8 +1606,8 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
     #[test]
     fn engine_reports_outcomes_stats_and_ports() {
         let scenario = Scenario::parse(SCENARIO).unwrap();
-        let out = engine(&scenario, 2, None).unwrap();
-        assert!(out.contains("engine: 3 setups through 2 workers"), "{out}");
+        let out = engine(&scenario, None).unwrap();
+        assert!(out.contains("engine: 3 setups over 2 shards"), "{out}");
         assert!(out.contains("fast: ADMITTED"), "{out}");
         assert!(out.contains("stats: submitted=3 admitted="), "{out}");
         assert!(out.contains("port "), "{out}");
@@ -1686,10 +1626,66 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         }
     }
 
+    fn shipped_scenario(name: &str) -> Scenario {
+        let path = format!(
+            "{}/../../examples/scenarios/{name}.rtcac",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        Scenario::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    /// Every engine command is one file-order replay: `trace --engine`
+    /// echoes what `check --engine` does, the verbose echo only adding
+    /// a fault directive's impact to its line.
+    #[test]
+    fn trace_engine_echoes_the_check_engine_replay() {
+        for name in ["cell_floor", "failover", "multicast", "plant"] {
+            let scenario = shipped_scenario(name);
+            let traced = trace(&scenario, true, None).unwrap();
+            let traced: Vec<&str> = traced
+                .lines()
+                .take_while(|l| !l.starts_with("trace: "))
+                .collect();
+            let checked = check_engine(&scenario, None).unwrap();
+            let checked: Vec<&str> = checked
+                .lines()
+                .take_while(|l| !l.starts_with("summary:"))
+                .collect();
+            assert_eq!(traced.len(), checked.len(), "{name}");
+            for (t, c) in traced.iter().zip(&checked) {
+                let fault = t.starts_with("fail-") || t.starts_with("heal-");
+                assert!(
+                    t == c || fault && c.starts_with(&format!("{t}: ")),
+                    "{name}: '{t}' vs '{c}'"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn engine_and_snapshot_save_repeat_byte_for_byte() {
+        let dir = std::env::temp_dir().join(format!("rtcac-cli-repeat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.snap");
+        let path = path.to_str().unwrap();
+        for name in ["cell_floor", "multicast", "plant"] {
+            let scenario = shipped_scenario(name);
+            let report = engine(&scenario, None).unwrap();
+            let saved = snapshot_save(&scenario, path).unwrap();
+            let bytes = std::fs::read(path).unwrap();
+            for _ in 0..20 {
+                assert_eq!(engine(&scenario, None).unwrap(), report, "{name}");
+                assert_eq!(snapshot_save(&scenario, path).unwrap(), saved, "{name}");
+                assert_eq!(std::fs::read(path).unwrap(), bytes, "{name}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn engine_admits_multicast_scenarios() {
         let scenario = Scenario::parse(MULTICAST_SCENARIO).unwrap();
-        let out = engine(&scenario, 2, None).unwrap();
+        let out = engine(&scenario, None).unwrap();
         assert!(
             out.contains("cast: ADMITTED (p2mp) worst_leaf_delay="),
             "{out}"
@@ -1698,7 +1694,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         assert!(out.contains("pair: ADMITTED"), "{out}");
         assert!(out.contains("mcast=1/1"), "{out}");
         // The advertised worst-leaf bound must agree with the serial
-        // setup (it is load-independent, so batch order cannot move it).
+        // setup.
         let serial = check(&scenario).unwrap();
         let delay_of = |text: &str, marker: &str| -> String {
             let at = text.find(marker).unwrap() + marker.len();
@@ -1779,7 +1775,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.prom");
         let path_str = path.to_str().unwrap();
-        let out = engine(&scenario, 2, Some(path_str)).unwrap();
+        let out = engine(&scenario, Some(path_str)).unwrap();
         assert!(out.contains("metrics: wrote"), "{out}");
 
         let prom = std::fs::read_to_string(&path).unwrap();
@@ -1801,7 +1797,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("deep").join("run").join("out.prom");
         let path_str = path.to_str().unwrap();
-        let out = engine(&scenario, 2, Some(path_str)).unwrap();
+        let out = engine(&scenario, Some(path_str)).unwrap();
         assert!(out.contains("metrics: wrote"), "{out}");
         assert!(path.exists(), "metrics file must exist at {path_str}");
         assert!(std::path::Path::new(&format!("{path_str}.json")).exists());
@@ -1824,7 +1820,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
             "error must name the offending path: {msg}"
         );
         let scenario = Scenario::parse(SCENARIO).unwrap();
-        let err = engine(&scenario, 2, Some(path.to_str().unwrap())).unwrap_err();
+        let err = engine(&scenario, Some(path.to_str().unwrap())).unwrap_err();
         assert!(err.to_string().contains("blocker"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1902,9 +1898,9 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
     #[test]
     fn batch_commands_refuse_by_naming_the_first_non_connect_directive() {
         let scenario = Scenario::parse(FAILOVER_SCENARIO).unwrap();
-        let err = engine(&scenario, 2, None).unwrap_err();
+        let err = engine(&scenario, None).unwrap_err();
         assert!(err.to_string().contains("'fail-link main'"), "{err}");
-        let err = stats(&scenario, 2, false).unwrap_err();
+        let err = stats(&scenario, false).unwrap_err();
         assert!(err.to_string().contains("'fail-link main'"), "{err}");
         let err = simulate(&scenario, 1_000, None).unwrap_err();
         assert!(err.to_string().contains("'fail-link main'"), "{err}");
@@ -1916,7 +1912,7 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
         ] {
             let scenario = Scenario::parse(&format!("{SCENARIO}{directive}\n")).unwrap();
             for err in [
-                engine(&scenario, 2, None).unwrap_err(),
+                engine(&scenario, None).unwrap_err(),
                 simulate(&scenario, 1_000, None).unwrap_err(),
             ] {
                 let msg = err.to_string();
@@ -1997,10 +1993,10 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
     #[test]
     fn stats_prints_bare_exposition() {
         let scenario = Scenario::parse(SCENARIO).unwrap();
-        let prom = stats(&scenario, 2, false).unwrap();
+        let prom = stats(&scenario, false).unwrap();
         assert!(prom.starts_with("# TYPE"), "{prom}");
         assert!(prom.contains("engine_setups_submitted_total 3"), "{prom}");
-        let json = stats(&scenario, 2, true).unwrap();
+        let json = stats(&scenario, true).unwrap();
         assert!(json.trim_start().starts_with('{'), "{json}");
         assert!(json.contains("engine_setups_submitted_total"), "{json}");
     }

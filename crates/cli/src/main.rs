@@ -32,9 +32,9 @@ USAGE:
       an orphaned-reservation audit; --metrics then writes the
       observability snapshot to PATH (Prometheus) and PATH.json.
 
-  rtcac trace SCENARIO_FILE [--engine] [--workers N] [--out PATH]
+  rtcac trace SCENARIO_FILE [--engine] [--out PATH]
       Replay the scenario with an always-sampling tracer and print the
-      causal span tree of every setup — queue wait, crankback attempts,
+      causal span tree of every setup — crankback attempts,
       price/reserve/commit phases, per-hop admission events, and
       reject-provenance events. With --engine the replay runs through
       the concurrent sharded engine; with --out, the spans are also
@@ -78,9 +78,9 @@ USAGE:
       violation dumps ONE black box of the recent rounds into DIR
       ('rtcac flight inspect' reads it); clean storms write nothing.
 
-  rtcac engine SCENARIO_FILE [--workers N] [--metrics PATH]
-      Batch-admit the scenario through the concurrent sharded engine
-      (two-phase reserve/commit, N worker threads) and report outcomes,
+  rtcac engine SCENARIO_FILE [--metrics PATH]
+      Admit the scenario's connects in file order through the concurrent
+      sharded engine (two-phase reserve/commit) and report outcomes,
       engine statistics, and final port bounds. With --metrics, the
       observability snapshot (phase timings, lock waits and outcome
       counters) is written to PATH in Prometheus text format
@@ -113,13 +113,13 @@ USAGE:
       orphaned reservations, no violated guarantees, no refused
       restore).
 
-  rtcac snapshot save SCENARIO_FILE OUT [--workers N]
+  rtcac snapshot save SCENARIO_FILE OUT
   rtcac snapshot restore FILE
   rtcac snapshot inspect FILE
   rtcac snapshot diff FILE_A FILE_B
       Work with versioned engine snapshots ('rtcac serve --snapshot'
-      state files). 'save' batch-admits the scenario through the
-      concurrent engine and writes its state atomically; 'restore'
+      state files). 'save' admits the scenario in file order through
+      the concurrent engine and writes its state atomically; 'restore'
       rebuilds a full engine from FILE and re-runs the guarantee and
       orphan audits (a failing file is refused, never half-loaded);
       'inspect' prints the header, section table and state summary;
@@ -160,11 +160,12 @@ USAGE:
       (chrome://tracing, Perfetto); 'dump' asks a live server to write
       a black box now, bypassing the once-per-reason latch.
 
-  rtcac stats SCENARIO_FILE [--workers N] [--json]
+  rtcac stats SCENARIO_FILE [--json]
   rtcac stats --addr HOST:PORT [--json]
-      Batch-admit the scenario and print the bare metrics snapshot to
-      stdout — Prometheus text by default, JSON with --json. With
-      --addr, scrape a live 'rtcac serve' exposition endpoint instead.
+      Admit the scenario in file order and print the bare metrics
+      snapshot to stdout — Prometheus text by default, JSON with
+      --json. With --addr, scrape a live 'rtcac serve' exposition
+      endpoint instead.
 
   rtcac simulate SCENARIO_FILE [--slots N] [--jitter CELLS] [--seed N]
       Admit the scenario, then measure it in the cell-level simulator.
@@ -243,10 +244,10 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 .next()
                 .ok_or_else(|| CliError::Usage("engine needs a scenario file".into()))?;
             let rest: Vec<&String> = it.collect();
-            let workers = flag_u64(&rest, "--workers")?.unwrap_or(4) as usize;
+            refuse_workers(&rest, "engine")?;
             let metrics = flag_value(&rest, "--metrics")?;
             let scenario = load(path)?;
-            commands::engine(&scenario, workers, metrics)
+            commands::engine(&scenario, metrics)
         }
         Some("chaos") => {
             let rest: Vec<&String> = it.collect();
@@ -294,11 +295,11 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 .next()
                 .ok_or_else(|| CliError::Usage("trace needs a scenario file".into()))?;
             let rest: Vec<&String> = it.collect();
+            refuse_workers(&rest, "trace")?;
             let engine_mode = rest.iter().any(|a| a.as_str() == "--engine");
-            let workers = flag_u64(&rest, "--workers")?.unwrap_or(4) as usize;
             let out = flag_value(&rest, "--out")?;
             let scenario = load(path)?;
-            commands::trace(&scenario, engine_mode, workers, out)
+            commands::trace(&scenario, engine_mode, out)
         }
         Some("why") => {
             let path = it
@@ -321,6 +322,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("stats") => {
             let rest: Vec<&String> = it.collect();
+            refuse_workers(&rest, "stats")?;
             let json = rest.iter().any(|a| a.as_str() == "--json");
             if let Some(addr) = flag_value(&rest, "--addr")? {
                 return commands::stats_remote(addr, json);
@@ -333,9 +335,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     ))
                 }
             };
-            let workers = flag_u64(&rest, "--workers")?.unwrap_or(4) as usize;
             let scenario = load(path)?;
-            commands::stats(&scenario, workers, json)
+            commands::stats(&scenario, json)
         }
         Some("serve") => {
             let rest: Vec<&String> = it.collect();
@@ -372,10 +373,10 @@ fn run(args: &[String]) -> Result<String, CliError> {
             };
             match action {
                 "save" => {
+                    refuse_workers(&rest, "snapshot save")?;
                     let scenario = load(positional(0, "a scenario file")?)?;
                     let out = positional(1, "an output path")?;
-                    let workers = flag_u64(&rest, "--workers")?.unwrap_or(4) as usize;
-                    commands::snapshot_save(&scenario, out, workers)
+                    commands::snapshot_save(&scenario, out)
                 }
                 "restore" => commands::snapshot_restore(positional(0, "a snapshot file")?),
                 "inspect" => commands::snapshot_inspect(positional(0, "a snapshot file")?),
@@ -496,6 +497,19 @@ fn load(path: &str) -> Result<Scenario, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Usage(format!("cannot read '{path}': {e}")))?;
     Scenario::parse(&text)
+}
+
+/// Refuses `--workers` on a command that replays its scenario in file
+/// order on one thread: the flag sizes `rtcac serve` alone, and ignoring
+/// it would hide that.
+fn refuse_workers(args: &[&String], command: &str) -> Result<(), CliError> {
+    if args.iter().any(|a| a.as_str() == "--workers") {
+        return Err(CliError::Usage(format!(
+            "{command} takes no --workers: it replays the scenario in file order \
+             (--workers sizes 'rtcac serve' only)"
+        )));
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [&String], flag: &str) -> Result<Option<&'a str>, CliError> {

@@ -8,9 +8,10 @@
 //! driver, and [`Replay`] owns the only driver-mutating `match` over
 //! [`ScenarioAction`], the established-connection map and the id
 //! allocation. Every directive yields one typed [`Step`]; `check`,
-//! `check --engine`, `trace` and `why` render that stream, and
-//! `storm` steps two replays in lock-step and demands equal steps. A
-//! new directive is added here, once.
+//! `check --engine`, `trace`, `why`, `engine`, `stats` and `snapshot
+//! save` render or consume that stream in file order, and `storm`
+//! steps two replays in lock-step and demands equal steps. A new
+//! directive is added here, once.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -280,11 +281,12 @@ pub(crate) struct EngineDriver {
 }
 
 impl EngineDriver {
-    /// The engine as `check --engine` and `trace --engine` drive it:
-    /// the reroute budget stays at the engine's default, so a setup
-    /// submitted on a *dead* route is rerouted by the engine's own
-    /// search and a `crankback=` budget on the spec changes nothing —
-    /// the engine, not the scenario, decides the attempts.
+    /// The engine as `check --engine`, `trace --engine`, `engine`,
+    /// `stats` and `snapshot save` drive it: the reroute budget stays
+    /// at the engine's default, so a setup submitted on a *dead* route
+    /// is rerouted by the engine's own search and a `crankback=` budget
+    /// on the spec changes nothing — the engine, not the scenario,
+    /// decides the attempts.
     pub(crate) fn new(engine: Arc<AdmissionEngine>) -> EngineDriver {
         EngineDriver {
             engine,

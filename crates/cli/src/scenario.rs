@@ -291,10 +291,9 @@ impl Scenario {
     }
 
     /// Whether every directive is a plain connect — the only kind of
-    /// scenario a one-shot batch (`rtcac engine`, `rtcac simulate`,
-    /// `rtcac snapshot save`) can take; anything else (release,
-    /// degrade/restore, fail/heal, chaos) has to be replayed in file
-    /// order.
+    /// scenario `rtcac engine`, `stats`, `simulate` and `snapshot save`
+    /// take; anything else (release, degrade/restore, fail/heal, chaos)
+    /// needs `rtcac check`.
     pub fn is_connect_only(&self) -> bool {
         self.first_non_connect().is_none()
     }

@@ -8,10 +8,11 @@
 //! output" is this test passing. Each golden is the command's stdout,
 //! then its stderr if it failed, then an `exit: N` line. The two
 //! `trace` goldens hold the replay echo only — every line before the
-//! `trace:` summary — because span timings are wall-clock; `trace
-//! --engine` runs with `--workers 1`, because a connect-only scenario
-//! goes through the worker pool there and with more workers the
-//! verdicts race (1 run in 200 flips under load, before and after).
+//! `trace:` summary — because span timings are wall-clock. `trace
+//! --engine` replays in file order like `check --engine`, so on every
+//! scenario its echo is the terse form of `check --engine`'s. The
+//! connect-only `trace_engine` goldens were re-captured when that
+//! command stopped handing connects to a worker pool.
 //!
 //! Known quirks the goldens pin rather than paper over:
 //!
@@ -74,7 +75,7 @@ fn replay_commands_match_the_goldens_byte_for_byte() {
         assert_golden(name, "check", &run(&["check", &file]));
         assert_golden(name, "check_engine", &run(&["check", &file, "--engine"]));
         assert_golden(name, "trace", &echo_only(&run(&["trace", &file])));
-        let sharded = run(&["trace", &file, "--engine", "--workers", "1"]);
+        let sharded = run(&["trace", &file, "--engine"]);
         assert_golden(name, "trace_engine", &echo_only(&sharded));
 
         let text = std::fs::read_to_string(repo_root().join(&file)).expect("scenario ships");

@@ -310,8 +310,9 @@ impl AdmissionEngine {
     }
 
     /// Opens an admission trace tagged with the connection id and the
-    /// current fault epoch (free on a noop tracer). The pool calls
-    /// this at submission so the trace also covers the queue wait.
+    /// current fault epoch (free on a noop tracer). A
+    /// [`ServicePool`](crate::ServicePool) calls this before it waits
+    /// for a permit, so its trace also covers the queue wait.
     /// Unsampled contexts skip the tags — a rejection re-attaches them
     /// in [`publish_report`](Self::publish_report) — so the sampled-out
     /// hot path never formats strings or touches the health lock.
@@ -554,9 +555,9 @@ impl AdmissionEngine {
     }
 
     /// [`AdmissionEngine::admit_with_id`] under a caller-owned trace
-    /// context (the worker pool opens the trace at submission, so the
-    /// span tree covers the queue wait too). The caller finishes the
-    /// context.
+    /// context (a [`ServicePool`](crate::ServicePool) opens the trace
+    /// before it waits for a permit, so the span tree covers the queue
+    /// wait too). The caller finishes the context.
     ///
     /// # Errors
     ///
@@ -1605,7 +1606,7 @@ impl AdmissionEngine {
 
     /// Adopts an exported state into this already-running engine — the
     /// in-place warm restart the resident service uses, so the engine
-    /// handle shared with its worker pool stays valid.
+    /// handle shared with its service pool stays valid.
     ///
     /// The state is fully rebuilt and audited on a throwaway engine
     /// *before* anything is applied, so a failing snapshot leaves this

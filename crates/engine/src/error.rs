@@ -25,20 +25,8 @@ pub enum EngineError {
     /// Switch-level failure (misconfiguration or internal numeric
     /// failure).
     Cac(CacError),
-    /// One or more pool workers panicked mid-batch, so some submitted
-    /// setups never produced a result. The engine counters still
-    /// account for every setup that *reached* a decision, but the batch
-    /// as a whole is incomplete and must not be treated as a silent
-    /// undercount.
-    WorkerPanicked {
-        /// Worker threads whose join reported a panic.
-        workers: usize,
-        /// Submitted jobs that never produced a result.
-        missing: u64,
-    },
     /// The resident service pool has shut down (or the setup panicked
-    /// while being decided), so the submitted setup has no verdict. Unlike
-    /// [`EngineError::WorkerPanicked`] this is a per-job verdict: the
+    /// while being decided), so the submitted setup has no verdict. The
     /// caller knows exactly which setup was dropped and can retry
     /// against a live pool.
     ServiceStopped,
@@ -62,10 +50,6 @@ impl fmt::Display for EngineError {
             EngineError::Signal(e) => write!(f, "signaling error: {e}"),
             EngineError::Net(e) => write!(f, "topology error: {e}"),
             EngineError::Cac(e) => write!(f, "CAC error: {e}"),
-            EngineError::WorkerPanicked { workers, missing } => write!(
-                f,
-                "{workers} pool worker(s) panicked; {missing} job result(s) missing"
-            ),
             EngineError::ServiceStopped => {
                 write!(f, "the service pool has stopped; the setup was not decided")
             }

@@ -24,9 +24,7 @@
 //!   each touched shard's mutation counter
 //!   ([`Switch::epoch`](rtcac_cac::Switch::epoch)), so it leaves no
 //!   trace in the shard or in a later snapshot.
-//! * **Pools** — [`EnginePool`] runs a fixed set of `std::thread`
-//!   workers pulling a *batch* of jobs from an `mpsc` submission queue;
-//!   [`ServicePool`] is its resident sibling, a counting permit under
+//! * **Service pool** — [`ServicePool`] is a counting permit under
 //!   which callers on their own threads (the `rtcac-serve` sessions)
 //!   decide setups indefinitely, at most `workers` at once.
 //! * **Statistics** — lock-free submitted/admitted/rejected/aborted/
@@ -49,7 +47,7 @@ mod stats;
 
 pub use engine::{AdmissionEngine, AnomalyHook, EngineOutcome, DEFAULT_LOCK_HOLD_THRESHOLD_NS};
 pub use error::EngineError;
-pub use pool::{run_batch, EnginePool, JobResult, ServicePool};
+pub use pool::ServicePool;
 pub use state::{ConnectionState, EngineState, HealthOverlayState, SwitchState};
 pub use stats::EngineStats;
 

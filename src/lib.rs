@@ -15,9 +15,9 @@
 //!   CAC check of §4.3;
 //! - [`signaling`] — distributed SETUP/REJECT/CONNECTED connection
 //!   establishment with hard/soft CDV accumulation;
-//! - [`engine`] — a concurrent sharded admission engine: a worker pool
-//!   serving setups with a two-phase reserve/commit protocol and
-//!   epoch-keyed delay-bound memoization;
+//! - [`engine`] — a concurrent sharded admission engine: callers on
+//!   their own threads decide setups with a two-phase reserve/commit
+//!   protocol and epoch-keyed delay-bound memoization;
 //! - [`sim`] — a cell-level slotted ATM simulator used to validate the
 //!   analytic bounds empirically;
 //! - [`fault`] — fault injection and failure recovery: seeded

@@ -1,14 +1,14 @@
 //! End-to-end determinism of the concurrent admission engine: a seeded
-//! batch of mixed CBR/VBR setups pushed through the worker pool must
-//! yield exactly the accept/reject multiset of a serial replay through
-//! `signaling::Network`.
+//! batch of mixed CBR/VBR setups admitted from several threads at once
+//! must yield exactly the accept/reject multiset of a serial replay
+//! through `signaling::Network`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rtcac::bitstream::{CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac::cac::{Priority, SwitchConfig};
-use rtcac::engine::{run_batch, AdmissionEngine};
+use rtcac::engine::{AdmissionEngine, EngineError, EngineOutcome};
 use rtcac::net::{builders, Route};
 use rtcac::rational::ratio;
 use rtcac::signaling::{CdvPolicy, Network, SetupRequest};
@@ -29,6 +29,33 @@ impl Rng {
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound
     }
+}
+
+/// Admits `jobs` from `workers` scoped threads — thread `t` takes jobs
+/// `t`, `t + workers`, … — and returns the outcomes in submission order.
+fn admit_striped(
+    engine: &AdmissionEngine,
+    jobs: &[(Route, SetupRequest)],
+    workers: usize,
+) -> Vec<Result<EngineOutcome, EngineError>> {
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let stripes: Vec<_> = (0..workers)
+            .map(|t| {
+                s.spawn(move || {
+                    let stripe = jobs.iter().enumerate().skip(t).step_by(workers);
+                    stripe
+                        .map(|(i, (route, request))| (i, engine.admit(route, *request)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        stripes
+            .into_iter()
+            .flat_map(|stripe| stripe.join().expect("no admitting thread panicked"))
+            .collect()
+    });
+    outcomes.sort_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// One contention class: every request in a class is identical and all
@@ -111,12 +138,8 @@ fn engine_multiset(
         config.clone(),
         CdvPolicy::Hard,
     ));
-    let outcomes = run_batch(
-        &engine,
-        jobs.iter().map(|(_, r, q)| (r.clone(), *q)),
-        workers,
-    )
-    .expect("no worker died");
+    let routed: Vec<(Route, SetupRequest)> = jobs.iter().map(|(_, r, q)| (r.clone(), *q)).collect();
+    let outcomes = admit_striped(&engine, &routed, workers);
     let admitted: Vec<bool> = outcomes
         .iter()
         .map(|o| o.as_ref().unwrap().is_admitted())
@@ -188,7 +211,7 @@ fn engine_batches_are_run_to_run_deterministic() {
 
 #[test]
 fn released_capacity_is_reusable_under_concurrency() {
-    // Fill one shard through the pool, release everything, refill: the
+    // Fill one shard from four threads, release everything, refill: the
     // exact-arithmetic engine must reach the same admitted count.
     let sr = builders::star_ring(4, 2).unwrap();
     let config = SwitchConfig::uniform(1, Time::from_integer(16)).unwrap();
@@ -198,15 +221,15 @@ fn released_capacity_is_reusable_under_concurrency() {
         CdvPolicy::Hard,
     ));
     let contract = TrafficContract::cbr(CbrParams::new(Rate::new(ratio(1, 10))).unwrap());
-    let jobs = || {
-        (0..12).map(|_| {
+    let jobs: Vec<(Route, SetupRequest)> = (0..12)
+        .map(|_| {
             (
                 sr.terminal_route((0, 0), (0, 1)).unwrap(),
                 SetupRequest::new(contract, Priority::HIGHEST, Time::from_integer(1_000)),
             )
         })
-    };
-    let first: Vec<_> = run_batch(&engine, jobs(), 4).expect("no worker died");
+        .collect();
+    let first = admit_striped(&engine, &jobs, 4);
     assert_outcome_invariant(&engine.stats());
     let capacity = first
         .iter()
@@ -219,8 +242,7 @@ fn released_capacity_is_reusable_under_concurrency() {
         }
     }
     assert_eq!(engine.connection_count(), 0);
-    let second = run_batch(&engine, jobs(), 4)
-        .expect("no worker died")
+    let second = admit_striped(&engine, &jobs, 4)
         .iter()
         .filter(|o| o.as_ref().unwrap().is_admitted())
         .count();

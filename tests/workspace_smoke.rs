@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use rtcac::bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac::cac::{Priority, SwitchConfig};
-use rtcac::engine::{run_batch, AdmissionEngine};
-use rtcac::net::builders;
+use rtcac::engine::{AdmissionEngine, EngineError, EngineOutcome};
+use rtcac::net::{builders, Route};
 use rtcac::obs::Registry;
 use rtcac::rational::{ratio, Ratio};
 use rtcac::rtnet::{workload, CdvMode};
@@ -167,6 +167,33 @@ fn signaling_setup_roundtrip() {
     assert!(outcome.is_connected());
 }
 
+/// Admits `jobs` from `workers` scoped threads — thread `t` takes jobs
+/// `t`, `t + workers`, … — and returns the outcomes in submission order.
+fn admit_striped(
+    engine: &AdmissionEngine,
+    jobs: &[(Route, SetupRequest)],
+    workers: usize,
+) -> Vec<Result<EngineOutcome, EngineError>> {
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let stripes: Vec<_> = (0..workers)
+            .map(|t| {
+                s.spawn(move || {
+                    let stripe = jobs.iter().enumerate().skip(t).step_by(workers);
+                    stripe
+                        .map(|(i, (route, request))| (i, engine.admit(route, *request)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        stripes
+            .into_iter()
+            .flat_map(|stripe| stripe.join().expect("no admitting thread panicked"))
+            .collect()
+    });
+    outcomes.sort_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
 #[test]
 fn engine_concurrent_batch() {
     let sr = builders::star_ring(4, 2).unwrap();
@@ -176,13 +203,15 @@ fn engine_concurrent_batch() {
         config,
         CdvPolicy::Hard,
     ));
-    let jobs = (0..4).map(|i| {
-        (
-            sr.terminal_route((i, 0), (i, 1)).unwrap(),
-            SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(1_000)),
-        )
-    });
-    let outcomes = run_batch(&engine, jobs, 2).unwrap();
+    let jobs: Vec<(Route, SetupRequest)> = (0..4)
+        .map(|i| {
+            (
+                sr.terminal_route((i, 0), (i, 1)).unwrap(),
+                SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(1_000)),
+            )
+        })
+        .collect();
+    let outcomes = admit_striped(&engine, &jobs, 2);
     assert!(outcomes.iter().all(|o| o.as_ref().unwrap().is_admitted()));
     // A point-to-multipoint setup takes the same shared core path.
     let tree = sr.broadcast_tree(0, 0).unwrap();
@@ -318,13 +347,15 @@ fn obs_registry_records_and_exposes() {
         CdvPolicy::Hard,
         Arc::clone(&registry),
     ));
-    let jobs = (0..2).map(|i| {
-        (
-            sr.terminal_route((i, 0), ((i + 1) % 4, 0)).unwrap(),
-            SetupRequest::new(cbr(1, 16), Priority::HIGHEST, Time::from_integer(1_000)),
-        )
-    });
-    let _ = run_batch(&engine, jobs, 2).unwrap();
+    let jobs: Vec<(Route, SetupRequest)> = (0..2)
+        .map(|i| {
+            (
+                sr.terminal_route((i, 0), ((i + 1) % 4, 0)).unwrap(),
+                SetupRequest::new(cbr(1, 16), Priority::HIGHEST, Time::from_integer(1_000)),
+            )
+        })
+        .collect();
+    let _ = admit_striped(&engine, &jobs, 2);
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter("engine_setups_submitted_total"), Some(2));
     assert!(snapshot.histogram("engine_reserve_ns").unwrap().count >= 2);
