@@ -6,11 +6,13 @@
 //! between the arrival curve of the priority class and the leftover
 //! service curve under higher-priority interference. The service curve
 //! is a [`PiecewiseLinear`] value; the arrival curve is integrated from
-//! its stream only as far as [`horizontal_deviation`] walks it.
+//! any source of segments — a stored stream, or a merge that sums a
+//! port's filtered in-links lazily — only as far as
+//! [`horizontal_deviation`] pulls it.
 
 use rtcac_rational::Ratio;
 
-use crate::{BitStream, Cells, Rate, Time};
+use crate::{BitStream, Cells, Rate, Segment, StreamError, Time};
 
 /// A non-decreasing piecewise-linear curve starting at `(0, 0)`.
 ///
@@ -25,11 +27,15 @@ pub(crate) struct PiecewiseLinear {
 
 impl PiecewiseLinear {
     /// The leftover service curve `C(t) = ∫₀ᵗ (1 − r₁(u)) du` available
-    /// to a priority class under higher-priority interference `r₁`.
-    ///
-    /// The caller must ensure `r₁ <= 1` everywhere (i.e. the
-    /// interference stream has been filtered, Algorithm 3.4).
-    pub(crate) fn leftover_service(higher: &BitStream) -> PiecewiseLinear {
+    /// to a priority class under higher-priority interference `r₁`, which
+    /// must not exceed the link rate (it must have been filtered,
+    /// Algorithm 3.4): [`StreamError::UnfilteredInterference`] otherwise.
+    pub(crate) fn leftover_service(higher: &BitStream) -> Result<PiecewiseLinear, StreamError> {
+        if higher.peak_rate() > Rate::FULL {
+            return Err(StreamError::UnfilteredInterference {
+                rate: higher.peak_rate(),
+            });
+        }
         let segs = higher.segments();
         let mut knots = Vec::with_capacity(segs.len());
         let mut slopes = Vec::with_capacity(segs.len());
@@ -40,29 +46,20 @@ impl PiecewiseLinear {
                 value += Rate::new(slope) * (seg.start - start);
             }
             let slope = Ratio::ONE - seg.rate.as_ratio();
-            debug_assert!(
-                !slope.is_negative(),
-                "leftover_service: interference above link rate"
-            );
             knots.push((seg.start, value));
             slopes.push(slope);
             prev = Some((slope, seg.start));
         }
-        PiecewiseLinear { knots, slopes }
-    }
-
-    /// Start value and slope of the last (infinite) piece; `None` only
-    /// for an empty curve, which the constructor never produces.
-    fn tail(&self) -> Option<(Cells, Ratio)> {
-        Some((self.knots.last()?.1, *self.slopes.last()?))
+        Ok(PiecewiseLinear { knots, slopes })
     }
 }
 
 /// The maximum horizontal deviation `max_t [ C⁻¹(A(t)) − t ]` between
-/// the arrival curve `A = ∫ r` of `arrival` and a service curve `C` —
-/// the worst-case FIFO queueing delay. Returns `None` when the deviation
-/// is unbounded (long-run arrival rate exceeds long-run service rate, or
-/// the service saturates below the total arrival volume).
+/// the arrival curve `A = ∫ r` of a stream's segments, pulled from
+/// `arrival` one at a time, and a service curve `C` — the worst-case
+/// FIFO queueing delay. Returns `None` when the deviation is unbounded:
+/// both curves reach their last piece with `A` the steeper (long-run
+/// overload), or `C` never rises while something arrives.
 ///
 /// The deviation `D(t) = g(t) − t`, with `g(t)` the departure of the bit
 /// arriving at `t`, is piecewise linear. It bends only where `A` reaches
@@ -76,47 +73,43 @@ impl PiecewiseLinear {
 /// `g = C⁻¹ ∘ A` is concave, and so is `D`: its maximum sits at the
 /// first bend after which it stops rising (`r <= s`). The walk goes
 /// through both families' bends in order up to that one, integrating `A`
-/// as it goes, and evaluates `D` there alone.
-pub(crate) fn horizontal_deviation(arrival: &BitStream, c: &PiecewiseLinear) -> Option<Time> {
+/// as it goes, and evaluates `D` there alone, having pulled at most one
+/// segment of `A` past it. Convexity also makes it the overload test:
+/// `r > s` past both curves' last knots is `r > s` forever.
+pub(crate) fn horizontal_deviation(
+    arrival: impl IntoIterator<Item = Segment>,
+    c: &PiecewiseLinear,
+) -> Option<Time> {
     debug_assert!(
         c.slopes.windows(2).all(|w| w[0] <= w[1]),
         "the peak walk needs a convex service curve: {c:?}"
     );
-    let (c_max, rc) = c.tail()?;
-    let ra = arrival.long_run_rate().as_ratio();
-    if ra > rc {
-        return None;
-    }
-    // Both curves saturate; the service must cover the total volume.
-    if ra == rc && rc.is_zero() && arrival.cumulative(arrival.stabilization_time()) > c_max {
-        return None;
-    }
-    let segs = arrival.segments();
-    if !segs[0].rate.is_positive() {
-        // Nothing ever arrives, so nothing waits.
+    let mut segs = arrival.into_iter().peekable();
+    // Nothing ever arrives, so nothing waits.
+    let Some(mut a) = segs.next().filter(|first| first.rate.is_positive()) else {
         return Some(Time::ZERO);
-    }
+    };
     // The first bits leave once `C` starts rising: at the end of its
     // flat prefix (the right limit of `C⁻¹` at 0). `m` is the piece of
     // `C` that serves the bits arriving just after the current bend.
     let mut m = c.slopes.iter().position(Ratio::is_positive)?;
-    // `A`'s current piece, where it starts, and `A` at the current bend.
-    let (mut k, mut t_k, mut v_k) = (0, Time::ZERO, Cells::ZERO);
-    let mut v = Cells::ZERO;
-    while segs[k].rate.as_ratio() > c.slopes[m] {
+    // `A`'s current piece `a`, `A` where it starts, and `A` at the
+    // current bend.
+    let (mut v_k, mut v) = (Cells::ZERO, Cells::ZERO);
+    while a.rate.as_ratio() > c.slopes[m] {
         // The next bend: `A`'s next knot or `C`'s next knot value,
         // whichever `A` reaches first (both, on a tie).
         let a_next = segs
-            .get(k + 1)
-            .map(|next| (next.start, v_k + segs[k].rate * (next.start - t_k)));
+            .peek()
+            .map(|&next| (next, v_k + a.rate * (next.start - a.start)));
         let c_next = c.knots.get(m + 1).map(|&(_, value)| value);
         match a_next {
-            Some((t, value)) if c_next.is_none_or(|c_value| value <= c_value) => {
+            Some((next, value)) if c_next.is_none_or(|c_value| value <= c_value) => {
+                segs.next();
                 m += usize::from(c_next == Some(value));
-                (k, t_k, v_k) = (k + 1, t, value);
-                v = value;
+                (a, v_k, v) = (next, value, value);
             }
-            // Rising forever is `None`; the long-run check excludes it.
+            // Both on their last piece with `r > s`: rising forever.
             _ => {
                 v = c_next?;
                 m += 1;
@@ -126,9 +119,9 @@ pub(crate) fn horizontal_deviation(arrival: &BitStream, c: &PiecewiseLinear) -> 
     // `D` at that bend: the bit that brings the arrivals to `v` arrives
     // at `t` and departs at `g`.
     let t = if v == v_k {
-        t_k
+        a.start
     } else {
-        t_k + (v - v_k) / segs[k].rate
+        a.start + (v - v_k) / a.rate
     };
     let (start, value) = c.knots[m];
     let g = if v == value {
@@ -145,6 +138,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mux::Merge;
     use rtcac_rational::ratio;
 
     fn stream(pairs: &[(i128, i128, i128, i128)]) -> BitStream {
@@ -156,11 +150,46 @@ mod tests {
         .unwrap()
     }
 
+    /// The walk over a stored stream's segments.
+    fn horizontal_deviation(a: &BitStream, c: &PiecewiseLinear) -> Option<Time> {
+        super::horizontal_deviation(a.segments().iter().copied(), c)
+    }
+
+    #[test]
+    fn walk_reads_the_arrival_only_to_the_peak() {
+        // 17 segments: rates 4, 3, 2, then 14/16 down to 1/16, one cell
+        // time apart. Under full service the backlog stops growing at
+        // knot 3, where the rate first falls below 1.
+        let rates = [(4, 1), (3, 1), (2, 1)]
+            .into_iter()
+            .chain((1..=14).rev().map(|k| (k, 16)));
+        let s = BitStream::from_rate_breaks(
+            rates
+                .enumerate()
+                .map(|(k, (n, d))| (ratio(n, d), ratio(k as i128, 1))),
+        )
+        .unwrap();
+        assert_eq!(s.segment_count(), 17);
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
+        let mut pulled = 0;
+        let counted = s.segments().iter().copied().inspect(|_| pulled += 1);
+        // 3 + 2 + 1 cells queue up, and the last of them waits 6.
+        assert_eq!(
+            super::horizontal_deviation(counted, &c),
+            Some(Time::from_integer(6))
+        );
+        assert!(pulled <= 5, "the walk pulled {pulled} of 17 segments");
+        assert_eq!(
+            horizontal_deviation(&s, &c),
+            reference::delay_bound(&s, &BitStream::zero())
+        );
+    }
+
     #[test]
     fn leftover_service_values() {
         // Higher-priority interference: rate 1 on [0,2), then 1/2.
         let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
-        let c = PiecewiseLinear::leftover_service(&h);
+        let c = PiecewiseLinear::leftover_service(&h).unwrap();
         // No service while interference saturates the link.
         assert_eq!(
             c.knots,
@@ -176,7 +205,7 @@ mod tests {
     fn deviation_simple_burst() {
         // Burst: rate 2 for 3 cell times then 0, full service.
         let s = stream(&[(2, 1, 0, 1), (0, 1, 3, 1)]);
-        let c = PiecewiseLinear::leftover_service(&BitStream::zero());
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         // Backlog peaks at 3 cells at t=3; last bit waits 3 cell times.
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
     }
@@ -184,14 +213,14 @@ mod tests {
     #[test]
     fn deviation_unbounded_on_overload() {
         let s = stream(&[(3, 2, 0, 1)]);
-        let c = PiecewiseLinear::leftover_service(&BitStream::zero());
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), None);
     }
 
     #[test]
     fn deviation_zero_for_light_traffic() {
         let s = stream(&[(1, 2, 0, 1)]);
-        let c = PiecewiseLinear::leftover_service(&BitStream::zero());
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::ZERO));
     }
 
@@ -204,7 +233,7 @@ mod tests {
         // D(t) = 4 - t/2, max at t=0: D = 4.
         let s = stream(&[(1, 2, 0, 1)]);
         let h = stream(&[(1, 1, 0, 1), (0, 1, 4, 1)]);
-        let c = PiecewiseLinear::leftover_service(&h);
+        let c = PiecewiseLinear::leftover_service(&h).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(4)));
     }
 
@@ -214,14 +243,15 @@ mod tests {
         // a flat tail is flat throughout: the link busy forever. It
         // serves an empty arrival and nothing else. Arrival: 2 cells
         // then stop.
-        let c_none = PiecewiseLinear::leftover_service(&BitStream::constant(Rate::FULL).unwrap());
+        let c_none =
+            PiecewiseLinear::leftover_service(&BitStream::constant(Rate::FULL).unwrap()).unwrap();
         let a_sat = stream(&[(1, 1, 0, 1), (0, 1, 2, 1)]);
         assert_eq!(horizontal_deviation(&a_sat, &c_none), None);
         assert_eq!(
             horizontal_deviation(&BitStream::zero(), &c_none),
             Some(Time::ZERO)
         );
-        let c_full = PiecewiseLinear::leftover_service(&BitStream::zero());
+        let c_full = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         assert_eq!(horizontal_deviation(&a_sat, &c_full), Some(Time::ZERO));
     }
 
@@ -232,7 +262,7 @@ mod tests {
         // grows while A outpaces the link and peaks at the third knot,
         // where A's rate falls to 1/4.
         let s = stream(&[(2, 1, 0, 1), (3, 2, 2, 1), (1, 4, 4, 1), (1, 8, 8, 1)]);
-        let c = PiecewiseLinear::leftover_service(&BitStream::zero());
+        let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
         assert_eq!(
             horizontal_deviation(&s, &c),
@@ -248,7 +278,7 @@ mod tests {
         // outpaces A. D = 4 - 8/3 = 4/3, at no knot of A.
         let s = stream(&[(3, 4, 0, 1)]);
         let h = stream(&[(1, 2, 0, 1), (0, 1, 4, 1)]);
-        let c = PiecewiseLinear::leftover_service(&h);
+        let c = PiecewiseLinear::leftover_service(&h).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::new(ratio(4, 3))));
         assert_eq!(horizontal_deviation(&s, &c), reference::delay_bound(&s, &h));
     }
@@ -260,7 +290,7 @@ mod tests {
         // the blackout; the last one arrives at 1 and leaves at 4.
         let s = stream(&[(1, 1, 0, 1), (0, 1, 1, 1)]);
         let h = stream(&[(1, 1, 0, 1), (1, 2, 2, 1)]);
-        let c = PiecewiseLinear::leftover_service(&h);
+        let c = PiecewiseLinear::leftover_service(&h).unwrap();
         assert_eq!(horizontal_deviation(&s, &c), Some(Time::from_integer(3)));
         assert_eq!(horizontal_deviation(&s, &c), reference::delay_bound(&s, &h));
     }
@@ -340,15 +370,7 @@ mod tests {
     /// prefix on `higher` (a zero-slope service piece), arrivals that
     /// stop (saturating curves), and equal final slopes.
     fn random_pair(rng: &mut SplitMix64) -> (BitStream, BitStream) {
-        let (higher_last, higher) = match rng.below(8) {
-            0 => (0, BitStream::zero()),
-            1 => (12, random_stream(rng, 12, true, 12)), // the link, forever
-            _ => {
-                let last = rng.below(12);
-                let blackout = rng.one_in(3);
-                (last, random_stream(rng, 12, blackout, last))
-            }
-        };
+        let (higher_last, higher) = random_higher(rng);
         let left = 12 - higher_last;
         let last = match rng.below(8) {
             0..=2 => 0,                   // the arrivals stop
@@ -363,6 +385,74 @@ mod tests {
             random_stream(rng, peak, false, last)
         };
         (arrival, higher)
+    }
+
+    /// A filtered `higher` and its last rate in twelfths: zero, the link
+    /// forever, or any stream within the link, a third of them with a
+    /// full-rate (blackout) prefix.
+    fn random_higher(rng: &mut SplitMix64) -> (u64, BitStream) {
+        match rng.below(8) {
+            0 => (0, BitStream::zero()),
+            1 => (12, random_stream(rng, 12, true, 12)), // the link, forever
+            _ => {
+                let last = rng.below(12);
+                let blackout = rng.one_in(3);
+                (last, random_stream(rng, 12, blackout, last))
+            }
+        }
+    }
+
+    /// Up to eight in-link aggregates peaking anywhere up to 5/2 of the
+    /// link, so that some views clamp and the rest pass through.
+    fn random_port(rng: &mut SplitMix64) -> Vec<BitStream> {
+        let n = rng.below(9);
+        (0..n)
+            .map(|_| {
+                let last = rng.below(4);
+                let peak = last + rng.below(27);
+                let pin_peak = rng.one_in(2);
+                random_stream(rng, peak, pin_peak, last)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_bound_matches_built_sum() {
+        let seed = seed();
+        let mut rng = SplitMix64(seed ^ 0xF0_5ED);
+        let (mut bounded, mut overload, mut clamped, mut early) = (0, 0, 0, 0);
+        for case in 0..6_000 {
+            let port = random_port(&mut rng);
+            let (_, higher) = random_higher(&mut rng);
+            let ctx = format!("RTCAC_TEST_SEED={seed} case {case}: {port:?} under {higher:?}");
+            let built = BitStream::multiplex_filtered(&port);
+            let want = built.delay_bound(&higher);
+            let got = BitStream::delay_bound_of_filtered_sum(&port, &higher);
+            assert_eq!(got, want, "{ctx}");
+            let exact = reference::delay_bound(&built, &higher);
+            assert_eq!(want.as_ref().ok(), exact.as_ref(), "{ctx}");
+            // How far the walk reads the merge.
+            let mut pulled = 0;
+            let soa = Merge::new(port.iter().map(BitStream::filtered)).inspect(|_| pulled += 1);
+            let c = PiecewiseLinear::leftover_service(&higher).unwrap();
+            assert_eq!(super::horizontal_deviation(soa, &c), exact, "{ctx}");
+            match want {
+                Ok(_) => bounded += 1,
+                Err(StreamError::Overload { .. }) => overload += 1,
+                Err(e) => panic!("{ctx}: {e}"),
+            }
+            clamped += usize::from(port.iter().any(|s| s.peak_rate() > Rate::FULL));
+            early += usize::from(exact.is_some() && pulled < built.segment_count());
+        }
+        let ctx = format!("RTCAC_TEST_SEED={seed}");
+        for (what, n) in [
+            ("bounded", bounded),
+            ("overload", overload),
+            ("clamped view", clamped),
+            ("peak before the last knot", early),
+        ] {
+            assert!(n >= 800, "{ctx}: {what}: only {n} cases");
+        }
     }
 
     #[test]
@@ -389,7 +479,7 @@ mod tests {
                 arrival.long_run_rate() + higher.long_run_rate() == Rate::FULL && want.is_some(),
             );
         }
-        // Every shape the plateau rule and the pre-checks exist for.
+        // Every shape the plateau rule and the overload ending exist for.
         for (what, n) in [
             ("bounded", bounded),
             ("unbounded", unbounded),

@@ -1,6 +1,7 @@
 //! Worst-case FIFO queueing delay bounds (Algorithm 4.1).
 
 use crate::cumulative::{horizontal_deviation, PiecewiseLinear};
+use crate::mux::Merge;
 use crate::{BitStream, Rate, StreamError, Time};
 
 impl BitStream {
@@ -41,16 +42,30 @@ impl BitStream {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn delay_bound(&self, higher: &BitStream) -> Result<Time, StreamError> {
-        if higher.peak_rate() > Rate::FULL {
-            return Err(StreamError::UnfilteredInterference {
-                rate: higher.peak_rate(),
-            });
-        }
-        let service = PiecewiseLinear::leftover_service(higher);
-        horizontal_deviation(self, &service).ok_or_else(|| StreamError::Overload {
-            arrival: self.long_run_rate(),
-            service: Rate::FULL - higher.long_run_rate(),
-        })
+        let service = PiecewiseLinear::leftover_service(higher)?;
+        let arrival = self.segments().iter().copied();
+        horizontal_deviation(arrival, &service)
+            .ok_or_else(|| overload(self.long_run_rate(), higher))
+    }
+
+    /// [`BitStream::delay_bound`] of [`BitStream::multiplex_filtered`],
+    /// errors included, without building the sum: Algorithm 4.1 reads it
+    /// from a lazy merge only up to the deviation's peak.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BitStream::delay_bound`].
+    pub fn delay_bound_of_filtered_sum<'a, I>(
+        streams: I,
+        higher: &BitStream,
+    ) -> Result<Time, StreamError>
+    where
+        I: IntoIterator<Item = &'a BitStream>,
+    {
+        let service = PiecewiseLinear::leftover_service(higher)?;
+        let mut soa = Merge::new(streams.into_iter().map(BitStream::filtered));
+        horizontal_deviation(&mut soa, &service)
+            .ok_or_else(|| overload(soa.long_run_rate(), higher))
     }
 
     /// The worst-case *response* time through the queueing point for a
@@ -63,6 +78,12 @@ impl BitStream {
     pub fn response_bound(&self, higher: &BitStream) -> Result<Time, StreamError> {
         Ok(self.delay_bound(higher)? + Time::ONE)
     }
+}
+
+/// The error for an unbounded delay; `arrival` is the long-run rate.
+fn overload(arrival: Rate, higher: &BitStream) -> StreamError {
+    let service = Rate::FULL - higher.long_run_rate();
+    StreamError::Overload { arrival, service }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Multiplexing and demultiplexing of bit streams (Algorithms 3.2
-//! and 3.3).
+//! Multiplexing and demultiplexing of bit streams (Algorithms 3.2 and
+//! 3.3); many-stream sums are one lazy k-way merge, read to its end or,
+//! by Algorithm 4.1, to the deviation's peak.
 
 use core::ops::Add;
 
@@ -33,7 +34,7 @@ impl BitStream {
     where
         I: IntoIterator<Item = &'a BitStream>,
     {
-        let mut sum = merge_sum(streams.into_iter().map(BitStream::view));
+        let mut sum = Merge::new(streams.into_iter().map(BitStream::view)).collect_all();
         // Exactly as long as a chain of pairwise multiplexes leaves it:
         // a stored aggregate is counted by its buffer.
         sum.shrink_to_fit();
@@ -64,7 +65,8 @@ impl BitStream {
     where
         I: IntoIterator<Item = &'a BitStream>,
     {
-        BitStream::from_canonical(merge_sum(streams.into_iter().map(BitStream::filtered)))
+        let sum = Merge::new(streams.into_iter().map(BitStream::filtered));
+        BitStream::from_canonical(sum.collect_all())
     }
 
     /// **Algorithm 3.3**: removes a component stream from an aggregate —
@@ -137,53 +139,69 @@ fn merge_rates(a: &BitStream, b: &BitStream, combine: impl Fn(Rate, Rate) -> Rat
 }
 
 /// `Σₖ vₖ` over canonical views: one k-way merge of their breakpoints
-/// with a running rate sum. Every view's rates fall strictly at each of
-/// its breakpoints, so the sum falls at each breakpoint of the union and
-/// comes out canonical — the same `(rate, start)` list, by uniqueness
-/// of reduced fractions, as any order of pairwise multiplexes.
-fn merge_sum<'a>(views: impl Iterator<Item = View<'a>>) -> Vec<Segment> {
-    struct Head<'a> {
-        view: View<'a>,
-        /// The next segment to read, and the rate of the one before it.
-        next: usize,
-        rate: Rate,
-    }
-    let mut heads: Vec<Head<'a>> = Vec::with_capacity(views.size_hint().0);
-    let mut capacity = 1;
-    let mut rate = Rate::ZERO;
-    for view in views {
-        capacity += view.len();
+/// with a running rate sum, run only as far as it is read. Every view's
+/// rates fall strictly at each of its breakpoints, so the sum falls at
+/// each breakpoint of the union and comes out canonical — the same
+/// `(rate, start)` list, by uniqueness of reduced fractions, as any order
+/// of pairwise multiplexes.
+pub(crate) struct Merge<'a> {
+    heads: Vec<Head<'a>>,
+    /// The sum's rate, and whether its segment at time 0 is still to come.
+    rate: Rate,
+    fresh: bool,
+}
+
+struct Head<'a> {
+    view: View<'a>,
+    /// The next segment to read, and the rate of the one before it.
+    at: usize,
+    rate: Rate,
+}
+
+impl<'a> Merge<'a> {
+    pub(crate) fn new(views: impl Iterator<Item = View<'a>>) -> Merge<'a> {
         // Every view starts at time 0.
-        let Some(&first) = view.get(0) else { continue };
-        rate += first.rate;
-        heads.push(Head {
-            view,
-            next: 1,
-            rate: first.rate,
-        });
+        let first = |view: View<'a>| Some((view.get(0)?.rate, view));
+        let head = |(rate, view)| Head { view, at: 1, rate };
+        let heads: Vec<Head<'a>> = views.filter_map(first).map(head).collect();
+        let rate = heads.iter().map(|head| head.rate).sum();
+        let fresh = true;
+        Merge { heads, rate, fresh }
     }
-    let mut out = Vec::with_capacity(capacity);
-    out.push(Segment::new(rate, Time::ZERO));
-    loop {
-        let mut earliest: Option<Time> = None;
-        for head in &heads {
-            if let Some(seg) = head.view.get(head.next) {
-                if earliest.is_none_or(|t| seg.start < t) {
-                    earliest = Some(seg.start);
-                }
-            }
+
+    /// The sum's last rate: each view's last rate, summed without merging.
+    pub(crate) fn long_run_rate(&self) -> Rate {
+        let last = |head: &Head| head.view.get(head.view.len() - 1).map(|seg| seg.rate);
+        self.heads.iter().filter_map(last).sum()
+    }
+
+    /// The whole sum, in a buffer with room for every view's segments.
+    fn collect_all(self) -> Vec<Segment> {
+        let mut sum =
+            Vec::with_capacity(1 + self.heads.iter().map(|h| h.view.len()).sum::<usize>());
+        sum.extend(self);
+        sum
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        if std::mem::take(&mut self.fresh) {
+            return Some(Segment::new(self.rate, Time::ZERO));
         }
-        let Some(t) = earliest else { break };
-        for head in &mut heads {
-            if let Some(&seg) = head.view.get(head.next).filter(|seg| seg.start == t) {
-                rate += seg.rate - head.rate;
+        let next = self.heads.iter().filter_map(|head| head.view.get(head.at));
+        let t = next.map(|seg| seg.start).min()?;
+        for head in &mut self.heads {
+            if let Some(&seg) = head.view.get(head.at).filter(|seg| seg.start == t) {
+                self.rate += seg.rate - head.rate;
                 head.rate = seg.rate;
-                head.next += 1;
+                head.at += 1;
             }
         }
-        out.push(Segment::new(rate, t));
+        Some(Segment::new(self.rate, t))
     }
-    out
 }
 
 impl Add<&BitStream> for &BitStream {

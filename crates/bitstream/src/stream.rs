@@ -281,21 +281,15 @@ impl BitStream {
     /// Returns `None` if the backlog grows without bound (long-run rate
     /// exceeds `capacity`).
     pub fn backlog_bound(&self, capacity: Rate) -> Option<Cells> {
-        if self.long_run_rate() > capacity {
-            return None;
-        }
         let mut backlog = Cells::ZERO;
-        for (i, seg) in self.segments.iter().enumerate() {
+        for pair in self.segments.windows(2) {
+            let (seg, end) = (pair[0], pair[1].start);
             if seg.rate <= capacity {
-                break;
+                return Some(backlog);
             }
-            let end = match self.segments.get(i + 1) {
-                Some(next) => next.start,
-                None => unreachable!("last rate exceeds capacity but long-run check passed"),
-            };
             backlog += (seg.rate - capacity) * (end - seg.start);
         }
-        Some(backlog)
+        (self.long_run_rate() <= capacity).then_some(backlog)
     }
 
     /// The time at which the cumulative traffic first reaches `amount`,
@@ -305,27 +299,16 @@ impl BitStream {
             return Some(Time::ZERO);
         }
         let mut acc = Cells::ZERO;
-        for (i, seg) in self.segments.iter().enumerate() {
-            let end = self.segments.get(i + 1).map(|next| next.start);
-            match end {
-                Some(end) => {
-                    let chunk = seg.rate * (end - seg.start);
-                    if acc + chunk >= amount {
-                        let need = amount - acc;
-                        return Some(seg.start + need / seg.rate);
-                    }
-                    acc += chunk;
-                }
-                None => {
-                    if seg.rate.is_zero() {
-                        return None;
-                    }
-                    let need = amount - acc;
-                    return Some(seg.start + need / seg.rate);
-                }
+        for pair in self.segments.windows(2) {
+            let (seg, end) = (pair[0], pair[1].start);
+            let chunk = seg.rate * (end - seg.start);
+            if acc + chunk >= amount {
+                return Some(seg.start + (amount - acc) / seg.rate);
             }
+            acc += chunk;
         }
-        unreachable!("segment loop always returns on the last segment")
+        let last = self.segments.last()?;
+        (!last.rate.is_zero()).then(|| last.start + (amount - acc) / last.rate)
     }
 
     /// Whether this stream's envelope dominates `other`'s everywhere:

@@ -6,19 +6,38 @@
 //! envelopes, and the delay bound is monotone and conservative.
 //!
 //! The registry is offline, so instead of proptest these run seeded
-//! loops over a local SplitMix64 generator.
+//! loops over a local SplitMix64 generator. Each test salts the seed
+//! `RTCAC_TEST_SEED` (0 if unset) with its own number, and a failing
+//! test names the seed that replays it.
 
 use rtcac_bitstream::{BitStream, Cells, Rate, Time, TrafficContract, VbrParams};
 use rtcac_rational::{ratio, Ratio};
 
 const CASES: u64 = 96;
 
-struct Rng(u64);
+struct Rng {
+    state: u64,
+    seed: u64,
+}
 
 impl Rng {
+    /// The generator for the test salted `salt`.
+    fn salted(salt: u64) -> Rng {
+        let seed = match std::env::var("RTCAC_TEST_SEED") {
+            Ok(s) => s
+                .parse()
+                .unwrap_or_else(|_| panic!("RTCAC_TEST_SEED={s:?} is not a u64")),
+            Err(_) => 0,
+        };
+        Rng {
+            state: seed ^ salt,
+            seed,
+        }
+    }
+
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -27,6 +46,16 @@ impl Rng {
     fn range(&mut self, lo: i128, hi: i128) -> i128 {
         let span = (hi - lo + 1) as u128;
         lo + (u128::from(self.next()) % span) as i128
+    }
+}
+
+impl Drop for Rng {
+    /// A test's generator lives as long as the test, so a failing one
+    /// names the seed as it unwinds.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("RTCAC_TEST_SEED={}", self.seed);
+        }
     }
 }
 
@@ -82,7 +111,7 @@ fn sample_times() -> Vec<Time> {
 
 #[test]
 fn multiplex_commutative_associative_with_zero_identity() {
-    let mut rng = Rng(101);
+    let mut rng = Rng::salted(101);
     for _ in 0..CASES {
         let (a, b, c) = (
             arb_stream(&mut rng),
@@ -97,7 +126,7 @@ fn multiplex_commutative_associative_with_zero_identity() {
 
 #[test]
 fn multiplex_cumulative_additive() {
-    let mut rng = Rng(102);
+    let mut rng = Rng::salted(102);
     for _ in 0..CASES {
         let (a, b) = (arb_stream(&mut rng), arb_stream(&mut rng));
         let s = a.multiplex(&b);
@@ -112,7 +141,7 @@ fn one_pass_sums_equal_pairwise_chains() {
     // The k-way merges behind `multiplex_all` and `multiplex_filtered`
     // against chains of two-way multiplexes (Algorithm 3.2) of the same
     // streams, filtered one by one (Algorithm 3.4) for the latter.
-    let mut rng = Rng(118);
+    let mut rng = Rng::salted(118);
     for _ in 0..CASES {
         let n = rng.range(0, 6);
         let parts: Vec<BitStream> = (0..n).map(|_| arb_stream(&mut rng)).collect();
@@ -138,7 +167,7 @@ fn one_pass_sums_equal_pairwise_chains() {
 
 #[test]
 fn demultiplex_inverts_multiplex() {
-    let mut rng = Rng(103);
+    let mut rng = Rng::salted(103);
     for _ in 0..CASES {
         let (a, b) = (arb_stream(&mut rng), arb_stream(&mut rng));
         let sum = a.multiplex(&b);
@@ -149,7 +178,7 @@ fn demultiplex_inverts_multiplex() {
 
 #[test]
 fn filter_never_exceeds_capacity_or_input() {
-    let mut rng = Rng(104);
+    let mut rng = Rng::salted(104);
     for _ in 0..CASES {
         let a = arb_stream(&mut rng);
         let f = a.filter();
@@ -163,7 +192,7 @@ fn filter_never_exceeds_capacity_or_input() {
 
 #[test]
 fn filter_idempotent() {
-    let mut rng = Rng(105);
+    let mut rng = Rng::salted(105);
     for _ in 0..CASES {
         let once = arb_stream(&mut rng).filter();
         assert_eq!(once.filter(), once);
@@ -173,7 +202,7 @@ fn filter_idempotent() {
 #[test]
 fn filter_envelope_is_exact_min() {
     // filter(S) must equal min(t, R(t)) pointwise, not merely bound it.
-    let mut rng = Rng(106);
+    let mut rng = Rng::salted(106);
     for _ in 0..CASES {
         let a = arb_stream(&mut rng);
         let f = a.filter();
@@ -188,7 +217,7 @@ fn filter_envelope_is_exact_min() {
 fn filter_long_run_rate_is_min_with_capacity() {
     // Stable inputs keep their long-run rate; overloaded inputs
     // saturate at the link rate forever.
-    let mut rng = Rng(107);
+    let mut rng = Rng::salted(107);
     for _ in 0..CASES {
         let a = arb_stream(&mut rng);
         let expect = a.long_run_rate().min(Rate::FULL);
@@ -198,7 +227,7 @@ fn filter_long_run_rate_is_min_with_capacity() {
 
 #[test]
 fn coarsen_dominates_with_bounded_denominators() {
-    let mut rng = Rng(108);
+    let mut rng = Rng::salted(108);
     for _ in 0..CASES {
         let a = arb_stream(&mut rng);
         let grid = rng.range(1, 128);
@@ -215,7 +244,7 @@ fn coarsen_dominates_with_bounded_denominators() {
 
 #[test]
 fn delay_envelope_is_exact_min() {
-    let mut rng = Rng(109);
+    let mut rng = Rng::salted(109);
     for _ in 0..CASES {
         let a = arb_source(&mut rng);
         let cdv = Time::from_integer(rng.range(0, 40));
@@ -229,7 +258,7 @@ fn delay_envelope_is_exact_min() {
 
 #[test]
 fn delay_monotone_in_cdv() {
-    let mut rng = Rng(110);
+    let mut rng = Rng::salted(110);
     for _ in 0..CASES {
         let a = arb_source(&mut rng);
         let (c1, c2) = (rng.range(0, 20), rng.range(0, 20));
@@ -246,7 +275,7 @@ fn delay_monotone_in_cdv() {
 fn delay_additive_composition() {
     // delay(c1) then delay(c2) equals delay(c1 + c2) exactly:
     // min(t, min(t + c2, R(t + c1 + c2))) = min(t, R(t + c1 + c2)).
-    let mut rng = Rng(111);
+    let mut rng = Rng::salted(111);
     for _ in 0..CASES {
         let a = arb_source(&mut rng);
         let (c1, c2) = (rng.range(1, 15), rng.range(1, 15));
@@ -261,7 +290,7 @@ fn delay_additive_composition() {
 #[test]
 fn delay_bound_conservative_vs_backlog() {
     // At top priority the delay bound equals the max backlog.
-    let mut rng = Rng(112);
+    let mut rng = Rng::salted(112);
     for _ in 0..CASES {
         let a = arb_stream(&mut rng);
         match (
@@ -277,7 +306,7 @@ fn delay_bound_conservative_vs_backlog() {
 
 #[test]
 fn delay_bound_monotone_in_interference() {
-    let mut rng = Rng(113);
+    let mut rng = Rng::salted(113);
     for _ in 0..CASES {
         let a = arb_source(&mut rng);
         let h = arb_source(&mut rng);
@@ -293,7 +322,7 @@ fn delay_bound_monotone_in_interference() {
 #[test]
 fn delay_bound_superadditive_under_mux() {
     // Adding traffic never shrinks the bound.
-    let mut rng = Rng(114);
+    let mut rng = Rng::salted(114);
     for _ in 0..CASES {
         let a = arb_source(&mut rng);
         let b = arb_source(&mut rng);
@@ -310,7 +339,7 @@ fn delay_bound_superadditive_under_mux() {
 
 #[test]
 fn source_streams_are_link_feasible() {
-    let mut rng = Rng(115);
+    let mut rng = Rng::salted(115);
     for _ in 0..CASES {
         let s = arb_source(&mut rng);
         assert!(s.peak_rate() <= Rate::FULL);
@@ -320,7 +349,7 @@ fn source_streams_are_link_feasible() {
 
 #[test]
 fn scale_matches_repeated_multiplex() {
-    let mut rng = Rng(116);
+    let mut rng = Rng::salted(116);
     for _ in 0..CASES {
         let s = arb_source(&mut rng);
         let n = rng.range(1, 8) as usize;
@@ -335,7 +364,7 @@ fn scale_matches_repeated_multiplex() {
 /// one grid step (the scan rounds its inverse upward).
 #[test]
 fn delay_bound_matches_brute_force_scan() {
-    let mut rng = Rng(117);
+    let mut rng = Rng::salted(117);
     for _ in 0..40 {
         let arrival = arb_stream(&mut rng);
         let interference = arb_source(&mut rng).filter();

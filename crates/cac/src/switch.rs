@@ -390,15 +390,14 @@ impl Switch {
         // Step 2: updated incoming aggregate.
         let sia_new = self.tables.arrival_plus(i, j, p, s);
 
-        // Step 3: updated output aggregate — in-link i's filtered
-        // contribution swapped for the new one, in one pass.
-        let soa_new = self.tables.output_aggregate_with(j, p, (i, &sia_new));
-
-        // Step 4: delay bound at the connection's own priority under
-        // the (unchanged) higher-priority interference.
-        let sof = self.tables.interference(j, p);
+        // Steps 3–4: delay bound at the connection's own priority under
+        // the (unchanged) higher-priority interference, of the updated
+        // output aggregate — in-link i's filtered contribution swapped
+        // for the new one — read from a lazy merge up to its peak.
+        let soa_new = self.tables.port_arrivals(j, p, Some((i, &sia_new)));
+        let sof = self.tables.interference_with(j, p, None);
         let mut bounds = Vec::new();
-        match Self::bound_or_reject(&soa_new, &sof, j, p, advertised)? {
+        match Self::bound_or_reject(soa_new, &sof, j, p, advertised)? {
             Ok(d) => bounds.push((p, d)),
             Err(reason) => return Ok((AdmissionDecision::Rejected(reason), None)),
         }
@@ -410,13 +409,13 @@ impl Switch {
                 continue;
             }
             let advertised1 = self.config.bound(p1)?;
-            let soa1 = self.tables.output_aggregate(j, p1);
-            if soa1.is_zero() {
+            let mut soa1 = self.tables.port_arrivals(j, p1, None).peekable();
+            if soa1.peek().is_none() {
                 bounds.push((p1, Time::ZERO));
                 continue;
             }
             let sof1 = self.tables.interference_with(j, p1, Some((i, s)));
-            match Self::bound_or_reject(&soa1, &sof1, j, p1, advertised1)? {
+            match Self::bound_or_reject(soa1, &sof1, j, p1, advertised1)? {
                 Ok(d) => bounds.push((p1, d)),
                 Err(reason) => return Ok((AdmissionDecision::Rejected(reason), None)),
             }
@@ -518,12 +517,9 @@ impl Switch {
     /// (cannot happen if all admissions went through [`Switch::admit`]).
     pub fn computed_bound(&self, out_link: LinkId, priority: Priority) -> Result<Time, CacError> {
         self.config.bound(priority)?;
-        let soa = self.tables.output_aggregate(out_link, priority);
-        if soa.is_zero() {
-            return Ok(Time::ZERO);
-        }
-        let sof = self.tables.interference(out_link, priority);
-        soa.delay_bound(&sof).map_err(CacError::from)
+        let soa = self.tables.port_arrivals(out_link, priority, None);
+        let sof = self.tables.interference_with(out_link, priority, None);
+        BitStream::delay_bound_of_filtered_sum(soa, &sof).map_err(CacError::from)
     }
 
     /// All outgoing links with established traffic.
@@ -545,14 +541,14 @@ impl Switch {
         }))
     }
 
-    fn bound_or_reject(
-        arrival: &BitStream,
+    fn bound_or_reject<'a>(
+        arrivals: impl IntoIterator<Item = &'a BitStream>,
         interference: &BitStream,
         out_link: LinkId,
         priority: Priority,
         advertised: Time,
     ) -> Result<Result<Time, RejectReason>, CacError> {
-        match arrival.delay_bound(interference) {
+        match BitStream::delay_bound_of_filtered_sum(arrivals, interference) {
             Ok(d) if d <= advertised => Ok(Ok(d)),
             Ok(d) => Ok(Err(RejectReason::BoundExceeded {
                 out_link,

@@ -13,8 +13,9 @@
 //!   incoming link; read as a filtered view inside the sum below, never
 //!   built on its own;
 //! - `Soa(j,p)   = Σᵢ Sif(i,j,p)` — the aggregate arriving at output
-//!   port `j` for priority `p`, one fused pass
-//!   ([`BitStream::multiplex_filtered`]);
+//!   port `j` for priority `p`, never built either: Algorithm 4.1 reads
+//!   it from a lazy merge of the port's entries, up to its peak
+//!   ([`BitStream::delay_bound_of_filtered_sum`]);
 //! - `Sia(i,j)(p) = Σ_{p' ≻ p} Sia(i,j,p')` — the higher-priority
 //!   aggregate per incoming link;
 //! - `Sof(j)(p)  = filter(Σᵢ filter(Sia(i,j)(p)))` — the worst-case
@@ -115,12 +116,6 @@ impl Tables {
         }
     }
 
-    /// Number of non-zero aggregates.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn len(&self) -> usize {
-        self.ports.values().map(Vec::len).sum()
-    }
-
     /// Approximate resident heap bytes of the stored aggregates.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.ports
@@ -145,21 +140,18 @@ impl Tables {
         self.ports.keys().map(|&(j, _)| j).collect()
     }
 
-    /// `Soa(j,p) = Σᵢ filter(Sia(i,j,p))`.
-    pub(crate) fn output_aggregate(&self, j: LinkId, p: Priority) -> BitStream {
-        BitStream::multiplex_filtered(self.port(j, p).iter().map(|(_, s)| s))
-    }
-
-    /// `Soa(j,p)` with in-link `i`'s aggregate swapped for `sia` — Step
-    /// 3's updated output aggregate, in the same single pass.
-    pub(crate) fn output_aggregate_with(
-        &self,
+    /// Every in-link's `Sia(i,j,p)` at port `(j, p)` — the terms of
+    /// `Soa(j,p)` — with in-link `i`'s swapped for `sia` if given, as
+    /// Step 3 updates it.
+    pub(crate) fn port_arrivals<'a>(
+        &'a self,
         j: LinkId,
         p: Priority,
-        (i, sia): (LinkId, &BitStream),
-    ) -> BitStream {
-        let others = self.port(j, p).iter().filter(|&&(k, _)| k != i);
-        BitStream::multiplex_filtered(others.map(|(_, s)| s).chain([sia]))
+        swap: Option<(LinkId, &'a BitStream)>,
+    ) -> impl Iterator<Item = &'a BitStream> {
+        let (skip, entries) = (swap.map(|(i, _)| i), self.port(j, p).iter());
+        let others = entries.filter(move |e| Some(e.0) != skip).map(|(_, s)| s);
+        others.chain(swap.map(|(_, sia)| sia))
     }
 
     /// `Sia(i,j)(p) = Σ_{p' ≻ p} Sia(i,j,p')`: the higher-priority
@@ -196,11 +188,6 @@ impl Tables {
             .collect();
         BitStream::multiplex_filtered(&per_link).filter()
     }
-
-    /// `Sof(j)(p)` with no hypothetical addition.
-    pub(crate) fn interference(&self, j: LinkId, p: Priority) -> BitStream {
-        self.interference_with(j, p, None)
-    }
 }
 
 #[cfg(test)]
@@ -211,6 +198,11 @@ mod tests {
 
     fn l(n: u32) -> LinkId {
         LinkId::external(n)
+    }
+
+    /// Number of non-zero aggregates.
+    fn len(t: &Tables) -> usize {
+        t.ports.values().map(Vec::len).sum()
     }
 
     fn burst(rate_num: i128, rate_den: i128, until: i128) -> BitStream {
@@ -233,7 +225,7 @@ mod tests {
             t.arrival(l(0), l(1), Priority::HIGHEST),
             Some(&s.multiplex(&s))
         );
-        assert_eq!(t.len(), 1);
+        assert_eq!(len(&t), 1);
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
         let mut t = Tables::new();
         t.add(l(0), l(1), Priority::HIGHEST, &burst(1, 4, 2));
         t.set(l(0), l(1), Priority::HIGHEST, BitStream::zero());
-        assert_eq!(t.len(), 0);
+        assert_eq!(len(&t), 0);
         assert!(t.arrival(l(0), l(1), Priority::HIGHEST).is_none());
         assert_eq!(t, Tables::new(), "an emptied port is dropped");
     }
@@ -268,52 +260,58 @@ mod tests {
         assert_eq!(t.in_link_long_run(l(9)), Rate::ZERO);
     }
 
+    /// `Soa(j,p)`, built from the port's terms.
+    fn soa(t: &Tables, j: LinkId, p: Priority, swap: Option<(LinkId, &BitStream)>) -> BitStream {
+        BitStream::multiplex_filtered(t.port_arrivals(j, p, swap))
+    }
+
     #[test]
-    fn output_aggregate_filters_per_in_link() {
+    fn port_arrivals_are_filtered_per_in_link() {
         let mut t = Tables::new();
         // Two bursty aggregates on different in-links: each is filtered
         // to <= 1 before summing, so the output aggregate peaks at 2,
         // not 4.
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 2));
         t.add(l(1), l(5), Priority::HIGHEST, &burst(1, 8, 2));
-        let agg = t.output_aggregate(l(5), Priority::HIGHEST);
+        let agg = soa(&t, l(5), Priority::HIGHEST, None);
         assert_eq!(agg.peak_rate(), Rate::new(ratio(2, 1)));
     }
 
     #[test]
-    fn output_aggregate_is_the_sum_of_filtered_in_links() {
+    fn port_arrivals_sum_to_the_filtered_in_links() {
         let mut t = Tables::new();
         let parts = [burst(1, 8, 2), burst(1, 4, 3), burst(1, 2, 1)];
         for (k, s) in parts.iter().enumerate() {
             t.add(l(k as u32), l(5), Priority::HIGHEST, s);
         }
         t.add(l(0), l(6), Priority::HIGHEST, &burst(1, 2, 9));
+        let terms: Vec<&BitStream> = t.port_arrivals(l(5), Priority::HIGHEST, None).collect();
+        assert_eq!(terms, parts.iter().collect::<Vec<_>>());
         let pairwise = parts
             .iter()
             .fold(BitStream::zero(), |acc, s| acc.multiplex(&s.filter()));
-        assert_eq!(t.output_aggregate(l(5), Priority::HIGHEST), pairwise);
-        assert!(t.output_aggregate(l(5), Priority::new(1)).is_zero());
+        assert_eq!(soa(&t, l(5), Priority::HIGHEST, None), pairwise);
+        assert_eq!(t.port_arrivals(l(5), Priority::new(1), None).count(), 0);
     }
 
     #[test]
-    fn output_aggregate_with_swaps_one_link() {
+    fn port_arrivals_swap_one_link() {
         let mut t = Tables::new();
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 2));
         t.add(l(1), l(5), Priority::HIGHEST, &burst(1, 8, 2));
         let p = Priority::HIGHEST;
         let sia0 = t.arrival(l(0), l(5), p).unwrap().clone();
         // Swapping in-link 1 for nothing leaves in-link 0 alone.
-        let partial = t.output_aggregate_with(l(5), p, (l(1), &BitStream::zero()));
+        let partial = soa(&t, l(5), p, Some((l(1), &BitStream::zero())));
         assert_eq!(partial, sia0.filter());
         // Swapping a link for its own aggregate changes nothing.
-        let same = t.output_aggregate_with(l(5), p, (l(1), &burst(1, 8, 2)));
-        assert_eq!(same, t.output_aggregate(l(5), p));
+        let same = soa(&t, l(5), p, Some((l(1), &burst(1, 8, 2))));
+        assert_eq!(same, soa(&t, l(5), p, None));
         // A fresh in-link adds its filtered aggregate.
-        let added = t.output_aggregate_with(l(5), p, (l(7), &burst(1, 4, 3)));
+        let added = soa(&t, l(5), p, Some((l(7), &burst(1, 4, 3))));
         assert_eq!(
             added,
-            t.output_aggregate(l(5), p)
-                .multiplex(&burst(1, 4, 3).filter())
+            soa(&t, l(5), p, None).multiplex(&burst(1, 4, 3).filter())
         );
     }
 
@@ -335,12 +333,12 @@ mod tests {
         let mut t = Tables::new();
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 4));
         t.add(l(1), l(5), Priority::HIGHEST, &burst(1, 8, 4));
-        let sof = t.interference(l(5), Priority::new(1));
+        let sof = t.interference_with(l(5), Priority::new(1), None);
         // Output filtering caps the interference at the link rate.
         assert!(sof.peak_rate() <= Rate::FULL);
         assert!(!sof.is_zero());
         // Highest priority sees no interference.
-        assert!(t.interference(l(5), Priority::HIGHEST).is_zero());
+        assert!(t.interference_with(l(5), Priority::HIGHEST, None).is_zero());
     }
 
     #[test]
@@ -348,7 +346,7 @@ mod tests {
         let mut t = Tables::new();
         t.add(l(0), l(5), Priority::HIGHEST, &burst(1, 8, 2));
         let extra = burst(1, 8, 2);
-        let without = t.interference(l(5), Priority::new(1));
+        let without = t.interference_with(l(5), Priority::new(1), None);
         let with_same_link = t.interference_with(l(5), Priority::new(1), Some((l(0), &extra)));
         let with_new_link = t.interference_with(l(5), Priority::new(1), Some((l(7), &extra)));
         // Adding interference can only inflate the envelope.
