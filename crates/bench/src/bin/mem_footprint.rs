@@ -16,16 +16,12 @@
 //! refcounts all hit zero, drop the switch, and require live heap back
 //! at baseline.
 //!
-//! Usage: `mem_footprint [--smoke] [--bench-json PATH]`
+//! Usage: `mem_footprint [--smoke]`
 //!
 //! `--smoke` caps the population at 10k legs (CI); the default runs
-//! 10k/100k/1M. `--bench-json` writes `BENCH_mem.json`-style rounds
-//! (the `ops_per_sec` field carries the before/after reduction factor,
-//! so `rtcac bench-report` flags a future representation regression as
-//! a slowdown).
+//! 10k/100k/1M.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use rtcac_bench::memory::{vm_rss_bytes, CountingAlloc};
 use rtcac_bench::{columns, f, header, row};
@@ -111,7 +107,6 @@ impl OldLayout {
 }
 
 struct Round {
-    legs: usize,
     before_bytes: u64,
     after_bytes: u64,
     reported_bytes: usize,
@@ -145,7 +140,6 @@ fn measure(pool: &[TrafficContract], legs: usize) -> Round {
     drop(switch);
 
     Round {
-        legs,
         before_bytes,
         after_bytes,
         reported_bytes,
@@ -180,11 +174,6 @@ fn leak_gate(pool: &[TrafficContract], legs: usize) -> (u64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     // Warm-up: trigger one-time lazy allocations (stdout buffer,
     // thread locals) before any baseline is taken.
@@ -245,37 +234,4 @@ fn main() {
         reduction >= 3.0,
         "representation must cut bytes/conn at least 3x (got {reduction:.2}x)"
     );
-
-    if let Some(path) = bench_json {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"bench\":\"mem_footprint\",\"smoke\":{smoke},\"grid\":{GRID},\"classes\":{},",
-            pool.len()
-        );
-        let _ = writeln!(out, "\"rounds\":[");
-        for (i, round) in rounds.iter().enumerate() {
-            let before_per = round.before_bytes as f64 / round.legs as f64;
-            let after_per = round.after_bytes as f64 / round.legs as f64;
-            let _ = writeln!(
-                out,
-                "{{\"workers\":{},\"ops_per_sec\":{:.3},\"before_bytes_per_conn\":{:.3},\
-                 \"after_bytes_per_conn\":{:.3},\"reported_bytes_per_conn\":{:.3},\
-                 \"vm_rss_bytes\":{}}}{}",
-                round.legs,
-                before_per / after_per,
-                before_per,
-                after_per,
-                round.reported_bytes as f64 / round.legs as f64,
-                round.rss_bytes,
-                if i + 1 == rounds.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"leak\":{{\"legs\":{leak_legs},\"leaked_bytes\":{leaked}}}}}"
-        );
-        std::fs::write(&path, out).expect("write bench json");
-        header("bench_json", path);
-    }
 }

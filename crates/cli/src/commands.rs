@@ -621,131 +621,6 @@ pub fn why(scenario: &Scenario, conn_name: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// One parsed per-worker round of a `BENCH_engine.json` file.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BenchRound {
-    workers: u64,
-    ops_per_sec: f64,
-    p50_ns: f64,
-    p99_ns: f64,
-}
-
-/// Pulls the numeric value following `"key":` out of one JSON line.
-/// The bench files are line-oriented (one round object per line)
-/// precisely so this std-only scan is enough to diff them.
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let at = line.find(&pattern)? + pattern.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Parses the per-worker rounds of a bench JSON file.
-fn parse_bench_rounds(text: &str) -> Vec<BenchRound> {
-    text.lines()
-        .filter_map(|line| {
-            Some(BenchRound {
-                workers: json_number(line, "workers")? as u64,
-                ops_per_sec: json_number(line, "ops_per_sec")?,
-                p50_ns: json_number(line, "p50_ns").unwrap_or(0.0),
-                p99_ns: json_number(line, "p99_ns").unwrap_or(0.0),
-            })
-        })
-        .collect()
-}
-
-/// `rtcac bench-report`: diff two `BENCH_engine.json` files (as written
-/// by the `engine_throughput --bench-json` benchmark or `rtcac chaos
-/// --bench-json`), comparing per-worker ops/sec and p99 latency and
-/// flagging any figure more than 10% worse in the candidate.
-///
-/// # Errors
-///
-/// Returns [`CliError::Domain`] when either file cannot be read or
-/// holds no per-worker rounds — these are data problems, not
-/// command-line mistakes, so the caller reports them as a one-line
-/// error without a usage dump.
-pub fn bench_report(baseline_path: &str, candidate_path: &str) -> Result<String, CliError> {
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::Domain(format!("bench-report: cannot read '{path}': {e}")))
-    };
-    let baseline_text = read(baseline_path)?;
-    let candidate_text = read(candidate_path)?;
-    let baseline = parse_bench_rounds(&baseline_text);
-    let candidate = parse_bench_rounds(&candidate_text);
-    if let Some(path) = [
-        (baseline_path, baseline.is_empty()),
-        (candidate_path, candidate.is_empty()),
-    ]
-    .iter()
-    .find_map(|(path, empty)| empty.then_some(*path))
-    {
-        return Err(CliError::Domain(format!(
-            "bench-report: no per-worker rounds in '{path}' (expected line-oriented \
-             bench JSON with \"workers\" and \"ops_per_sec\" fields)"
-        )));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench-report: {baseline_path} (baseline) vs {candidate_path} (candidate)"
-    );
-    let mut regressions = 0usize;
-    for base in &baseline {
-        let Some(cand) = candidate.iter().find(|c| c.workers == base.workers) else {
-            let _ = writeln!(out, "workers={}: missing from candidate", base.workers);
-            regressions += 1;
-            continue;
-        };
-        let ops_delta = (cand.ops_per_sec / base.ops_per_sec - 1.0) * 100.0;
-        let ops_flag = if ops_delta < -10.0 {
-            regressions += 1;
-            "  REGRESSION (>10% slower)"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "workers={}: ops/sec {:.0} -> {:.0} ({:+.1}%){}",
-            base.workers, base.ops_per_sec, cand.ops_per_sec, ops_delta, ops_flag
-        );
-        if base.p99_ns > 0.0 && cand.p99_ns > 0.0 {
-            let p99_delta = (cand.p99_ns / base.p99_ns - 1.0) * 100.0;
-            let p99_flag = if p99_delta > 10.0 {
-                regressions += 1;
-                "  REGRESSION (>10% slower)"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "workers={}: p99 {:.0}ns -> {:.0}ns ({:+.1}%){}",
-                base.workers, base.p99_ns, cand.p99_ns, p99_delta, p99_flag
-            );
-        }
-    }
-    for key in ["trace_ab", "obs_ab", "flight_ab"] {
-        let deltas: Vec<Option<f64>> = [&baseline_text, &candidate_text]
-            .iter()
-            .map(|text| {
-                text.lines()
-                    .find(|l| l.contains(&format!("\"{key}\"")))
-                    .and_then(|l| json_number(l, "delta_percent"))
-            })
-            .collect();
-        if let (Some(base), Some(cand)) = (deltas[0], deltas[1]) {
-            let _ = writeln!(
-                out,
-                "{key} overhead: {base:+.1}% (baseline) -> {cand:+.1}% (candidate)"
-            );
-        }
-    }
-    let _ = writeln!(out, "regressions: {regressions}");
-    Ok(out)
-}
-
 /// `rtcac simulate`: admit the scenario, then measure it with greedy
 /// worst-case sources in the cell-level simulator.
 ///
@@ -910,9 +785,6 @@ pub struct ChaosArgs {
     pub rate: u64,
     /// Optional metrics output path (Prometheus text, plus `.json`).
     pub metrics: Option<String>,
-    /// Optional bench JSON output path (`rtcac bench-report` input):
-    /// setups/sec of the churn plus reserve-phase p50/p99.
-    pub bench_json: Option<String>,
 }
 
 /// `rtcac chaos`: a seeded chaos session against the concurrent
@@ -948,7 +820,6 @@ pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
     );
     let plan = FaultPlan::random(engine.topology(), args.seed, args.steps, args.rate);
     let pairs = endpoint_pairs(engine.topology());
-    let started = std::time::Instant::now();
     let report = run_chaos(
         &engine,
         &pairs,
@@ -960,7 +831,6 @@ pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
         },
     )
     .map_err(CliError::domain)?;
-    let elapsed = started.elapsed().as_secs_f64();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -973,22 +843,6 @@ pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
     out.push('\n');
     if let Some(path) = &args.metrics {
         export_metrics(&registry, path, &mut out)?;
-    }
-    if let Some(path) = &args.bench_json {
-        let snapshot = registry.snapshot();
-        let (p50, p99) = snapshot
-            .histogram("engine_reserve_ns")
-            .map_or((0, 0), |h| (h.p50(), h.p99()));
-        let ops = report.stats.submitted as f64 / elapsed.max(1e-9);
-        let contents = format!(
-            "{{\"bench\":\"chaos\",\"seed\":{},\"steps\":{},\n\
-             \"rounds\":[\n\
-             {{\"workers\":1,\"ops_per_sec\":{ops:.1},\"p50_ns\":{p50},\"p99_ns\":{p99}}}\n\
-             ]}}\n",
-            args.seed, args.steps
-        );
-        write_metrics_file(path, &contents)?;
-        let _ = writeln!(out, "bench: wrote {path} (bench json)");
     }
     if !report.invariants_hold() {
         return Err(CliError::Domain(format!(
@@ -1153,8 +1007,6 @@ pub struct LoadArgs {
     pub rate: Option<u64>,
     /// Randomization seed.
     pub seed: u64,
-    /// Bench JSON output path (`BENCH_serve.json`), if any.
-    pub bench_json: Option<String>,
     /// Send DRAIN after the run (clean server shutdown).
     pub drain: bool,
     /// Soak duration in minutes: repeat `ops`-sized batches until it
@@ -1165,8 +1017,7 @@ pub struct LoadArgs {
 }
 
 /// `rtcac load`: drive the open-loop generator against a running
-/// `rtcac serve` and report ops/s plus setup latency quantiles; with
-/// `--bench-json`, write a `bench-report`-compatible round file.
+/// `rtcac serve` and report ops/s plus setup latency quantiles.
 ///
 /// # Errors
 ///
@@ -1209,10 +1060,6 @@ pub fn serve_load(args: &LoadArgs) -> Result<String, CliError> {
         "load: setup latency p50={}ns p90={}ns p99={}ns",
         report.p50_ns, report.p90_ns, report.p99_ns
     );
-    if let Some(path) = &args.bench_json {
-        write_metrics_file(path, &report.bench_json(args.threads, args.seed))?;
-        let _ = writeln!(out, "load: wrote {path} (bench json)");
-    }
     if args.drain {
         let mut client = rtcac_serve::Client::connect(&args.addr).map_err(CliError::domain)?;
         match client.drain().map_err(CliError::domain)? {
@@ -1960,7 +1807,6 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
             steps: 100,
             rate: 30,
             metrics: Some(path_str.clone()),
-            bench_json: None,
         })
         .unwrap();
         assert!(out.contains("chaos: dual star-ring 6x1"), "{out}");
@@ -1982,7 +1828,6 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
             steps: 100,
             rate: 30,
             metrics: None,
-            bench_json: None,
         };
         assert_eq!(chaos(&args).unwrap(), chaos(&args).unwrap());
 

@@ -45,13 +45,8 @@ USAGE:
       one named connection: the per-hop ledger of computed Algorithm
       4.1 bound vs deadline with CDV in/out, the refusing hop marked.
 
-  rtcac bench-report BASELINE.json CANDIDATE.json
-      Diff two bench JSON files (engine_throughput --bench-json or
-      rtcac chaos --bench-json): per-worker ops/sec and p99 latency,
-      flagging any figure more than 10% worse in the candidate.
-
   rtcac chaos [--nodes N] [--terminals N] [--seed N] [--steps N]
-              [--rate P] [--metrics PATH] [--bench-json PATH]
+              [--rate P] [--metrics PATH]
       Seeded chaos session on a dual star-ring: random link/node
       failures and repairs under live setup/release churn through the
       concurrent engine. Exits nonzero if any safety invariant breaks
@@ -60,8 +55,7 @@ USAGE:
       snapshot to PATH (Prometheus) and PATH.json before the verdict.
 
   rtcac storm [--seed N] [--rounds N] [--topology KIND] [--profile KIND]
-              [--nodes N] [--out PATH] [--metrics PATH] [--bench-json PATH]
-              [--flight DIR]
+              [--nodes N] [--out PATH] [--metrics PATH] [--flight DIR]
       Differential scenario fuzzer: each round generates a seeded
       random valid scenario (topologies: star-of-rings, fat-tree, wan,
       or 'mixed'; impairment profiles: flap, brownout, degrade-heal,
@@ -126,19 +120,19 @@ USAGE:
       'diff' compares two snapshots field by field.
 
   rtcac load [--addr HOST:PORT] [--threads N] [--ops N] [--pipeline N]
-             [--rate OPS_PER_SEC] [--seed N] [--bench-json PATH]
-             [--smoke] [--drain] [--soak MINS [--metrics-addr HOST:PORT]]
+             [--rate OPS_PER_SEC] [--seed N] [--smoke] [--drain]
+             [--soak MINS [--metrics-addr HOST:PORT]]
       Open-loop multi-threaded load generator against a running
       'rtcac serve': pipelined setup+release churn over randomized
       star-ring routes, reporting ops/s and setup latency p50/p90/p99
       (measured from scheduled send times when --rate paces the run).
       --smoke is shorthand for a small CI-sized run; --drain sends
-      DRAIN afterwards; --bench-json writes BENCH_serve.json rounds.
-      --soak MINS repeats --ops-sized batches until the deadline while
-      scraping the server's metrics endpoint into a windowed
-      time-series, printing one live status line per sample (setup and
-      reject rates, sliding reserve p99, resident bytes) — the churn
-      memory-stability probe for 'rtcac bench-report'.
+      DRAIN afterwards. --soak MINS repeats --ops-sized batches until
+      the deadline while scraping the server's metrics endpoint into a
+      windowed time-series, printing one live status line per sample
+      (setup and reject rates, sliding reserve p99, resident bytes) —
+      the churn memory-stability probe. Tracked perf figures come from
+      the reference benchmark (benchmark/run.sh), not from this tool.
 
   rtcac top [--addr HOST:PORT] [--interval MS] [--samples N] [--no-tui]
       Live terminal view of a running 'rtcac serve': scrapes /metrics
@@ -173,6 +167,9 @@ USAGE:
   rtcac rtnet --nodes N --terminals N --load RATE [--share P] [--soft]
       RTnet ring analysis: port bounds, end-to-end bound, admissibility.
 
+Every command refuses a --flag it does not list above, and a flag's
+value may not itself start with '--'.
+
 Rates and loads are exact rationals ('1/8', '0.35'); times are in ATM
 cell times (~2.7 us at 155 Mbps; 370 cells ~= 1 ms).
 ";
@@ -187,8 +184,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             // Only command-line mistakes earn the usage dump; data and
-            // domain failures (missing bench baseline, corrupt
-            // snapshot, dirty shutdown audit) stay a one-line error.
+            // domain failures (unreadable dump file, corrupt snapshot,
+            // dirty shutdown audit) stay a one-line error.
             if matches!(e, CliError::Usage(_)) {
                 eprintln!();
                 eprintln!("{USAGE}");
@@ -202,7 +199,11 @@ fn run(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("bound") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(
+                "bound",
+                it,
+                "--pcr --scr --mbs --cdv --count --interference",
+            )?;
             let pcr = flag_ratio(&rest, "--pcr")?
                 .ok_or_else(|| CliError::Usage("--pcr is required".into()))?;
             let scr = flag_ratio(&rest, "--scr")?;
@@ -223,7 +224,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let path = it
                 .next()
                 .ok_or_else(|| CliError::Usage("check needs a scenario file".into()))?;
-            let rest: Vec<&String> = it.collect();
+            let rest = flags("check", it, "--engine --metrics")?;
             let engine_mode = rest.iter().any(|a| a.as_str() == "--engine");
             let metrics = flag_value(&rest, "--metrics")?;
             let scenario = load(path)?;
@@ -243,21 +244,23 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let path = it
                 .next()
                 .ok_or_else(|| CliError::Usage("engine needs a scenario file".into()))?;
-            let rest: Vec<&String> = it.collect();
-            refuse_workers(&rest, "engine")?;
+            let rest = flags("engine", it, "--metrics")?;
             let metrics = flag_value(&rest, "--metrics")?;
             let scenario = load(path)?;
             commands::engine(&scenario, metrics)
         }
         Some("chaos") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(
+                "chaos",
+                it,
+                "--nodes --terminals --seed --steps --rate --metrics",
+            )?;
             let nodes = flag_u64(&rest, "--nodes")?.unwrap_or(16) as usize;
             let terminals = flag_u64(&rest, "--terminals")?.unwrap_or(1) as usize;
             let seed = flag_u64(&rest, "--seed")?.unwrap_or(1);
             let steps = flag_u64(&rest, "--steps")?.unwrap_or(200);
             let rate = flag_u64(&rest, "--rate")?.unwrap_or(25);
             let metrics = flag_value(&rest, "--metrics")?.map(str::to_owned);
-            let bench_json = flag_value(&rest, "--bench-json")?.map(str::to_owned);
             commands::chaos(&commands::ChaosArgs {
                 nodes,
                 terminals,
@@ -265,11 +268,14 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 steps,
                 rate,
                 metrics,
-                bench_json,
             })
         }
         Some("storm") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(
+                "storm",
+                it,
+                "--seed --rounds --profile --topology --nodes --out --metrics --flight",
+            )?;
             rtcac_cli::storm::storm(&rtcac_cli::storm::StormArgs {
                 seed: flag_u64(&rest, "--seed")?.unwrap_or(1),
                 rounds: flag_u64(&rest, "--rounds")?.unwrap_or(1000),
@@ -286,7 +292,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     .transpose()?,
                 out: flag_value(&rest, "--out")?.map(str::to_owned),
                 metrics: flag_value(&rest, "--metrics")?.map(str::to_owned),
-                bench_json: flag_value(&rest, "--bench-json")?.map(str::to_owned),
                 flight: flag_value(&rest, "--flight")?.map(str::to_owned),
             })
         }
@@ -294,8 +299,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let path = it
                 .next()
                 .ok_or_else(|| CliError::Usage("trace needs a scenario file".into()))?;
-            let rest: Vec<&String> = it.collect();
-            refuse_workers(&rest, "trace")?;
+            let rest = flags("trace", it, "--engine --out")?;
             let engine_mode = rest.iter().any(|a| a.as_str() == "--engine");
             let out = flag_value(&rest, "--out")?;
             let scenario = load(path)?;
@@ -308,21 +312,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let name = it
                 .next()
                 .ok_or_else(|| CliError::Usage("why needs a connection name".into()))?;
+            flags("why", it, "")?;
             let scenario = load(path)?;
             commands::why(&scenario, name)
         }
-        Some("bench-report") => {
-            let baseline = it
-                .next()
-                .ok_or_else(|| CliError::Usage("bench-report needs a baseline file".into()))?;
-            let candidate = it
-                .next()
-                .ok_or_else(|| CliError::Usage("bench-report needs a candidate file".into()))?;
-            commands::bench_report(baseline, candidate)
-        }
         Some("stats") => {
-            let rest: Vec<&String> = it.collect();
-            refuse_workers(&rest, "stats")?;
+            let rest = flags("stats", it, "--json --addr")?;
             let json = rest.iter().any(|a| a.as_str() == "--json");
             if let Some(addr) = flag_value(&rest, "--addr")? {
                 return commands::stats_remote(addr, json);
@@ -339,7 +334,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
             commands::stats(&scenario, json)
         }
         Some("serve") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(
+                "serve",
+                it,
+                "--addr --metrics-addr --nodes --terminals --bound --workers \
+                 --snapshot-free --snapshot --snapshot-every --flight-dir --watchdog-ns",
+            )?;
             commands::serve(&commands::ServeArgs {
                 addr: flag_value(&rest, "--addr")?
                     .unwrap_or("127.0.0.1:7047")
@@ -363,17 +363,14 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     CliError::Usage("snapshot needs an action: save|restore|inspect|diff".into())
                 })?
                 .as_str();
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(&format!("snapshot {action}"), it, "")?;
             let positional = |n: usize, what: &str| -> Result<&str, CliError> {
-                rest.iter()
-                    .filter(|a| !a.starts_with("--"))
-                    .nth(n)
+                rest.get(n)
                     .map(|s| s.as_str())
                     .ok_or_else(|| CliError::Usage(format!("snapshot {action} needs {what}")))
             };
             match action {
                 "save" => {
-                    refuse_workers(&rest, "snapshot save")?;
                     let scenario = load(positional(0, "a scenario file")?)?;
                     let out = positional(1, "an output path")?;
                     commands::snapshot_save(&scenario, out)
@@ -390,7 +387,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         Some("load") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags(
+                "load",
+                it,
+                "--addr --threads --ops --pipeline --rate --seed --smoke --drain \
+                 --soak --metrics-addr",
+            )?;
             let smoke = rest.iter().any(|a| a.as_str() == "--smoke");
             commands::serve_load(&commands::LoadArgs {
                 addr: flag_value(&rest, "--addr")?
@@ -402,7 +404,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 pipeline: flag_u64(&rest, "--pipeline")?.unwrap_or(32) as usize,
                 rate: flag_u64(&rest, "--rate")?,
                 seed: flag_u64(&rest, "--seed")?.unwrap_or(7),
-                bench_json: flag_value(&rest, "--bench-json")?.map(str::to_owned),
                 drain: rest.iter().any(|a| a.as_str() == "--drain"),
                 soak_minutes: flag_value(&rest, "--soak")?
                     .map(|v| {
@@ -419,7 +420,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             })
         }
         Some("top") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags("top", it, "--addr --interval --samples --no-tui")?;
             rtcac_cli::top::top(&rtcac_cli::top::TopArgs {
                 addr: flag_value(&rest, "--addr")?
                     .unwrap_or("127.0.0.1:7048")
@@ -436,7 +437,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     CliError::Usage("flight needs an action: inspect|export|dump".into())
                 })?
                 .as_str();
-            let rest: Vec<&String> = it.collect();
+            let accepted = match action {
+                "export" => "--out",
+                "dump" => "--addr",
+                _ => "",
+            };
+            let rest = flags(&format!("flight {action}"), it, accepted)?;
             let positional = |n: usize, what: &str| -> Result<&str, CliError> {
                 rest.iter()
                     .filter(|a| !a.starts_with("--"))
@@ -464,7 +470,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let path = it
                 .next()
                 .ok_or_else(|| CliError::Usage("simulate needs a scenario file".into()))?;
-            let rest: Vec<&String> = it.collect();
+            let rest = flags("simulate", it, "--slots --jitter --seed")?;
             let slots = flag_u64(&rest, "--slots")?.unwrap_or(100_000);
             let jitter = flag_u64(&rest, "--jitter")?;
             let seed = flag_u64(&rest, "--seed")?.unwrap_or(1);
@@ -472,7 +478,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             commands::simulate(&scenario, slots, jitter.map(|j| (j, seed)))
         }
         Some("rtnet") => {
-            let rest: Vec<&String> = it.collect();
+            let rest = flags("rtnet", it, "--nodes --terminals --load --share --soft")?;
             let nodes = flag_u64(&rest, "--nodes")?.unwrap_or(16) as usize;
             let terminals = flag_u64(&rest, "--terminals")?.unwrap_or(1) as usize;
             let load = flag_ratio(&rest, "--load")?
@@ -499,23 +505,38 @@ fn load(path: &str) -> Result<Scenario, CliError> {
     Scenario::parse(&text)
 }
 
-/// Refuses `--workers` on a command that replays its scenario in file
-/// order on one thread: the flag sizes `rtcac serve` alone, and ignoring
-/// it would hide that.
-fn refuse_workers(args: &[&String], command: &str) -> Result<(), CliError> {
-    if args.iter().any(|a| a.as_str() == "--workers") {
-        return Err(CliError::Usage(format!(
-            "{command} takes no --workers: it replays the scenario in file order \
-             (--workers sizes 'rtcac serve' only)"
-        )));
+/// Collects a command's remaining arguments, refusing any `--flag` the
+/// command does not accept: an ignored flag would exit 0 and leave a
+/// script waiting for output that never comes.
+fn flags<'a>(
+    command: &str,
+    args: impl Iterator<Item = &'a String>,
+    accepted: &str,
+) -> Result<Vec<&'a String>, CliError> {
+    let rest: Vec<&String> = args.collect();
+    let unknown =
+        |a: &&&String| a.starts_with("--") && !accepted.split_whitespace().any(|f| f == a.as_str());
+    match rest.iter().find(unknown) {
+        Some(flag) => Err(CliError::Usage(format!(
+            "{command} takes no {flag} (accepted: {})",
+            if accepted.is_empty() {
+                "none"
+            } else {
+                accepted
+            }
+        ))),
+        None => Ok(rest),
     }
-    Ok(())
 }
 
+/// The value after `flag`, if the flag is present. A value cannot
+/// itself be a flag: `--metrics --rounds 5` is a missing value, not a
+/// file named `--rounds`.
 fn flag_value<'a>(args: &'a [&String], flag: &str) -> Result<Option<&'a str>, CliError> {
     match args.iter().position(|a| a.as_str() == flag) {
         Some(i) => args
             .get(i + 1)
+            .filter(|v| !v.starts_with("--"))
             .map(|s| Some(s.as_str()))
             .ok_or_else(|| CliError::Usage(format!("{flag} requires a value"))),
         None => Ok(None),

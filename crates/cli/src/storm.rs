@@ -71,8 +71,6 @@ pub struct StormArgs {
     pub out: Option<String>,
     /// Optional metrics output path (Prometheus text, plus `.json`).
     pub metrics: Option<String>,
-    /// Optional bench JSON output path (`rtcac bench-report` input).
-    pub bench_json: Option<String>,
     /// Optional flight-recorder directory: each round becomes one
     /// tick of a windowed series, and the first parity violation dumps
     /// a black box there (clean storms write nothing).
@@ -89,7 +87,6 @@ impl Default for StormArgs {
             nodes: None,
             out: None,
             metrics: None,
-            bench_json: None,
             flight: None,
         }
     }
@@ -184,7 +181,6 @@ pub(crate) fn storm_with(args: &StormArgs, tamper: Tamper) -> Result<String, Cli
 
     let mut master = SimRng::seed_from_u64(args.seed);
     let mut totals = StormTotals::default();
-    let started = std::time::Instant::now();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -252,20 +248,15 @@ pub(crate) fn storm_with(args: &StormArgs, tamper: Tamper) -> Result<String, Cli
                     scenario.directives.len()
                 );
             }
-            write_exports(
-                args,
-                &registry,
-                &totals,
-                started.elapsed().as_secs_f64(),
-                &mut out,
-            )?;
+            if let Some(path) = &args.metrics {
+                export_metrics(&registry, path, &mut out)?;
+            }
             return Err(CliError::Domain(format!(
                 "storm round {round} (seed {round_seed}) violated parity:\n{out}"
             )));
         }
     }
 
-    let elapsed = started.elapsed().as_secs_f64();
     let _ = writeln!(
         out,
         "rounds: {} clean ({} directives, {} connects, {} releases, {} faults, \
@@ -298,39 +289,11 @@ pub(crate) fn storm_with(args: &StormArgs, tamper: Tamper) -> Result<String, Cli
             recorder.dumps_written()
         );
     }
-    write_exports(args, &registry, &totals, elapsed, &mut out)?;
+    if let Some(path) = &args.metrics {
+        export_metrics(&registry, path, &mut out)?;
+    }
     let _ = writeln!(out, "storm: OK");
     Ok(out)
-}
-
-/// Writes the `--metrics` and `--bench-json` artifacts, if requested.
-fn write_exports(
-    args: &StormArgs,
-    registry: &Arc<rtcac_obs::Registry>,
-    totals: &StormTotals,
-    elapsed: f64,
-    out: &mut String,
-) -> Result<(), CliError> {
-    if let Some(path) = &args.metrics {
-        export_metrics(registry, path, out)?;
-    }
-    if let Some(path) = &args.bench_json {
-        let snapshot = registry.snapshot();
-        let (p50, p99) = snapshot
-            .histogram("storm_round_ns")
-            .map_or((0, 0), |h| (h.p50(), h.p99()));
-        let ops = totals.directives as f64 / elapsed.max(1e-9);
-        let contents = format!(
-            "{{\"bench\":\"storm\",\"seed\":{},\"rounds\":{},\n\
-             \"rounds\":[\n\
-             {{\"workers\":1,\"ops_per_sec\":{ops:.1},\"p50_ns\":{p50},\"p99_ns\":{p99}}}\n\
-             ]}}\n",
-            args.seed, totals.directives
-        );
-        write_metrics_file(path, &contents)?;
-        let _ = writeln!(out, "bench: wrote {path} (bench json)");
-    }
-    Ok(())
 }
 
 /// Replays one generated scenario through both drivers and returns

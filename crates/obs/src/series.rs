@@ -225,13 +225,8 @@ fn per_second(count: u64, elapsed_ms: u64) -> f64 {
 }
 
 /// A background thread snapshotting a [`Registry`] into a
-/// [`TimeSeries`] at a fixed interval.
-///
-/// The sampler can be *paused* ([`Sampler::set_active`]) without being
-/// torn down: the thread keeps its cadence but skips the snapshot work,
-/// which is what the A/B overhead bench uses to compare
-/// sampler-on/sampler-off under otherwise identical process conditions.
-/// Dropping the sampler stops and joins the thread.
+/// [`TimeSeries`] at a fixed interval. Dropping the sampler stops and
+/// joins the thread.
 pub struct Sampler {
     shared: Arc<SamplerShared>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -239,7 +234,6 @@ pub struct Sampler {
 
 struct SamplerShared {
     stop: AtomicBool,
-    active: AtomicBool,
     series: Mutex<TimeSeries>,
 }
 
@@ -265,7 +259,6 @@ impl Sampler {
     ) -> Sampler {
         let shared = Arc::new(SamplerShared {
             stop: AtomicBool::new(false),
-            active: AtomicBool::new(true),
             series: Mutex::new(TimeSeries::new(capacity)),
         });
         let thread_shared = Arc::clone(&shared);
@@ -278,13 +271,6 @@ impl Sampler {
                     std::thread::sleep(interval);
                     if thread_shared.stop.load(Ordering::Relaxed) {
                         break;
-                    }
-                    if !thread_shared.active.load(Ordering::Relaxed) {
-                        // Paused: keep cadence, drop the baseline so a
-                        // resume doesn't attribute the whole pause to
-                        // one tick.
-                        last = Instant::now();
-                        continue;
                     }
                     let snap = registry.snapshot();
                     let now = Instant::now();
@@ -303,12 +289,6 @@ impl Sampler {
             shared,
             handle: Some(handle),
         }
-    }
-
-    /// Pauses (`false`) or resumes (`true`) sampling without stopping
-    /// the thread.
-    pub fn set_active(&self, active: bool) {
-        self.shared.active.store(active, Ordering::Relaxed);
     }
 
     /// Runs `f` with the current series under its lock.
@@ -338,7 +318,7 @@ impl Drop for Sampler {
 impl std::fmt::Debug for Sampler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sampler")
-            .field("active", &self.shared.active.load(Ordering::Relaxed))
+            .field("stopped", &self.shared.stop.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -422,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn sampler_ticks_and_pauses() {
+    fn sampler_ticks() {
         let r = Arc::new(Registry::new());
         let c = r.counter("sampled_total");
         let sampler = Sampler::spawn(Arc::clone(&r), Duration::from_millis(10), 16);
@@ -442,11 +422,6 @@ mod tests {
             assert!(Instant::now() < deadline, "sampler never observed counter");
             std::thread::sleep(Duration::from_millis(5));
         }
-        sampler.set_active(false);
-        std::thread::sleep(Duration::from_millis(30));
-        let frozen = sampler.with_series(|ts| ts.len());
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(sampler.with_series(|ts| ts.len()), frozen);
         sampler.stop();
     }
 

@@ -88,20 +88,6 @@ pub struct LoadReport {
     pub p99_ns: u64,
 }
 
-impl LoadReport {
-    /// Renders the report as line-oriented bench JSON compatible with
-    /// `rtcac bench-report` (one round object per line).
-    pub fn bench_json(&self, threads: usize, seed: u64) -> String {
-        format!(
-            "{{\"bench\":\"serve\",\"seed\":{seed},\"ops\":{},\n\
-             \"rounds\":[\n\
-             {{\"workers\":{threads},\"ops_per_sec\":{:.1},\"p50_ns\":{},\"p99_ns\":{}}}\n\
-             ]}}\n",
-            self.ops, self.ops_per_sec, self.p50_ns, self.p99_ns
-        )
-    }
-}
-
 /// One periodic scrape of the served engine during a soak run. The
 /// rate and quantile figures come from a windowed [`TimeSeries`] built
 /// over the scrapes (scrape-to-scrape deltas), so they describe "now",
