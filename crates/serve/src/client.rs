@@ -10,7 +10,9 @@
 //!   [`Client::flush`] pushes them out; [`Client::recv`] reads replies.
 //!   Server sessions dispatch serially, so replies come back in request
 //!   order and a FIFO of in-flight requests is all the matching a
-//!   caller needs. The open-loop load generator lives on this path.
+//!   caller needs. A session flushes once per read batch, so the
+//!   replies to a burst that reached it in one read arrive together.
+//!   The open-loop load generator lives on this path.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -39,7 +39,7 @@ use rtcac_signaling::CdvPolicy;
 
 use crate::metrics_http::spawn_metrics_endpoint;
 use crate::proto::{rejection_class, ErrorCode, Request, Response};
-use crate::wire::{read_frame, write_frame, WireError};
+use crate::wire::{holds_frame, read_frame, write_frame, WireError};
 
 /// How often blocked reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -184,6 +184,7 @@ struct ServiceState {
     m_released: Counter,
     m_cleanup: Counter,
     m_wire_errors: Counter,
+    m_reply_flushes: Counter,
     m_sessions: Counter,
     m_active: Gauge,
     m_draining: Gauge,
@@ -455,6 +456,7 @@ impl Server {
             m_released: counter("serve_releases_total"),
             m_cleanup: counter("serve_cleanup_releases_total"),
             m_wire_errors: counter("serve_wire_errors_total"),
+            m_reply_flushes: counter("serve_reply_flushes_total"),
             m_sessions: counter("serve_sessions_total"),
             m_active: gauge("serve_active_connections"),
             m_draining: gauge("serve_draining"),
@@ -671,6 +673,7 @@ fn session(state: &Arc<ServiceState>, stream: TcpStream) {
                     message: e.to_string(),
                 };
                 let _ = write_frame(&mut writer, &reply.encode());
+                state.m_reply_flushes.inc();
                 let _ = writer.flush();
                 break;
             }
@@ -695,8 +698,18 @@ fn session(state: &Arc<ServiceState>, stream: TcpStream) {
             }
         };
         let Some(reply) = reply else { break };
-        if write_frame(&mut writer, &reply.encode()).is_err() || writer.flush().is_err() {
+        if write_frame(&mut writer, &reply.encode()).is_err() {
             break;
+        }
+        // One write per read batch: replies wait in the writer while
+        // the next frame is already whole in the read buffer (reading
+        // it costs no syscall and cannot block), and go out together
+        // before any read that could.
+        if !holds_frame(reader.buffer()) {
+            state.m_reply_flushes.inc();
+            if writer.flush().is_err() {
+                break;
+            }
         }
     }
     // Session cleanup: whatever this client still owns is released, so

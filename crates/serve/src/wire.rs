@@ -184,6 +184,14 @@ fn read_full(
 pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut prefix = [0u8; 4];
     read_full(reader, &mut prefix, 0, false)?;
+    let mut payload = vec![0u8; payload_len(prefix)?];
+    read_full(reader, &mut payload, 0, true)?;
+    Ok(payload)
+}
+
+/// The payload length a frame prefix announces, refused unless it lies
+/// in `MIN_PAYLOAD ..= MAX_PAYLOAD`.
+fn payload_len(prefix: [u8; 4]) -> Result<usize, WireError> {
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized {
@@ -194,9 +202,21 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, WireError> {
     if len < MIN_PAYLOAD {
         return Err(WireError::Runt { len });
     }
-    let mut payload = vec![0u8; len];
-    read_full(reader, &mut payload, 0, true)?;
-    Ok(payload)
+    Ok(len)
+}
+
+/// Whether `buf` starts with one complete frame: a valid prefix and
+/// every payload byte it announces. [`read_frame`] over such a buffer
+/// returns without touching the socket behind it.
+///
+/// An invalid prefix (oversized or runt) counts as incomplete: a
+/// session that holds replies flushes them before it reads the prefix
+/// and answers the framing error.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    let Some((prefix, payload)) = buf.split_first_chunk::<4>() else {
+        return false;
+    };
+    payload_len(*prefix).is_ok_and(|len| payload.len() >= len)
 }
 
 /// Writes one frame around an already-encoded payload (which must
@@ -264,6 +284,25 @@ mod tests {
             read_frame(&mut wire.as_slice()),
             Err(WireError::Runt { len: 1 })
         ));
+    }
+
+    #[test]
+    fn holds_frame_needs_a_valid_prefix_and_its_whole_payload() {
+        let mut one = Vec::new();
+        write_frame(&mut one, &frame(0x42).finish()).unwrap();
+        assert!(!holds_frame(&[]));
+        assert!(!holds_frame(&one[..3]), "fewer than 4 bytes");
+        assert!(!holds_frame(&one[..one.len() - 1]), "payload short by one");
+        assert!(holds_frame(&one), "exactly one frame");
+        let mut more = one.clone();
+        more.extend_from_slice(&one[..5]);
+        assert!(holds_frame(&more), "one frame plus a partial one");
+        assert!(!holds_frame(&more[one.len()..]), "the partial one alone");
+        let mut oversized = ((MAX_PAYLOAD + 1) as u32).to_be_bytes().to_vec();
+        oversized.resize(4 + MAX_PAYLOAD + 1, 0);
+        assert!(!holds_frame(&oversized), "oversized prefix");
+        let runt = [0, 0, 0, 1, PROTO_VERSION];
+        assert!(!holds_frame(&runt), "runt prefix");
     }
 
     #[test]
