@@ -7,7 +7,6 @@ use std::sync::Arc;
 use rtcac_bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::Priority;
 use rtcac_engine::AdmissionEngine;
-use rtcac_fault::{endpoint_pairs, run_chaos, ChaosConfig, FaultPlan};
 use rtcac_net::{LinkId, NodeId};
 use rtcac_obs::{chrome_trace, render_spans, Sampling, Tracer};
 use rtcac_rational::Ratio;
@@ -766,90 +765,6 @@ pub fn rtnet(args: &RtnetArgs) -> Result<String, CliError> {
             let _ = writeln!(out, "worst port bound: unbounded (long-run overload)");
             let _ = writeln!(out, "admissible (32-cell queues): false");
         }
-    }
-    Ok(out)
-}
-
-/// Parameters of the `rtcac chaos` command.
-#[derive(Debug, Clone)]
-pub struct ChaosArgs {
-    /// Ring nodes of the dual star-ring under test.
-    pub nodes: usize,
-    /// Terminals per ring node.
-    pub terminals: usize,
-    /// Seed for both the fault plan and the traffic churn.
-    pub seed: u64,
-    /// Chaos steps to run.
-    pub steps: u64,
-    /// Percent chance of a fault event per step.
-    pub rate: u64,
-    /// Optional metrics output path (Prometheus text, plus `.json`).
-    pub metrics: Option<String>,
-}
-
-/// `rtcac chaos`: a seeded chaos session against the concurrent
-/// admission engine on a dual (counter-rotating) star-ring — random
-/// link/node failures and repairs under live setup/release churn, with
-/// the safety audits of [`rtcac_fault::run_chaos`]. The run is
-/// deterministic: equal seeds give equal plans, traffic, and reports.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for invalid parameters and
-/// [`CliError::Domain`] when the run violates the engine's safety
-/// invariants (orphaned reservations, broken delay guarantees, or
-/// counter non-conservation) — so a CI job fails on the exit code
-/// alone. Metrics, if requested, are written before the verdict.
-pub fn chaos(args: &ChaosArgs) -> Result<String, CliError> {
-    if args.rate > 100 {
-        return Err(CliError::Usage(format!(
-            "--rate must be 0..=100, got {}",
-            args.rate
-        )));
-    }
-    let sr = rtcac_net::builders::dual_star_ring(args.nodes, args.terminals)
-        .map_err(CliError::domain)?;
-    let config =
-        rtcac_cac::SwitchConfig::uniform(1, Time::from_integer(64)).map_err(CliError::domain)?;
-    let registry = Arc::new(rtcac_obs::Registry::new());
-    let engine = AdmissionEngine::with_registry(
-        sr.topology().clone(),
-        config,
-        rtcac_signaling::CdvPolicy::Hard,
-        Arc::clone(&registry),
-    );
-    let plan = FaultPlan::random(engine.topology(), args.seed, args.steps, args.rate);
-    let pairs = endpoint_pairs(engine.topology());
-    let report = run_chaos(
-        &engine,
-        &pairs,
-        &plan,
-        &ChaosConfig {
-            seed: args.seed,
-            steps: args.steps,
-            ..ChaosConfig::default()
-        },
-    )
-    .map_err(CliError::domain)?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "chaos: dual star-ring {}x{}, seed={}, {} steps, fault rate {}%",
-        args.nodes, args.terminals, args.seed, args.steps, args.rate
-    );
-    let _ = writeln!(out, "plan: {} fault events", plan.events().len());
-    out.push_str(&report.summary());
-    out.push('\n');
-    if let Some(path) = &args.metrics {
-        export_metrics(&registry, path, &mut out)?;
-    }
-    if !report.invariants_hold() {
-        return Err(CliError::Domain(format!(
-            "chaos seed={} violated the safety invariants:\n{}",
-            args.seed,
-            report.summary()
-        )));
     }
     Ok(out)
 }
@@ -1722,23 +1637,9 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
 
     #[test]
     fn check_runs_embedded_chaos_directives() {
-        // A dual ring so the chaos session's crankback has alternates.
-        let mut text = String::from("policy hard\n");
-        for i in 0..4 {
-            let _ = writeln!(text, "switch s{i} bounds=64");
-            let _ = writeln!(text, "endsystem h{i}");
-            let _ = writeln!(text, "link t{i} h{i} s{i}");
-            let _ = writeln!(text, "link r{i} s{i} h{i}");
-        }
-        for i in 0..4usize {
-            let j = (i + 1) % 4;
-            let _ = writeln!(text, "link cw{i} s{i} s{j}");
-            let _ = writeln!(text, "link ccw{j} s{j} s{i}");
-        }
-        text.push_str("chaos seed=5 steps=40 rate=25\n");
-        let scenario = Scenario::parse(&text).unwrap();
+        let scenario = shipped_scenario("chaos");
         let out = check(&scenario).unwrap();
-        assert!(out.contains("chaos seed=5 steps=40 rate=25%:"), "{out}");
+        assert!(out.contains("chaos seed=1 steps=200 rate=25%:"), "{out}");
         assert!(out.contains("invariants: OK"), "{out}");
     }
 
@@ -1792,47 +1693,6 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
         let sharded = check_engine(&scenario, None).unwrap();
         assert!(sharded.contains("c1: REJECTED ("), "{sharded}");
         assert!(sharded.contains("summary: 1/2 connected"), "{sharded}");
-    }
-
-    #[test]
-    fn chaos_command_reports_and_writes_metrics() {
-        let dir = std::env::temp_dir().join(format!("rtcac-cli-chaos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("chaos.prom");
-        let path_str = path.to_str().unwrap().to_owned();
-        let out = chaos(&ChaosArgs {
-            nodes: 6,
-            terminals: 1,
-            seed: 11,
-            steps: 100,
-            rate: 30,
-            metrics: Some(path_str.clone()),
-        })
-        .unwrap();
-        assert!(out.contains("chaos: dual star-ring 6x1"), "{out}");
-        assert!(out.contains("invariants: OK"), "{out}");
-        assert!(out.contains("metrics: wrote"), "{out}");
-        let prom = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            prom.contains("engine_orphaned_reservations 0"),
-            "the orphan gauge must read 0:\n{prom}"
-        );
-        assert!(prom.contains("engine_element_failures_total"), "{prom}");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Determinism: equal seeds give equal reports.
-        let args = ChaosArgs {
-            nodes: 6,
-            terminals: 1,
-            seed: 11,
-            steps: 100,
-            rate: 30,
-            metrics: None,
-        };
-        assert_eq!(chaos(&args).unwrap(), chaos(&args).unwrap());
-
-        let err = chaos(&ChaosArgs { rate: 101, ..args }).unwrap_err();
-        assert!(err.to_string().contains("--rate"), "{err}");
     }
 
     #[test]

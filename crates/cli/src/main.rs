@@ -26,7 +26,8 @@ USAGE:
       Replay the scenario in file order through the distributed SETUP
       procedure: connects (with optional crankback=N rerouting),
       fail-link/heal-link/fail-node/heal-node directives, and embedded
-      'chaos' sessions; report outcomes and final port bounds. With
+      'chaos' sessions (exiting nonzero if one breaks a safety
+      invariant); report outcomes and final port bounds. With
       --engine the same replay runs through the concurrent sharded
       engine instead (unicast and multicast setups alike), ending with
       an orphaned-reservation audit; --metrics then writes the
@@ -44,15 +45,6 @@ USAGE:
       Replay the scenario serially and print the decision provenance of
       one named connection: the per-hop ledger of computed Algorithm
       4.1 bound vs deadline with CDV in/out, the refusing hop marked.
-
-  rtcac chaos [--nodes N] [--terminals N] [--seed N] [--steps N]
-              [--rate P] [--metrics PATH]
-      Seeded chaos session on a dual star-ring: random link/node
-      failures and repairs under live setup/release churn through the
-      concurrent engine. Exits nonzero if any safety invariant breaks
-      (orphaned reservations, violated delay guarantees, or counter
-      non-conservation). With --metrics, writes the observability
-      snapshot to PATH (Prometheus) and PATH.json before the verdict.
 
   rtcac storm [--seed N] [--rounds N] [--topology KIND] [--profile KIND]
               [--nodes N] [--out PATH] [--metrics PATH] [--flight DIR]
@@ -248,27 +240,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let metrics = flag_value(&rest, "--metrics")?;
             let scenario = load(path)?;
             commands::engine(&scenario, metrics)
-        }
-        Some("chaos") => {
-            let rest = flags(
-                "chaos",
-                it,
-                "--nodes --terminals --seed --steps --rate --metrics",
-            )?;
-            let nodes = flag_u64(&rest, "--nodes")?.unwrap_or(16) as usize;
-            let terminals = flag_u64(&rest, "--terminals")?.unwrap_or(1) as usize;
-            let seed = flag_u64(&rest, "--seed")?.unwrap_or(1);
-            let steps = flag_u64(&rest, "--steps")?.unwrap_or(200);
-            let rate = flag_u64(&rest, "--rate")?.unwrap_or(25);
-            let metrics = flag_value(&rest, "--metrics")?.map(str::to_owned);
-            commands::chaos(&commands::ChaosArgs {
-                nodes,
-                terminals,
-                seed,
-                steps,
-                rate,
-                metrics,
-            })
         }
         Some("storm") => {
             let rest = flags(

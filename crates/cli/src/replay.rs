@@ -19,10 +19,10 @@ use std::sync::Arc;
 use rtcac_bitstream::Time;
 use rtcac_cac::{AdmissionReport, ConnectionId, FailureImpact, GuaranteeViolation, Priority};
 use rtcac_engine::{AdmissionEngine, EngineOutcome};
-use rtcac_fault::{endpoint_pairs, run_chaos, ChaosConfig, ChaosReport, FaultPlan};
 use rtcac_net::{LinkId, NodeId};
 use rtcac_obs::Tracer;
 use rtcac_signaling::{CrankbackPolicy, MulticastOutcome, Network, SetupOutcome, SignalError};
+use rtcac_storm::{endpoint_pairs, run_chaos, ChaosReport, FaultPlan};
 
 use crate::commands::build_engine;
 use crate::scenario::{ConnectionSpec, RouteKind, Scenario, ScenarioAction};
@@ -499,7 +499,9 @@ impl<'a, D: Driver> Replay<'a, D> {
             },
             ScenarioAction::Chaos { seed, steps, rate } => {
                 let tracer = self.chaos_tracer.as_ref();
-                let report = run_scenario_chaos(self.scenario, seed, steps, rate, tracer)?;
+                let chaos = ChaosSession::new(self.scenario, seed, steps, rate, tracer)?;
+                let report = run_chaos(&chaos.engine, &chaos.endpoints, &chaos.plan, seed, steps)
+                    .map_err(CliError::domain)?;
                 Step::Chaos {
                     seed,
                     steps,
@@ -518,33 +520,39 @@ fn failed(impact: &FailureImpact) -> Step {
     }
 }
 
-/// Runs a `chaos` scenario directive: a seeded chaos session against a
-/// fresh admission engine built over the scenario's topology and
-/// switch configs (independent of the replaying driver's state).
-fn run_scenario_chaos(
-    scenario: &Scenario,
-    seed: u64,
-    steps: u64,
-    rate: u64,
-    tracer: Option<&Tracer>,
-) -> Result<ChaosReport, CliError> {
-    let mut engine = build_engine(scenario, None)?;
-    if let Some(tracer) = tracer {
-        engine.set_tracer(tracer.clone());
+/// A `chaos` directive made ready to run: a fresh admission engine
+/// built over the scenario's topology and switch configs (independent
+/// of any replaying driver's state), the end-system pairs its churn
+/// draws from, and its seeded fault plan. Every runner of the directive
+/// starts here.
+pub(crate) struct ChaosSession {
+    pub(crate) engine: AdmissionEngine,
+    pub(crate) endpoints: Vec<(NodeId, NodeId)>,
+    pub(crate) plan: FaultPlan,
+}
+
+impl ChaosSession {
+    /// The session of `chaos seed=… steps=… rate=…` over `scenario`,
+    /// observed by `tracer`, if given.
+    pub(crate) fn new(
+        scenario: &Scenario,
+        seed: u64,
+        steps: u64,
+        rate: u64,
+        tracer: Option<&Tracer>,
+    ) -> Result<ChaosSession, CliError> {
+        let mut engine = build_engine(scenario, None)?;
+        if let Some(tracer) = tracer {
+            engine.set_tracer(tracer.clone());
+        }
+        let endpoints = endpoint_pairs(engine.topology());
+        let plan = FaultPlan::random(engine.topology(), seed, steps, rate);
+        Ok(ChaosSession {
+            engine,
+            endpoints,
+            plan,
+        })
     }
-    let plan = FaultPlan::random(engine.topology(), seed, steps, rate);
-    let pairs = endpoint_pairs(engine.topology());
-    run_chaos(
-        &engine,
-        &pairs,
-        &plan,
-        &ChaosConfig {
-            seed,
-            steps,
-            ..ChaosConfig::default()
-        },
-    )
-    .map_err(CliError::domain)
 }
 
 #[cfg(test)]

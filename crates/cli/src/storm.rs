@@ -38,15 +38,15 @@ use std::sync::Arc;
 
 use rtcac_bitstream::TrafficContract;
 use rtcac_cac::AdmissionReport;
-use rtcac_fault::{
-    endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosState, FaultPlan,
-};
 use rtcac_net::SimRng;
 use rtcac_snap::{decode, encode, restore_engine, snapshot_engine};
-use rtcac_storm::{generate, FuzzConfig, ProfileKind, StormScenario, TopologyKind};
+use rtcac_storm::{
+    finish_report, generate, run_chaos_segment, ChaosState, FuzzConfig, ProfileKind, StormScenario,
+    TopologyKind,
+};
 
 use crate::commands::{build_engine, build_network, export_metrics, write_metrics_file};
-use crate::replay::{Driver, EngineDriver, Replay, Step};
+use crate::replay::{ChaosSession, Driver, EngineDriver, Replay, Step};
 use crate::scenario::{RouteKind, Scenario, ScenarioAction};
 use crate::CliError;
 
@@ -432,8 +432,8 @@ fn audit<D: Driver>(side: &str, driver: &D, violations: &mut Vec<String>) -> Res
     Ok(())
 }
 
-/// Runs an embedded `chaos` directive on a fresh engine over the
-/// scenario's topology. The run always uses resumable
+/// Runs an embedded `chaos` directive on its [`ChaosSession`]'s fresh
+/// engine. The run always uses resumable
 /// [`ChaosState`] segments; with `check_resume` it is additionally
 /// killed at the halfway point, snapshot-restored, and finished on the
 /// restored engine — and must be decision-identical to the
@@ -445,24 +445,14 @@ fn run_chaos_directive(
     rate: u64,
     check_resume: bool,
 ) -> Result<Option<String>, CliError> {
-    let config = ChaosConfig {
-        seed,
-        steps,
-        ..ChaosConfig::default()
-    };
-    let control = build_engine(scenario, None)?;
-    let endpoints = endpoint_pairs(control.topology());
-    let plan = FaultPlan::random(control.topology(), seed, steps, rate);
-    let mut control_state = ChaosState::new(&config);
-    run_chaos_segment(
-        &control,
-        &endpoints,
-        &plan,
-        &config,
-        &mut control_state,
-        steps,
-    )
-    .map_err(CliError::domain)?;
+    let ChaosSession {
+        engine: control,
+        endpoints,
+        plan,
+    } = ChaosSession::new(scenario, seed, steps, rate, None)?;
+    let mut control_state = ChaosState::new(seed);
+    run_chaos_segment(&control, &endpoints, &plan, &mut control_state, steps)
+        .map_err(CliError::domain)?;
     let control_report = finish_report(&control, &control_state).map_err(CliError::domain)?;
     if !control_report.invariants_hold() {
         return Ok(Some(format!(
@@ -476,23 +466,15 @@ fn run_chaos_directive(
 
     // Kill at the halfway point, snapshot, restore, finish.
     let victim = build_engine(scenario, None)?;
-    let mut state = ChaosState::new(&config);
+    let mut state = ChaosState::new(seed);
     let cut = (steps / 2).max(1);
-    run_chaos_segment(&victim, &endpoints, &plan, &config, &mut state, cut)
-        .map_err(CliError::domain)?;
+    run_chaos_segment(&victim, &endpoints, &plan, &mut state, cut).map_err(CliError::domain)?;
     let bytes = encode(&snapshot_engine(&victim, "storm-resume-check"));
     drop(victim);
     let doc = decode(&bytes).map_err(CliError::domain)?;
     let restored = restore_engine(&doc).map_err(CliError::domain)?;
-    run_chaos_segment(
-        &restored,
-        &endpoints,
-        &plan,
-        &config,
-        &mut state,
-        steps - cut,
-    )
-    .map_err(CliError::domain)?;
+    run_chaos_segment(&restored, &endpoints, &plan, &mut state, steps - cut)
+        .map_err(CliError::domain)?;
     let report = finish_report(&restored, &state).map_err(CliError::domain)?;
     if control_state.decisions() != state.decisions() {
         return Ok(Some(format!(

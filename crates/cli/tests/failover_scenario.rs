@@ -1,7 +1,8 @@
 //! CLI-level coverage of the shipped failover walkthrough: the
 //! `examples/scenarios/failover.rtcac` replay must demonstrate
 //! fail-link → crankback re-setup → heal-link end to end, both through
-//! the library entry point and through the `rtcac` binary itself.
+//! the library entry point and through the `rtcac` binary itself; and
+//! the shipped `chaos.rtcac` session must pass through the binary.
 
 use rtcac_cli::commands;
 use rtcac_cli::scenario::Scenario;
@@ -62,27 +63,15 @@ fn rtcac_binary_replays_the_scenario_and_exits_zero() {
     assert!(stdout.contains("heal-link main: restored"), "{stdout}");
 }
 
+/// The shipped chaos scenario through the binary: its embedded session
+/// upholds every safety invariant, and a broken one would exit nonzero.
 #[test]
-fn rtcac_chaos_subcommand_runs_green_and_writes_metrics() {
-    let dir = std::env::temp_dir().join(format!("rtcac-failover-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let metrics = dir.join("nested").join("chaos.prom");
+fn rtcac_binary_checks_the_shipped_chaos_scenario_and_exits_zero() {
+    let path = scenario_path().with_file_name("chaos.rtcac");
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_rtcac"))
-        .args([
-            "chaos",
-            "--nodes",
-            "8",
-            "--terminals",
-            "1",
-            "--seed",
-            "3",
-            "--steps",
-            "120",
-            "--rate",
-            "25",
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ])
+        .arg("check")
+        .arg(path)
+        .arg("--engine")
         .output()
         .expect("the rtcac binary must run");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -92,10 +81,10 @@ fn rtcac_chaos_subcommand_runs_green_and_writes_metrics() {
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
+    assert!(
+        stdout.contains("chaos seed=1 steps=200 rate=25%:"),
+        "{stdout}"
+    );
     assert!(stdout.contains("invariants: OK"), "{stdout}");
-    // --metrics creates the missing parent directories itself, and the
-    // exposition shows the orphaned-reservation gauge at zero.
-    let prom = std::fs::read_to_string(&metrics).unwrap();
-    assert!(prom.contains("engine_orphaned_reservations 0"), "{prom}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stdout.contains("orphaned reservations: 0"), "{stdout}");
 }

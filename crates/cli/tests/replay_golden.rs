@@ -1,6 +1,9 @@
 //! Byte-for-byte goldens of every command that replays a scenario —
 //! `check`, `check --engine`, `trace`, `trace --engine` and `why` of
-//! each connection — over all four shipped `examples/scenarios/*.rtcac`.
+//! each connection — over the four shipped walkthroughs in
+//! `examples/scenarios/` (`chaos.rtcac`, which holds one chaos session
+//! and no connects, is checked by `check_runs_embedded_chaos_directives`
+//! and the `failover_scenario` binary test instead).
 //!
 //! The files under `tests/golden/<scenario>/` were captured from the
 //! `rtcac` binary of the commit *before* the replay loops were folded

@@ -2,7 +2,7 @@
 //!
 //! A profile compiles into a deterministic stream of `(slot, event)`
 //! pairs over the fuzzer's discrete time. Fail/heal events drive the
-//! health overlay (the same transitions a [`rtcac_fault::FaultPlan`]
+//! health overlay (the same transitions a [`crate::FaultPlan`]
 //! fires); degrade/restore events drive the CDV-inflation seam of the
 //! admission paths — a degraded link adds jitter that *tightens*
 //! Algorithm 4.1's bounds for every connection priced across it until
@@ -13,7 +13,6 @@
 //! (no orphans, guarantees intact, original decisions restored) run
 //! against a healthy network.
 
-use rtcac_fault::{FaultEvent, FaultPlan};
 use rtcac_net::{LinkId, NodeId, SimRng, Topology};
 
 /// The impairment shapes a storm round can schedule.
@@ -175,29 +174,6 @@ pub fn compile_profile(
     events
 }
 
-/// The fail/heal subset of a schedule as a [`FaultPlan`], for driving
-/// the chaos harness's health overlay directly (degrade/restore
-/// events have no overlay equivalent and are skipped).
-pub fn fault_plan_of(events: &[(u64, ImpairmentEvent)]) -> FaultPlan {
-    FaultPlan::new(
-        events
-            .iter()
-            .filter_map(|&(slot, event)| {
-                let fault = match event {
-                    ImpairmentEvent::FailLink(l) => FaultEvent::LinkDown(l),
-                    ImpairmentEvent::HealLink(l) => FaultEvent::LinkUp(l),
-                    ImpairmentEvent::FailNode(n) => FaultEvent::NodeDown(n),
-                    ImpairmentEvent::HealNode(n) => FaultEvent::NodeUp(n),
-                    ImpairmentEvent::DegradeLink(..) | ImpairmentEvent::RestoreLink(_) => {
-                        return None
-                    }
-                };
-                Some((slot, fault))
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,14 +256,5 @@ mod tests {
             })
             .collect();
         assert!(stages.windows(2).all(|w| w[0] <= w[1]), "stages ramp up");
-    }
-
-    #[test]
-    fn fault_plan_keeps_only_health_transitions() {
-        let topology = test_topology();
-        let mut rng = SimRng::seed_from_u64(9);
-        let events = compile_profile(ProfileKind::DegradeHeal, &topology, &mut rng, 60);
-        let plan = fault_plan_of(&events);
-        assert_eq!(plan.events().len(), 2, "one fail + one heal");
     }
 }

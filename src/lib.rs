@@ -20,10 +20,6 @@
 //!   protocol and epoch-keyed delay-bound memoization;
 //! - [`sim`] — a cell-level slotted ATM simulator used to validate the
 //!   analytic bounds empirically;
-//! - [`fault`] — fault injection and failure recovery: seeded
-//!   link/node fault plans and a chaos harness that churns the engine
-//!   while asserting no reservation is orphaned and no guarantee is
-//!   violated;
 //! - [`rtnet`] — the RTnet evaluation of §5: cyclic transmission
 //!   classes and the experiment drivers behind Figures 10–13;
 //! - [`serve`] — the resident admission service: a TCP server speaking
@@ -35,10 +31,12 @@
 //!   exposition, wired through the engine, signaling, and simulator;
 //! - [`snap`] — versioned snapshots and warm restart of admission
 //!   state;
-//! - [`storm`] — the adversarial workload engine: time-varying
-//!   impairment profiles, self-similar background traffic, topology
-//!   generators, and the differential scenario fuzzer behind
-//!   `rtcac storm`.
+//! - [`storm`] — the adversarial workloads: seeded link/node fault
+//!   plans and a chaos harness that churns the engine while asserting
+//!   no reservation is orphaned and no guarantee is violated,
+//!   time-varying impairment profiles, self-similar background
+//!   traffic, topology generators, and the differential scenario
+//!   fuzzer behind `rtcac storm`.
 //!
 //! See the repository `README.md` for a tour and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
@@ -71,7 +69,6 @@
 pub use rtcac_bitstream as bitstream;
 pub use rtcac_cac as cac;
 pub use rtcac_engine as engine;
-pub use rtcac_fault as fault;
 pub use rtcac_net as net;
 pub use rtcac_obs as obs;
 pub use rtcac_rational as rational;
