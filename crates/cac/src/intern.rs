@@ -18,8 +18,6 @@
 //!
 //! [`ConnectionRequest::arrival_stream`]: crate::ConnectionRequest::arrival_stream
 
-use std::collections::BTreeMap;
-
 use rtcac_bitstream::{BitStream, Time, TrafficContract};
 
 use crate::CacError;
@@ -34,11 +32,6 @@ impl ContractHandle {
     /// The raw slab index (stable for the life of the entry).
     pub const fn raw(self) -> u32 {
         self.0
-    }
-
-    #[cfg(test)]
-    pub(crate) fn from_raw_for_test(raw: u32) -> ContractHandle {
-        ContractHandle(raw)
     }
 }
 
@@ -63,14 +56,16 @@ enum Slot {
 }
 
 /// The per-switch contract intern table: a slab of refcounted
-/// [`Entry`]s with an ordered index from `(contract, cdv)` to slot, so
-/// lookups are deterministic and freed slots are reused before the slab
-/// grows.
+/// [`Entry`]s plus the list of live slots sorted by their entries'
+/// `(contract, cdv)`, binary-searched through the slab. Lookups are
+/// deterministic, each key is stored once (in its entry), and freed
+/// slots are reused before the slab grows.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ContractIntern {
     slots: Vec<Slot>,
     free_head: u32,
-    index: BTreeMap<(TrafficContract, Time), u32>,
+    /// Live slots, strictly ascending by their entries' `(contract, cdv)`.
+    index: Vec<u32>,
 }
 
 impl ContractIntern {
@@ -78,8 +73,20 @@ impl ContractIntern {
         ContractIntern {
             slots: Vec::new(),
             free_head: NO_SLOT,
-            index: BTreeMap::new(),
+            index: Vec::new(),
         }
+    }
+
+    /// Where `(contract, cdv)` sits in the sorted index: `Ok` at a live
+    /// entry's position, `Err` where a new entry would go.
+    fn locate(&self, contract: TrafficContract, cdv: Time) -> Result<usize, usize> {
+        self.index.binary_search_by(|&slot| {
+            let entry = self.entry(ContractHandle(slot));
+            entry
+                .contract
+                .cmp(&contract)
+                .then_with(|| entry.cdv.cmp(&cdv))
+        })
     }
 
     /// Acquires a handle for `(contract, cdv)`, bumping the refcount of
@@ -105,10 +112,9 @@ impl ContractIntern {
     /// The handle of the live entry for `(contract, cdv)`, if any,
     /// without touching its refcount.
     pub(crate) fn find(&self, contract: TrafficContract, cdv: Time) -> Option<ContractHandle> {
-        self.index
-            .get(&(contract, cdv))
-            .copied()
-            .map(ContractHandle)
+        self.locate(contract, cdv)
+            .ok()
+            .map(|pos| ContractHandle(self.index[pos]))
     }
 
     /// Adds one reference to a live entry.
@@ -127,7 +133,9 @@ impl ContractIntern {
         cdv: Time,
         stream: BitStream,
     ) -> ContractHandle {
-        debug_assert!(self.find(contract, cdv).is_none());
+        let found = self.locate(contract, cdv);
+        debug_assert!(found.is_err(), "(contract, cdv) interned twice");
+        let (Ok(pos) | Err(pos)) = found;
         let entry = Entry {
             contract,
             cdv,
@@ -146,7 +154,7 @@ impl ContractIntern {
             self.slots.push(Slot::Occupied(entry));
             (self.slots.len() - 1) as u32
         };
-        self.index.insert((contract, cdv), slot);
+        self.index.insert(pos, slot);
         ContractHandle(slot)
     }
 
@@ -164,8 +172,12 @@ impl ContractIntern {
         if entry.refs > 0 {
             return false;
         }
-        let key = (entry.contract, entry.cdv);
-        self.index.remove(&key);
+        let (contract, cdv) = (entry.contract, entry.cdv);
+        let found = self.locate(contract, cdv);
+        debug_assert_eq!(found.map(|pos| self.index[pos]), Ok(slot));
+        if let Ok(pos) = found {
+            self.index.remove(pos);
+        }
         self.slots[slot as usize] = Slot::Free {
             next: self.free_head,
         };
@@ -213,11 +225,10 @@ impl ContractIntern {
     }
 
     /// Approximate resident heap bytes of the intern table: slab +
-    /// index nodes + the interned stream segments.
+    /// sorted slot index + the interned stream segments.
     pub(crate) fn resident_bytes(&self) -> usize {
         let slab = self.slots.capacity() * std::mem::size_of::<Slot>();
-        let index = self.index.len()
-            * (std::mem::size_of::<(TrafficContract, Time)>() + std::mem::size_of::<u32>());
+        let index = self.index.capacity() * std::mem::size_of::<u32>();
         let streams: usize = self
             .slots
             .iter()
@@ -233,7 +244,7 @@ impl ContractIntern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtcac_bitstream::{CbrParams, Rate};
+    use rtcac_bitstream::{CbrParams, Rate, VbrParams};
     use rtcac_rational::ratio;
 
     fn cbr(num: i128, den: i128) -> TrafficContract {
@@ -285,6 +296,115 @@ mod tests {
             .unwrap();
         assert_eq!(h3.raw(), h.raw());
         assert_eq!(intern.slots(), 1);
+    }
+
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn seed() -> u64 {
+        match std::env::var("RTCAC_TEST_SEED") {
+            Ok(s) => s
+                .parse()
+                .unwrap_or_else(|_| panic!("RTCAC_TEST_SEED={s:?} is not a u64")),
+            Err(_) => 0x1_7E4,
+        }
+    }
+
+    /// The live slab entries, read by a linear scan.
+    fn live_slots(intern: &ContractIntern) -> Vec<u32> {
+        (0..intern.slots.len() as u32)
+            .filter(|&slot| matches!(intern.slots[slot as usize], Slot::Occupied(_)))
+            .collect()
+    }
+
+    fn key_of(intern: &ContractIntern, slot: u32) -> (TrafficContract, Time) {
+        let entry = intern.entry(ContractHandle(slot));
+        (entry.contract, entry.cdv)
+    }
+
+    /// Seeded churn of acquires and releases over 8 contracts x 3 CDVs:
+    /// after every step the sorted index is strictly ascending by
+    /// `(contract, cdv)`, holds exactly the live slots, and `find`
+    /// agrees with a linear scan of the slab. `RTCAC_TEST_SEED=<u64>`
+    /// replays a failure; every failure names it.
+    #[test]
+    fn sorted_index_matches_slab_under_churn() {
+        const STEPS: usize = 6_000;
+        let seed = seed();
+        let mut rng = SplitMix64(seed);
+        let contracts = [
+            cbr(1, 2),
+            cbr(1, 8),
+            cbr(3, 16),
+            cbr(1, 64),
+            TrafficContract::vbr(
+                VbrParams::new(Rate::new(ratio(1, 2)), Rate::new(ratio(1, 10)), 4).unwrap(),
+            ),
+            TrafficContract::vbr(
+                VbrParams::new(Rate::new(ratio(1, 2)), Rate::new(ratio(1, 10)), 9).unwrap(),
+            ),
+            TrafficContract::vbr(
+                VbrParams::new(Rate::new(ratio(1, 4)), Rate::new(ratio(1, 32)), 2).unwrap(),
+            ),
+            TrafficContract::vbr(
+                VbrParams::new(Rate::new(ratio(1, 3)), Rate::new(ratio(1, 7)), 5).unwrap(),
+            ),
+        ];
+        let cdvs = [Time::ZERO, Time::from_integer(16), Time::new(ratio(81, 2))];
+        let keys: Vec<(TrafficContract, Time)> = contracts
+            .iter()
+            .flat_map(|&c| cdvs.iter().map(move |&cdv| (c, cdv)))
+            .collect();
+        let mut intern = ContractIntern::new();
+        let mut held: Vec<ContractHandle> = Vec::new();
+        for step in 0..STEPS {
+            let ctx = format!("RTCAC_TEST_SEED={seed} step {step}");
+            if held.is_empty() || rng.below(100) < 55 {
+                let (c, cdv) = keys[rng.below(keys.len())];
+                let handle = intern.acquire(c, cdv, || Ok(stream_of(c, cdv))).unwrap();
+                assert_eq!(key_of(&intern, handle.raw()), (c, cdv), "{ctx}");
+                held.push(handle);
+            } else {
+                let handle = held.swap_remove(rng.below(held.len()));
+                intern.release(handle);
+            }
+
+            let index = &intern.index;
+            assert!(
+                index
+                    .windows(2)
+                    .all(|w| key_of(&intern, w[0]) < key_of(&intern, w[1])),
+                "{ctx}: index not strictly ascending"
+            );
+            let mut indexed = index.clone();
+            indexed.sort_unstable();
+            assert_eq!(indexed, live_slots(&intern), "{ctx}: index != live slots");
+            for &(c, cdv) in &keys {
+                let scan = live_slots(&intern)
+                    .into_iter()
+                    .find(|&slot| key_of(&intern, slot) == (c, cdv))
+                    .map(ContractHandle);
+                assert_eq!(intern.find(c, cdv), scan, "{ctx}: find({c:?}, {cdv:?})");
+            }
+        }
+        for handle in held.drain(..) {
+            intern.release(handle);
+        }
+        assert_eq!(intern.len(), 0, "RTCAC_TEST_SEED={seed}");
+        assert!(live_slots(&intern).is_empty(), "RTCAC_TEST_SEED={seed}");
     }
 
     #[test]

@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod audit;
 pub mod baseline;
 mod cdv;

@@ -3,7 +3,6 @@
 use rtcac_bitstream::{BitStream, Rate, StreamError, Time};
 use rtcac_net::LinkId;
 
-use crate::arena::{Leg, LegArena};
 use crate::intern::{ContractHandle, ContractIntern};
 use crate::tables::Tables;
 use crate::{CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SwitchConfig};
@@ -63,6 +62,32 @@ enum Envelope {
     Derived(BitStream),
 }
 
+/// One established leg: the identifying links plus a handle to the
+/// interned `(contract, CDV)` entry that induced its arrival envelope.
+/// Everything a [`ConnectionRequest`] carries is recoverable from the
+/// leg and its intern entry.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    id: ConnectionId,
+    out_link: LinkId,
+    in_link: LinkId,
+    handle: ContractHandle,
+    priority: Priority,
+}
+
+impl Leg {
+    /// Reconstructs the admission request the leg was admitted with.
+    fn request(&self, intern: &ContractIntern) -> ConnectionRequest {
+        ConnectionRequest::new(
+            intern.contract(self.handle),
+            intern.cdv(self.handle),
+            self.in_link,
+            self.out_link,
+            self.priority,
+        )
+    }
+}
+
 /// What an admitted check hands to the commit: the updated
 /// `Sia(i,j,p) + s` it priced, and the request's envelope.
 struct Commit {
@@ -82,23 +107,22 @@ struct Commit {
 ///
 /// # Resident-state layout
 ///
-/// Legs live in a dense-id [`LegArena`] (a `Vec` slab with an in-slot
-/// free list), each holding only its links, priority, and a refcounted
+/// Each leg is stored once, in one `Vec` sorted by `(connection,
+/// out-link)`. A leg holds only its links, priority, and a refcounted
 /// [`ContractIntern`] handle to the `(contract, CDV)` entry that owns
 /// the arrival envelope — one envelope per *distinct* parameter pair,
-/// however many legs carry it. A sorted `(connection, out-link) → slot`
-/// index provides lookups and the **stable public iteration order**
-/// (ascending by `(connection, out-link)`, exactly the order the former
-/// `BTreeMap` storage iterated), so admission ledgers and snapshot
-/// encodings are byte-identical across the representation change.
+/// however many legs carry it. Binary search serves lookups, and the
+/// sort order is the **stable public iteration order** (exactly the
+/// order the former `BTreeMap` storage iterated), so admission ledgers
+/// and snapshot encodings are byte-identical across representation
+/// changes.
 #[derive(Debug, Clone)]
 pub struct Switch {
     config: SwitchConfig,
     tables: Tables,
     intern: ContractIntern,
-    legs: LegArena,
-    /// Sorted by key; one entry per established leg.
-    index: Vec<((ConnectionId, LinkId), u32)>,
+    /// Ascending by `(id, out_link)`; one entry per established leg.
+    legs: Vec<Leg>,
     epoch: u64,
 }
 
@@ -109,8 +133,7 @@ impl Switch {
             config,
             tables: Tables::new(),
             intern: ContractIntern::new(),
-            legs: LegArena::new(),
-            index: Vec::new(),
+            legs: Vec::new(),
             epoch: 0,
         }
     }
@@ -142,7 +165,7 @@ impl Switch {
         let mut switch = Switch::new(config);
         for (id, request) in legs {
             switch.config.bound(request.priority())?;
-            if switch.find_leg(id, request.out_link()).is_some() {
+            if switch.find_leg(id, request.out_link()).is_ok() {
                 return Err(CacError::DuplicateConnection(id));
             }
             switch.attach_leg(id, &request)?;
@@ -199,7 +222,7 @@ impl Switch {
     /// Number of established connection legs (one per connection and
     /// outgoing link; a unicast connection has exactly one).
     pub fn connection_count(&self) -> usize {
-        self.index.len()
+        self.legs.len()
     }
 
     /// Whether a connection holds any leg here.
@@ -212,22 +235,18 @@ impl Switch {
     /// reconstructed from the leg and its interned `(contract, CDV)`
     /// entry — bit-identical to the request originally admitted.
     pub fn connections(&self) -> impl Iterator<Item = (ConnectionId, ConnectionRequest)> + '_ {
-        self.index.iter().map(move |&(_, slot)| {
-            let leg = self.legs.get(slot);
-            (leg.id, self.request_of(leg))
-        })
+        self.legs
+            .iter()
+            .map(|leg| (leg.id, leg.request(&self.intern)))
     }
 
     /// The long-run (sustained) load admitted on an outgoing link,
     /// normalized to the link bandwidth.
     pub fn sustained_load(&self, out_link: LinkId) -> Rate {
-        self.index
+        self.legs
             .iter()
-            .filter_map(|&(_, slot)| {
-                let leg = self.legs.get(slot);
-                (leg.out_link == out_link)
-                    .then(|| self.intern.contract(leg.handle).sustained_rate())
-            })
+            .filter(|leg| leg.out_link == out_link)
+            .map(|leg| self.intern.contract(leg.handle).sustained_rate())
             .sum()
     }
 
@@ -237,47 +256,35 @@ impl Switch {
         self.intern.len()
     }
 
-    /// Total leg-arena slots ever grown (live plus free-listed): how
-    /// large the resident population has peaked.
+    /// Capacity of the leg buffer (live legs plus spare room): it
+    /// grows with the peak concurrent population and is reused after
+    /// releases, so under steady churn it never changes.
     pub fn leg_slots(&self) -> usize {
-        self.legs.slots()
+        self.legs.capacity()
     }
 
-    /// Approximate resident heap bytes of the admission state: the leg
-    /// arena, the sorted leg index, the intern table (envelopes
-    /// included), and the `(i, j, p)` stream aggregates.
+    /// Approximate resident heap bytes of the admission state: the
+    /// sorted leg buffer, the intern table (envelopes included), and
+    /// the `(i, j, p)` stream aggregates.
     pub fn resident_bytes(&self) -> usize {
-        self.legs.resident_bytes()
-            + self.index.capacity() * std::mem::size_of::<((ConnectionId, LinkId), u32)>()
+        self.legs.capacity() * std::mem::size_of::<Leg>()
             + self.intern.resident_bytes()
             + self.tables.resident_bytes()
     }
 
-    /// Index positions of `id`'s legs (contiguous: the index is sorted
-    /// by `(connection, out-link)`).
+    /// Positions of `id`'s legs (contiguous: the legs are sorted by
+    /// `(connection, out-link)`).
     fn leg_range(&self, id: ConnectionId) -> std::ops::Range<usize> {
-        let start = self.index.partition_point(|&((cid, _), _)| cid < id);
-        let len = self.index[start..].partition_point(|&((cid, _), _)| cid == id);
+        let start = self.legs.partition_point(|leg| leg.id < id);
+        let len = self.legs[start..].partition_point(|leg| leg.id == id);
         start..start + len
     }
 
-    /// The arena slot of one leg, if established.
-    fn find_leg(&self, id: ConnectionId, out_link: LinkId) -> Option<u32> {
-        self.index
-            .binary_search_by(|&(key, _)| key.cmp(&(id, out_link)))
-            .ok()
-            .map(|pos| self.index[pos].1)
-    }
-
-    /// Reconstructs the admission request of an established leg.
-    fn request_of(&self, leg: &Leg) -> ConnectionRequest {
-        ConnectionRequest::new(
-            self.intern.contract(leg.handle),
-            self.intern.cdv(leg.handle),
-            leg.in_link,
-            leg.out_link,
-            leg.priority,
-        )
+    /// The position of one leg: `Ok` if established, `Err` where it
+    /// would be stored.
+    fn find_leg(&self, id: ConnectionId, out_link: LinkId) -> Result<usize, usize> {
+        self.legs
+            .binary_search_by(|leg| (leg.id, leg.out_link).cmp(&(id, out_link)))
     }
 
     /// Attaches one leg without a check (the restore path): acquires
@@ -329,18 +336,21 @@ impl Switch {
         self.store_leg(id, handle, request);
     }
 
-    /// Stores a leg in the arena and the sorted index.
+    /// Stores a leg at its sorted position.
     fn store_leg(&mut self, id: ConnectionId, handle: ContractHandle, request: &ConnectionRequest) {
-        let slot = self.legs.insert(Leg {
-            id,
-            handle,
-            in_link: request.in_link(),
-            out_link: request.out_link(),
-            priority: request.priority(),
-        });
-        let key = (id, request.out_link());
-        let pos = self.index.partition_point(|&(k, _)| k < key);
-        self.index.insert(pos, (key, slot));
+        let found = self.find_leg(id, request.out_link());
+        debug_assert!(found.is_err(), "leg {id:?} stored twice");
+        let (Ok(pos) | Err(pos)) = found;
+        self.legs.insert(
+            pos,
+            Leg {
+                id,
+                out_link: request.out_link(),
+                in_link: request.in_link(),
+                handle,
+                priority: request.priority(),
+            },
+        );
     }
 
     /// **Steps 1–6 of §4.3**: checks whether a new connection fits,
@@ -446,7 +456,7 @@ impl Switch {
         id: ConnectionId,
         request: ConnectionRequest,
     ) -> Result<AdmissionDecision, CacError> {
-        if self.find_leg(id, request.out_link()).is_some() {
+        if self.find_leg(id, request.out_link()).is_ok() {
             return Err(CacError::DuplicateConnection(id));
         }
         let (decision, commit) = self.price(&request)?;
@@ -469,33 +479,26 @@ impl Switch {
         if range.is_empty() {
             return Err(CacError::UnknownConnection(id));
         }
-        // The connection's legs are contiguous in the sorted index:
-        // drain that range directly, handing each slot to the arena
-        // free list and dropping its intern reference — no intermediate
-        // key list is materialized.
+        // The connection's legs are contiguous in the sorted list:
+        // drain that range directly, dropping each leg's intern
+        // reference — no intermediate key list is materialized.
         let mut released = Vec::with_capacity(range.len());
-        for (_, slot) in self.index.drain(range) {
-            let leg = self.legs.remove(slot);
-            released.push(ConnectionRequest::new(
-                self.intern.contract(leg.handle),
-                self.intern.cdv(leg.handle),
-                leg.in_link,
-                leg.out_link,
-                leg.priority,
-            ));
+        for leg in self.legs.drain(range) {
+            released.push(leg.request(&self.intern));
             self.intern.release(leg.handle);
         }
         // Rebuild every affected aggregate from the remaining legs
         // (exact, and immune to accumulated demultiplex ordering),
-        // multiplexing in index order so the result is bit-identical
+        // multiplexing in sorted order so the result is bit-identical
         // to the aggregate the same legs originally produced.
         for request in &released {
             let key = (request.in_link(), request.out_link(), request.priority());
-            let rebuilt = BitStream::multiplex_all(self.index.iter().filter_map(|&(_, slot)| {
-                let leg = self.legs.get(slot);
-                ((leg.in_link, leg.out_link, leg.priority) == key)
-                    .then(|| self.intern.stream(leg.handle))
-            }));
+            let rebuilt = BitStream::multiplex_all(
+                self.legs
+                    .iter()
+                    .filter(|leg| (leg.in_link, leg.out_link, leg.priority) == key)
+                    .map(|leg| self.intern.stream(leg.handle)),
+            );
             self.tables.set(
                 request.in_link(),
                 request.out_link(),
@@ -894,6 +897,52 @@ mod tests {
             sw.computed_bound(l(101), Priority::HIGHEST).unwrap(),
             Time::ZERO
         );
+    }
+
+    #[test]
+    fn legs_iterate_sorted_whatever_the_admit_order() {
+        let mut sw = Switch::new(SwitchConfig::uniform(1, Time::from_integer(1024)).unwrap());
+        let leg = |i: u32, out: u32| {
+            ConnectionRequest::new(cbr(1, 64), Time::ZERO, l(i), l(out), Priority::HIGHEST)
+        };
+        let multicast = ConnectionId::new(5);
+        // One multicast id's legs in descending out-link order, among
+        // unicast ids on either side of it.
+        let admits = [
+            (ConnectionId::new(9), leg(1, 102)),
+            (multicast, leg(0, 104)),
+            (ConnectionId::new(2), leg(2, 101)),
+            (multicast, leg(0, 103)),
+            (ConnectionId::new(6), leg(3, 103)),
+            (multicast, leg(0, 102)),
+            (multicast, leg(0, 101)),
+        ];
+        for (id, request) in admits {
+            assert!(sw.admit(id, request).unwrap().is_admitted());
+        }
+        let mut expected: Vec<(ConnectionId, LinkId)> = admits
+            .iter()
+            .map(|(id, request)| (*id, request.out_link()))
+            .collect();
+        expected.sort();
+        let listed: Vec<(ConnectionId, LinkId)> = sw
+            .connections()
+            .map(|(id, request)| (id, request.out_link()))
+            .collect();
+        assert_eq!(listed, expected);
+
+        let released = sw.release(multicast).unwrap();
+        let released_outs: Vec<LinkId> = released.iter().map(|r| r.out_link()).collect();
+        assert_eq!(released_outs, vec![l(101), l(102), l(103), l(104)]);
+        assert!(!sw.has_connection(multicast));
+        expected.retain(|&(id, _)| id != multicast);
+        let listed: Vec<(ConnectionId, LinkId)> = sw
+            .connections()
+            .map(|(id, request)| (id, request.out_link()))
+            .collect();
+        assert_eq!(listed, expected);
+        assert_eq!(sw.sustained_load(l(104)), Rate::ZERO);
+        assert_eq!(sw.sustained_load(l(103)), Rate::new(ratio(1, 64)));
     }
 
     #[test]
