@@ -114,14 +114,11 @@ struct Round {
 }
 
 fn measure(pool: &[TrafficContract], legs: usize) -> Round {
-    // Before: the retired per-leg layout.
-    let live0 = alloc_live_bytes();
-    let old = OldLayout::populate(pool, legs);
-    let before_bytes = alloc_live_bytes() - live0;
-    assert_eq!(old.table.len(), legs);
-    drop(old);
-
-    // After: the sorted-leg/intern switch, restored from identical requests.
+    // After: the sorted-leg/intern switch. It is built (and VmRSS read)
+    // before the retired layout exists: the allocator keeps freed
+    // small chunks resident rather than return them, so reading VmRSS
+    // after dropping a larger layout would price that layout's
+    // leftovers too.
     let live0 = alloc_live_bytes();
     let switch = Switch::restore(
         config(),
@@ -138,6 +135,13 @@ fn measure(pool: &[TrafficContract], legs: usize) -> Round {
     let reported_bytes = switch.resident_bytes();
     let rss_bytes = vm_rss_bytes();
     drop(switch);
+
+    // Before: the retired per-leg layout, from identical requests.
+    let live0 = alloc_live_bytes();
+    let old = OldLayout::populate(pool, legs);
+    let before_bytes = alloc_live_bytes() - live0;
+    assert_eq!(old.table.len(), legs);
+    drop(old);
 
     Round {
         before_bytes,

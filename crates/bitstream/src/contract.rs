@@ -316,10 +316,13 @@ mod tests {
         let s = c.worst_case_stream();
         let segs = s.segments();
         assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0], Segment::new(Rate::FULL, Time::ZERO));
-        assert_eq!(segs[1], Segment::new(rate(1, 2), Time::ONE));
+        assert_eq!(segs.get(0), Some(Segment::new(Rate::FULL, Time::ZERO)));
+        assert_eq!(segs.get(1), Some(Segment::new(rate(1, 2), Time::ONE)));
         // t2 = 1 + (5 - 1)/(1/2) = 9.
-        assert_eq!(segs[2], Segment::new(rate(1, 10), Time::from_integer(9)));
+        assert_eq!(
+            segs.get(2),
+            Some(Segment::new(rate(1, 10), Time::from_integer(9)))
+        );
     }
 
     #[test]
@@ -328,8 +331,14 @@ mod tests {
         let s = c.worst_case_stream();
         // MBS = 1 makes the PCR segment zero-length: {(1,0), (PCR,1)}.
         assert_eq!(s.segments().len(), 2);
-        assert_eq!(s.segments()[0], Segment::new(Rate::FULL, Time::ZERO));
-        assert_eq!(s.segments()[1], Segment::new(rate(1, 4), Time::ONE));
+        assert_eq!(
+            s.segments().get(0),
+            Some(Segment::new(Rate::FULL, Time::ZERO))
+        );
+        assert_eq!(
+            s.segments().get(1),
+            Some(Segment::new(rate(1, 4), Time::ONE))
+        );
     }
 
     #[test]
@@ -341,8 +350,8 @@ mod tests {
         assert_eq!(s.peak_rate(), Rate::FULL);
         // t2 = 1 + 3/1 = 4.
         assert_eq!(
-            s.segments()[1],
-            Segment::new(rate(1, 8), Time::from_integer(4))
+            s.segments().get(1),
+            Some(Segment::new(rate(1, 8), Time::from_integer(4)))
         );
     }
 

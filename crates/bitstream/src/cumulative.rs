@@ -152,7 +152,7 @@ mod tests {
 
     /// The walk over a stored stream's segments.
     fn horizontal_deviation(a: &BitStream, c: &PiecewiseLinear) -> Option<Time> {
-        super::horizontal_deviation(a.segments().iter().copied(), c)
+        super::horizontal_deviation(a.segments(), c)
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(s.segment_count(), 17);
         let c = PiecewiseLinear::leftover_service(&BitStream::zero()).unwrap();
         let mut pulled = 0;
-        let counted = s.segments().iter().copied().inspect(|_| pulled += 1);
+        let counted = s.segments().iter().inspect(|_| pulled += 1);
         // 3 + 2 + 1 cells queue up, and the last of them waits 6.
         assert_eq!(
             super::horizontal_deviation(counted, &c),

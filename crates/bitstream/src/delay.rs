@@ -1,7 +1,7 @@
 //! Worst-case jitter distortion of a bit stream (Algorithm 3.1).
 
 use crate::filter::View;
-use crate::{BitStream, Rate, Segment, StreamError, Time};
+use crate::{BitStream, Rate, Segment, Segments, StreamError, Time};
 
 impl BitStream {
     /// **Algorithm 3.1**: the worst-case arrival stream after the
@@ -60,23 +60,21 @@ impl BitStream {
         let shifted = self.shift_left(cdv);
         // Release the clump at full link rate ahead of the shifted
         // stream: envelope min(t, R(t + cdv)).
-        Ok(View::smooth(clumped, &shifted, Rate::FULL).into_stream())
+        Ok(View::smooth(clumped, Segments::wide(&shifted), Rate::FULL).into_stream())
     }
 
     /// The segments of `r(t + cdv)` for `t >= 0` (always starting at 0).
     fn shift_left(&self, cdv: Time) -> Vec<Segment> {
         let segs = self.segments();
-        // Find the segment containing time `cdv` (right-continuous).
-        let idx = match segs.binary_search_by(|s| s.start.cmp(&cdv)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
+        // From the segment containing time `cdv` (right-continuous).
+        let from = segs
+            .partition_point(|seg| seg.start <= cdv)
+            .saturating_sub(1);
+        let shift = |(k, seg): (usize, Segment)| match k {
+            0 => Segment::new(seg.rate, Time::ZERO),
+            _ => Segment::new(seg.rate, seg.start - cdv),
         };
-        let mut out = Vec::with_capacity(segs.len() - idx);
-        out.push(Segment::new(segs[idx].rate, Time::ZERO));
-        for seg in &segs[idx + 1..] {
-            out.push(Segment::new(seg.rate, seg.start - cdv));
-        }
-        out
+        segs.suffix(from).iter().enumerate().map(shift).collect()
     }
 }
 

@@ -43,8 +43,7 @@ impl BitStream {
     /// ```
     pub fn delay_bound(&self, higher: &BitStream) -> Result<Time, StreamError> {
         let service = PiecewiseLinear::leftover_service(higher)?;
-        let arrival = self.segments().iter().copied();
-        horizontal_deviation(arrival, &service)
+        horizontal_deviation(self.segments(), &service)
             .ok_or_else(|| overload(self.long_run_rate(), higher))
     }
 

@@ -2,7 +2,7 @@
 //! "clamp by a service line" smoothing primitive also used by
 //! Algorithm 3.1 (delay).
 
-use crate::{BitStream, Cells, Rate, Segment, StreamError, Time};
+use crate::{BitStream, Cells, Rate, Segment, Segments, StreamError, Time};
 
 impl BitStream {
     /// **Algorithm 3.4**: the stream that exits a transmission link of
@@ -29,7 +29,7 @@ impl BitStream {
     /// let f = s.filter();
     /// assert_eq!(f.peak_rate(), Rate::FULL);
     /// // 3 excess cells drain at rate 1 - 1/4 = 3/4: t' = 3 + 4 = 7.
-    /// assert_eq!(f.segments()[1].start.as_ratio(), ratio(7, 1));
+    /// assert_eq!(f.segments().get(1).map(|seg| seg.start.as_ratio()), Some(ratio(7, 1)));
     /// # Ok::<(), rtcac_bitstream::StreamError>(())
     /// ```
     pub fn filter(&self) -> BitStream {
@@ -81,11 +81,11 @@ impl BitStream {
 pub(crate) struct View<'a> {
     lead: [Segment; 2],
     lead_len: usize,
-    rest: &'a [Segment],
+    rest: Segments<'a>,
 }
 
 impl<'a> View<'a> {
-    fn new(lead: &[Segment], rest: &'a [Segment]) -> View<'a> {
+    fn new(lead: &[Segment], rest: Segments<'a>) -> View<'a> {
         let mut view = View {
             lead: [Segment::new(Rate::ZERO, Time::ZERO); 2],
             lead_len: lead.len(),
@@ -102,39 +102,44 @@ impl<'a> View<'a> {
     /// This is the common core of Algorithm 3.4 (`backlog = 0`) and
     /// Algorithm 3.1 (`backlog` = bits clumped by jitter, `segments` = the
     /// time-shifted remainder). `segments` must be a canonical stream's.
-    pub(crate) fn smooth(backlog: Cells, segments: &'a [Segment], capacity: Rate) -> View<'a> {
-        debug_assert!(capacity.is_positive());
-        debug_assert!(!backlog.is_negative());
-        // Walk the segments tracking the queue until it drains.
+    pub(crate) fn smooth(backlog: Cells, segments: Segments<'a>, capacity: Rate) -> View<'a> {
+        debug_assert!(capacity.is_positive() && !backlog.is_negative());
+        // Walk the segments tracking the queue until it drains; past
+        // the last breakpoint it drains iff the last rate is below the
+        // capacity.
         let mut queue = backlog;
-        for (i, pair) in segments.windows(2).enumerate() {
-            let (seg, end) = (pair[0], pair[1].start);
+        let mut segs = segments.iter().enumerate().peekable();
+        while let Some((i, seg)) = segs.next() {
+            let end = segs.peek().map(|(_, next)| next.start);
             let drain_rate = capacity - seg.rate; // positive when draining
             if drain_rate.is_positive() {
                 let t_drain = seg.start + queue / drain_rate;
-                if t_drain <= end {
-                    return View::resumed(segments, i, t_drain, capacity);
+                if end.is_none_or(|end| t_drain <= end) {
+                    return View::resumed(segments, i, seg.rate, t_drain, capacity);
                 }
             }
-            queue -= drain_rate * (end - seg.start);
-        }
-        let last = segments.len() - 1;
-        let drain_rate = capacity - segments[last].rate;
-        if drain_rate.is_positive() {
-            let t_drain = segments[last].start + queue / drain_rate;
-            return View::resumed(segments, last, t_drain, capacity);
+            if let Some(end) = end {
+                queue -= drain_rate * (end - seg.start);
+            }
         }
         // Last rate >= capacity with a backlog: never drains.
-        View::new(&[Segment::new(capacity, Time::ZERO)], &[])
+        View::new(&[Segment::new(capacity, Time::ZERO)], Segments::EMPTY)
     }
 
     /// `capacity` on `[0, t_drain)`, then the input from segment `i`
-    /// onward — unless the queue empties exactly where segment `i + 1`
-    /// starts, which leaves nothing of segment `i`.
-    fn resumed(segments: &'a [Segment], i: usize, t_drain: Time, capacity: Rate) -> View<'a> {
-        let rest = &segments[i + 1..];
+    /// (which flows at `rate`) onward — unless the queue empties
+    /// exactly where segment `i + 1` starts, which leaves nothing of
+    /// segment `i`.
+    fn resumed(
+        segments: Segments<'a>,
+        i: usize,
+        rate: Rate,
+        t_drain: Time,
+        capacity: Rate,
+    ) -> View<'a> {
+        let rest = segments.suffix(i + 1);
         let clamp = Segment::new(capacity, Time::ZERO);
-        let resume = Segment::new(segments[i].rate, t_drain);
+        let resume = Segment::new(rate, t_drain);
         match (
             t_drain.is_positive(),
             rest.first().map(|next| next.start) != Some(t_drain),
@@ -151,19 +156,22 @@ impl<'a> View<'a> {
     }
 
     /// Segment `n`, if the stream has that many.
-    pub(crate) fn get(&self, n: usize) -> Option<&Segment> {
+    pub(crate) fn get(&self, n: usize) -> Option<Segment> {
         match n.checked_sub(self.lead_len) {
-            None => self.lead.get(n),
+            None => self.lead.get(n).copied(),
             Some(k) => self.rest.get(k),
         }
     }
 
-    /// The stream this view reads, in a buffer of exactly its length.
+    /// The last segment.
+    pub(crate) fn last(&self) -> Option<Segment> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// The stream this view reads.
     pub(crate) fn into_stream(self) -> BitStream {
-        let mut segments = Vec::with_capacity(self.len());
-        segments.extend_from_slice(&self.lead[..self.lead_len]);
-        segments.extend_from_slice(self.rest);
-        BitStream::from_canonical(segments)
+        let lead = self.lead.into_iter().take(self.lead_len);
+        BitStream::from_canonical(lead.chain(self.rest))
     }
 }
 
@@ -296,7 +304,7 @@ mod tests {
         // output is rate 1 for 3 cell times.
         let out = View::smooth(
             Cells::from_integer(3),
-            &[Segment::new(Rate::ZERO, Time::ZERO)],
+            Segments::wide(&[Segment::new(Rate::ZERO, Time::ZERO)]),
             Rate::FULL,
         )
         .into_stream();

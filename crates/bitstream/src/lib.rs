@@ -68,5 +68,5 @@ mod units;
 
 pub use contract::{CbrParams, ContractError, TrafficContract, VbrParams};
 pub use error::StreamError;
-pub use stream::{BitStream, Segment};
+pub use stream::{BitStream, Segment, SegmentIter, Segments};
 pub use units::{Cells, Rate, Time};

@@ -34,11 +34,7 @@ impl BitStream {
     where
         I: IntoIterator<Item = &'a BitStream>,
     {
-        let mut sum = Merge::new(streams.into_iter().map(BitStream::view)).collect_all();
-        // Exactly as long as a chain of pairwise multiplexes leaves it:
-        // a stored aggregate is counted by its buffer.
-        sum.shrink_to_fit();
-        BitStream::from_canonical(sum)
+        BitStream::from_canonical(Merge::new(streams.into_iter().map(BitStream::view)))
     }
 
     /// Multiplexes the link-filtered form of every stream:
@@ -65,8 +61,7 @@ impl BitStream {
     where
         I: IntoIterator<Item = &'a BitStream>,
     {
-        let sum = Merge::new(streams.into_iter().map(BitStream::filtered));
-        BitStream::from_canonical(sum.collect_all())
+        BitStream::from_canonical(Merge::new(streams.into_iter().map(BitStream::filtered)))
     }
 
     /// **Algorithm 3.3**: removes a component stream from an aggregate —
@@ -112,27 +107,26 @@ impl BitStream {
 /// Merge-walk two streams, combining rates at every breakpoint of
 /// either (the paper's two-pointer loop in Algorithms 3.2/3.3).
 fn merge_rates(a: &BitStream, b: &BitStream, combine: impl Fn(Rate, Rate) -> Rate) -> Vec<Segment> {
-    let sa = a.segments();
-    let sb = b.segments();
+    let (mut sa, mut sb) = (
+        a.segments().iter().peekable(),
+        b.segments().iter().peekable(),
+    );
     let mut out = Vec::with_capacity(sa.len() + sb.len());
-    let (mut ia, mut ib) = (0usize, 0usize);
-    // Both streams start at time 0, so the first combined segment does too.
+    // Both streams start at time 0, so the first step reads both, and
+    // the combined stream starts there too.
+    let (mut ra, mut rb) = (Rate::ZERO, Rate::ZERO);
     loop {
-        let ta = sa.get(ia).map(|s| s.start);
-        let tb = sb.get(ib).map(|s| s.start);
-        let t = match (ta, tb) {
-            (Some(x), Some(y)) => x.min(y),
-            (Some(x), None) | (None, Some(x)) => x,
+        let t = match (sa.peek(), sb.peek()) {
+            (Some(x), Some(y)) => x.start.min(y.start),
+            (Some(x), None) | (None, Some(x)) => x.start,
             (None, None) => break,
         };
-        if ta == Some(t) {
-            ia += 1;
+        if let Some(seg) = sa.next_if(|seg| seg.start == t) {
+            ra = seg.rate;
         }
-        if tb == Some(t) {
-            ib += 1;
+        if let Some(seg) = sb.next_if(|seg| seg.start == t) {
+            rb = seg.rate;
         }
-        let ra = sa[ia.saturating_sub(1).min(sa.len() - 1)].rate;
-        let rb = sb[ib.saturating_sub(1).min(sb.len() - 1)].rate;
         out.push(Segment::new(combine(ra, rb), t));
     }
     out
@@ -153,17 +147,27 @@ pub(crate) struct Merge<'a> {
 
 struct Head<'a> {
     view: View<'a>,
-    /// The next segment to read, and the rate of the one before it.
+    /// The index of the next segment to read, that segment (read once,
+    /// when the head reaches it), and the rate of the one before it.
     at: usize,
+    next: Option<Segment>,
     rate: Rate,
 }
 
 impl<'a> Merge<'a> {
     pub(crate) fn new(views: impl Iterator<Item = View<'a>>) -> Merge<'a> {
         // Every view starts at time 0.
-        let first = |view: View<'a>| Some((view.get(0)?.rate, view));
-        let head = |(rate, view)| Head { view, at: 1, rate };
-        let heads: Vec<Head<'a>> = views.filter_map(first).map(head).collect();
+        let head = |view: View<'a>| {
+            let rate = view.get(0)?.rate;
+            let next = view.get(1);
+            Some(Head {
+                view,
+                at: 1,
+                next,
+                rate,
+            })
+        };
+        let heads: Vec<Head<'a>> = views.filter_map(head).collect();
         let rate = heads.iter().map(|head| head.rate).sum();
         let fresh = true;
         Merge { heads, rate, fresh }
@@ -171,16 +175,8 @@ impl<'a> Merge<'a> {
 
     /// The sum's last rate: each view's last rate, summed without merging.
     pub(crate) fn long_run_rate(&self) -> Rate {
-        let last = |head: &Head| head.view.get(head.view.len() - 1).map(|seg| seg.rate);
+        let last = |head: &Head| head.view.last().map(|seg| seg.rate);
         self.heads.iter().filter_map(last).sum()
-    }
-
-    /// The whole sum, in a buffer with room for every view's segments.
-    fn collect_all(self) -> Vec<Segment> {
-        let mut sum =
-            Vec::with_capacity(1 + self.heads.iter().map(|h| h.view.len()).sum::<usize>());
-        sum.extend(self);
-        sum
     }
 }
 
@@ -191,16 +187,26 @@ impl Iterator for Merge<'_> {
         if std::mem::take(&mut self.fresh) {
             return Some(Segment::new(self.rate, Time::ZERO));
         }
-        let next = self.heads.iter().filter_map(|head| head.view.get(head.at));
-        let t = next.map(|seg| seg.start).min()?;
+        let next = self.heads.iter().filter_map(|head| head.next.as_ref());
+        let t = next.map(|seg| &seg.start).min().copied()?;
         for head in &mut self.heads {
-            if let Some(&seg) = head.view.get(head.at).filter(|seg| seg.start == t) {
+            if let Some(seg) = head.next.filter(|seg| seg.start == t) {
                 self.rate += seg.rate - head.rate;
                 head.rate = seg.rate;
                 head.at += 1;
+                head.next = head.view.get(head.at);
             }
         }
         Some(Segment::new(self.rate, t))
+    }
+
+    /// At most the segments still unread, plus the one at time 0.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let unread = self.heads.iter().map(|head| head.view.len() - head.at);
+        (
+            usize::from(self.fresh),
+            Some(usize::from(self.fresh) + unread.sum::<usize>()),
+        )
     }
 }
 
@@ -249,8 +255,14 @@ mod tests {
         let b = stream(&[(ratio(1, 2), ratio(0, 1)), (ratio(1, 4), ratio(3, 1))]);
         let s = a.multiplex(&b);
         assert_eq!(s.segments().len(), 2);
-        assert_eq!(s.segments()[1].rate.as_ratio(), ratio(1, 2));
-        assert_eq!(s.segments()[1].start.as_ratio(), ratio(3, 1));
+        assert_eq!(
+            s.segments().get(1).map(|seg| seg.rate.as_ratio()),
+            Some(ratio(1, 2))
+        );
+        assert_eq!(
+            s.segments().get(1).map(|seg| seg.start.as_ratio()),
+            Some(ratio(3, 1))
+        );
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! arrival envelope (§2, Figure 3).
 
 use core::fmt;
+use core::slice;
 
-use rtcac_rational::Ratio;
+use rtcac_rational::{NarrowRatio, Ratio};
 
 use crate::{Cells, Rate, StreamError, Time};
 
 /// One step of a bit stream: the stream flows at `rate` from `start`
 /// until the start of the next segment (or forever, for the last one).
+///
+/// This is the form every segment is read and computed in: two exact
+/// [`Ratio`]s, 64 bytes. A stream stores its segments in half that
+/// whenever every rate and start fits machine words (see
+/// [`BitStream::segments`]), and hands each one out as a `Segment`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Flow rate during this segment, normalized to the link bandwidth.
@@ -23,6 +29,213 @@ impl Segment {
         Segment { rate, start }
     }
 }
+
+/// A [`Segment`] whose rate and start both fit `i64` over `i64`: 32
+/// bytes, the stored form of every segment of a stream whose components
+/// all fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct WordSegment {
+    rate: NarrowRatio,
+    start: NarrowRatio,
+}
+
+impl WordSegment {
+    #[inline]
+    fn pack(seg: Segment) -> Option<WordSegment> {
+        Some(WordSegment {
+            rate: seg.rate.as_ratio().to_narrow()?,
+            start: seg.start.as_ratio().to_narrow()?,
+        })
+    }
+
+    #[inline]
+    fn unpack(self) -> Segment {
+        Segment::new(
+            Rate::new(Ratio::from(self.rate)),
+            Time::new(Ratio::from(self.start)),
+        )
+    }
+}
+
+/// A stream's stored segments: machine words when every component of
+/// every segment fits, the 64-byte arithmetic form otherwise. The form
+/// is a function of the values alone, so equal streams always share it
+/// and the derived `Eq` and `Hash` compare values.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Store {
+    Words(Box<[WordSegment]>),
+    Wide(Box<[Segment]>),
+}
+
+impl Store {
+    /// Stores segments in the smallest form that holds all of them.
+    fn pack(segments: impl IntoIterator<Item = Segment>) -> Store {
+        let mut segments = segments.into_iter();
+        let (least, most) = segments.size_hint();
+        let mut words = Vec::with_capacity(most.unwrap_or(least));
+        for seg in segments.by_ref() {
+            match WordSegment::pack(seg) {
+                Some(word) => words.push(word),
+                None => {
+                    let packed = words.into_iter().map(WordSegment::unpack);
+                    let wide = packed.chain([seg]).chain(segments);
+                    return Store::Wide(wide.collect());
+                }
+            }
+        }
+        Store::Words(words.into_boxed_slice())
+    }
+}
+
+/// The segments of a [`BitStream`], in time order: a borrowed, `Copy`
+/// view that yields each [`Segment`] by value, whichever form the
+/// stream stores them in.
+///
+/// ```
+/// use rtcac_bitstream::{BitStream, Rate, Segment, Time};
+/// use rtcac_rational::ratio;
+///
+/// let s = BitStream::from_rate_breaks([
+///     (ratio(1, 1), ratio(0, 1)),
+///     (ratio(1, 4), ratio(3, 1)),
+/// ])?;
+/// let segs = s.segments();
+/// assert_eq!(segs.len(), 2);
+/// assert_eq!(segs.get(1), Some(Segment::new(Rate::new(ratio(1, 4)), Time::from_integer(3))));
+/// assert_eq!(segs.last(), segs.get(1));
+/// let starts: Vec<Time> = segs.iter().map(|seg| seg.start).collect();
+/// assert_eq!(starts, [Time::ZERO, Time::from_integer(3)]);
+/// # Ok::<(), rtcac_bitstream::StreamError>(())
+/// ```
+#[derive(Clone, Copy)]
+pub struct Segments<'a>(Run<'a>);
+
+#[derive(Clone, Copy)]
+enum Run<'a> {
+    Words(&'a [WordSegment]),
+    Wide(&'a [Segment]),
+}
+
+impl<'a> Segments<'a> {
+    /// A view of no segments.
+    pub(crate) const EMPTY: Segments<'static> = Segments(Run::Wide(&[]));
+
+    /// A view of segments that no stream stores (yet).
+    pub(crate) fn wide(segments: &'a [Segment]) -> Segments<'a> {
+        Segments(Run::Wide(segments))
+    }
+
+    /// Number of segments.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self.0 {
+            Run::Words(words) => words.len(),
+            Run::Wide(segs) => segs.len(),
+        }
+    }
+
+    /// Whether there are no segments (never, for a stream's own).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Segment `k`, if there are that many.
+    #[inline]
+    pub fn get(self, k: usize) -> Option<Segment> {
+        match self.0 {
+            Run::Words(words) => words.get(k).map(|word| word.unpack()),
+            Run::Wide(segs) => segs.get(k).copied(),
+        }
+    }
+
+    /// The first segment (the one starting at time 0).
+    #[inline]
+    pub fn first(self) -> Option<Segment> {
+        self.get(0)
+    }
+
+    /// The last segment, whose rate extends forever.
+    #[inline]
+    pub fn last(self) -> Option<Segment> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// The segments one by one.
+    #[inline]
+    pub fn iter(self) -> SegmentIter<'a> {
+        SegmentIter(match self.0 {
+            Run::Words(words) => IterRun::Words(words.iter()),
+            Run::Wide(segs) => IterRun::Wide(segs.iter()),
+        })
+    }
+
+    /// The segments from `k` on (none if there are fewer).
+    #[inline]
+    pub(crate) fn suffix(self, k: usize) -> Segments<'a> {
+        Segments(match self.0 {
+            Run::Words(words) => Run::Words(words.get(k..).unwrap_or_default()),
+            Run::Wide(segs) => Run::Wide(segs.get(k..).unwrap_or_default()),
+        })
+    }
+
+    /// The number of leading segments that satisfy `pred`, which must
+    /// hold on a prefix and fail on the rest (a binary search).
+    pub(crate) fn partition_point(self, mut pred: impl FnMut(Segment) -> bool) -> usize {
+        match self.0 {
+            Run::Words(words) => words.partition_point(|word| pred(word.unpack())),
+            Run::Wide(segs) => segs.partition_point(|&seg| pred(seg)),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Segments<'a> {
+    type Item = Segment;
+    type IntoIter = SegmentIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> SegmentIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Segments<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Segments`] view, yielding [`Segment`]s by value.
+#[derive(Debug, Clone)]
+pub struct SegmentIter<'a>(IterRun<'a>);
+
+#[derive(Debug, Clone)]
+enum IterRun<'a> {
+    Words(slice::Iter<'a, WordSegment>),
+    Wide(slice::Iter<'a, Segment>),
+}
+
+impl Iterator for SegmentIter<'_> {
+    type Item = Segment;
+
+    #[inline]
+    fn next(&mut self) -> Option<Segment> {
+        match &mut self.0 {
+            IterRun::Words(words) => words.next().map(|word| word.unpack()),
+            IterRun::Wide(segs) => segs.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IterRun::Words(words) => words.size_hint(),
+            IterRun::Wide(segs) => segs.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for SegmentIter<'_> {}
 
 /// A *bit stream* `S = {(r(k), t(k)); k = 0..m}`: a worst-case traffic
 /// arrival envelope expressed as a monotonically non-increasing,
@@ -60,7 +273,7 @@ impl Segment {
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitStream {
-    segments: Vec<Segment>,
+    store: Store,
 }
 
 impl BitStream {
@@ -75,9 +288,7 @@ impl BitStream {
     /// );
     /// ```
     pub fn zero() -> BitStream {
-        BitStream {
-            segments: vec![Segment::new(Rate::ZERO, Time::ZERO)],
-        }
+        BitStream::from_canonical([Segment::new(Rate::ZERO, Time::ZERO)])
     }
 
     /// A stream flowing at a constant rate forever.
@@ -89,9 +300,7 @@ impl BitStream {
         if rate.is_negative() {
             return Err(StreamError::NegativeRate { rate });
         }
-        Ok(BitStream {
-            segments: vec![Segment::new(rate, Time::ZERO)],
-        })
+        Ok(BitStream::from_canonical([Segment::new(rate, Time::ZERO)]))
     }
 
     /// Builds a stream from `(rate, start)` segments, validating all
@@ -109,15 +318,12 @@ impl BitStream {
     where
         I: IntoIterator<Item = Segment>,
     {
-        let raw: Vec<Segment> = segments.into_iter().collect();
-        if raw.is_empty() {
-            return Err(StreamError::Empty);
-        }
-        if raw[0].start != Time::ZERO {
-            return Err(StreamError::MissingOrigin);
-        }
-        let mut normalized: Vec<Segment> = Vec::with_capacity(raw.len());
-        for seg in raw {
+        let segments = segments.into_iter();
+        let mut normalized: Vec<Segment> = Vec::with_capacity(segments.size_hint().0);
+        for seg in segments {
+            if normalized.is_empty() && seg.start != Time::ZERO {
+                return Err(StreamError::MissingOrigin);
+            }
             if seg.rate.is_negative() {
                 return Err(StreamError::NegativeRate { rate: seg.rate });
             }
@@ -134,9 +340,10 @@ impl BitStream {
             }
             normalized.push(seg);
         }
-        Ok(BitStream {
-            segments: normalized,
-        })
+        if normalized.is_empty() {
+            return Err(StreamError::Empty);
+        }
+        Ok(BitStream::from_canonical(normalized))
     }
 
     /// Convenience constructor from raw `(rate, start)` rational pairs.
@@ -157,84 +364,94 @@ impl BitStream {
 
     /// Internal constructor for operations that preserve the invariants
     /// by construction; still normalizes merging of equal neighbours.
-    pub(crate) fn from_normalized(segments: Vec<Segment>) -> BitStream {
-        debug_assert!(!segments.is_empty());
-        debug_assert_eq!(segments[0].start, Time::ZERO);
-        let mut normalized: Vec<Segment> = Vec::with_capacity(segments.len());
-        for seg in segments {
-            debug_assert!(!seg.rate.is_negative(), "negative rate {:?}", seg.rate);
-            if let Some(prev) = normalized.last() {
-                debug_assert!(seg.start > prev.start);
-                debug_assert!(
-                    seg.rate <= prev.rate,
-                    "rates must be non-increasing: {:?} then {:?}",
-                    prev,
-                    seg
-                );
-                if seg.rate == prev.rate {
-                    continue;
-                }
-            }
-            normalized.push(seg);
-        }
-        BitStream {
-            segments: normalized,
-        }
-    }
-
-    /// Internal constructor for segments already in canonical form —
-    /// from 0, starts strictly increasing, rates strictly falling — kept
-    /// in the buffer they came in (its capacity is what
-    /// [`BitStream::resident_bytes`] reports).
-    pub(crate) fn from_canonical(segments: Vec<Segment>) -> BitStream {
-        debug_assert_eq!(segments.first().map(|s| s.start), Some(Time::ZERO));
+    pub(crate) fn from_normalized(mut segments: Vec<Segment>) -> BitStream {
         debug_assert!(
             segments
                 .windows(2)
-                .all(|w| w[0].start < w[1].start && w[0].rate > w[1].rate),
-            "not canonical: {segments:?}"
+                .all(|w| w[0].start < w[1].start && w[0].rate >= w[1].rate),
+            "not a bit stream: {segments:?}"
         );
-        debug_assert!(segments.iter().all(|s| !s.rate.is_negative()));
-        BitStream { segments }
+        segments.dedup_by(|seg, prev| seg.rate == prev.rate);
+        BitStream::from_canonical(segments)
     }
 
-    /// The segments of the stream, in time order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// Internal constructor for segments already in canonical form —
+    /// from 0, starts strictly increasing, rates non-negative and
+    /// strictly falling — packed once into the stream's store.
+    pub(crate) fn from_canonical(segments: impl IntoIterator<Item = Segment>) -> BitStream {
+        let stream = BitStream {
+            store: Store::pack(segments),
+        };
+        debug_assert!(stream.is_canonical(), "not canonical: {stream:?}");
+        stream
     }
 
-    /// Approximate resident heap bytes of this stream: the segment
-    /// buffer it owns (capacity, not length — what the allocator is
-    /// actually holding).
+    /// The invariants every constructor establishes.
+    fn is_canonical(&self) -> bool {
+        let segs = self.segments();
+        let mut steps = segs.iter().zip(segs.iter().skip(1));
+        segs.first().is_some_and(|first| first.start == Time::ZERO)
+            && segs.iter().all(|seg| !seg.rate.is_negative())
+            && steps.all(|(a, b)| a.start < b.start && a.rate > b.rate)
+    }
+
+    /// The segments of the stream, in time order, read by value through
+    /// a borrowed view (see [`Segments`]). The stream stores them as
+    /// 32-byte machine words when every rate and start fits `i64` over
+    /// `i64`, and as [`Segment`]s otherwise; the view reads either.
+    pub fn segments(&self) -> Segments<'_> {
+        Segments(match &self.store {
+            Store::Words(words) => Run::Words(words),
+            Store::Wide(segs) => Run::Wide(segs),
+        })
+    }
+
+    /// Resident heap bytes of this stream: its segment buffer, 32 bytes
+    /// a segment when every rate and start fits `i64` over `i64` and 64
+    /// (a [`Segment`]) otherwise. The buffer is exactly as long as the
+    /// stream.
     pub fn resident_bytes(&self) -> usize {
-        self.segments.capacity() * core::mem::size_of::<Segment>()
+        match &self.store {
+            Store::Words(words) => core::mem::size_of_val::<[WordSegment]>(words),
+            Store::Wide(segs) => core::mem::size_of_val::<[Segment]>(segs),
+        }
     }
 
     /// Number of segments (the paper's `m + 1`). Never zero: even the
     /// zero stream has one (zero-rate) segment.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.segments().len()
+    }
+
+    /// The first segment and the last one.
+    fn ends(&self) -> (Segment, Segment) {
+        let segs = self.segments();
+        let origin = Segment::new(Rate::ZERO, Time::ZERO);
+        (
+            segs.first().unwrap_or(origin),
+            segs.last().unwrap_or(origin),
+        )
     }
 
     /// Whether this is the zero stream (carries no traffic at all).
     pub fn is_zero(&self) -> bool {
-        self.segments.len() == 1 && self.segments[0].rate.is_zero()
+        self.segment_count() == 1 && self.peak_rate().is_zero()
     }
 
     /// The initial (peak) rate `r(0)`.
     pub fn peak_rate(&self) -> Rate {
-        self.segments[0].rate
+        self.ends().0.rate
     }
 
     /// The final rate `r(m)`, which extends to infinity — the long-run
     /// sustained rate of the stream.
     pub fn long_run_rate(&self) -> Rate {
-        self.segments[self.segments.len() - 1].rate
+        self.ends().1.rate
     }
 
     /// The time after which the stream flows at its long-run rate.
     pub fn stabilization_time(&self) -> Time {
-        self.segments[self.segments.len() - 1].start
+        self.ends().1.start
     }
 
     /// The instantaneous rate at time `t` (`t >= 0`).
@@ -244,10 +461,10 @@ impl BitStream {
     /// Panics if `t` is negative.
     pub fn rate_at(&self, t: Time) -> Rate {
         assert!(!t.is_negative(), "rate_at: negative time");
-        match self.segments.binary_search_by(|seg| seg.start.cmp(&t)) {
-            Ok(i) => self.segments[i].rate,
-            Err(i) => self.segments[i - 1].rate,
-        }
+        let segs = self.segments();
+        let at = segs.partition_point(|seg| seg.start <= t);
+        segs.get(at.saturating_sub(1))
+            .map_or(Rate::ZERO, |seg| seg.rate)
     }
 
     /// The cumulative traffic `R(t) = ∫₀ᵗ r(u) du` in cells.
@@ -258,17 +475,24 @@ impl BitStream {
     pub fn cumulative(&self, t: Time) -> Cells {
         assert!(!t.is_negative(), "cumulative: negative time");
         let mut total = Cells::ZERO;
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (seg, end) in self.steps() {
             if seg.start >= t {
                 break;
             }
-            let end = match self.segments.get(i + 1) {
-                Some(next) => next.start.min(t),
-                None => t,
-            };
+            let end = end.map_or(t, |end| end.min(t));
             total += seg.rate * (end - seg.start);
         }
         total
+    }
+
+    /// Each segment with the start of the one after it (`None` for the
+    /// last), every segment read once.
+    fn steps(&self) -> impl Iterator<Item = (Segment, Option<Time>)> + '_ {
+        let mut segs = self.segments().iter().peekable();
+        core::iter::from_fn(move || {
+            let seg = segs.next()?;
+            Some((seg, segs.peek().map(|next| next.start)))
+        })
     }
 
     /// The maximum instantaneous backlog (queue build-up in cells) when
@@ -282,8 +506,8 @@ impl BitStream {
     /// exceeds `capacity`).
     pub fn backlog_bound(&self, capacity: Rate) -> Option<Cells> {
         let mut backlog = Cells::ZERO;
-        for pair in self.segments.windows(2) {
-            let (seg, end) = (pair[0], pair[1].start);
+        for (seg, end) in self.steps() {
+            let Some(end) = end else { break };
             if seg.rate <= capacity {
                 return Some(backlog);
             }
@@ -299,15 +523,15 @@ impl BitStream {
             return Some(Time::ZERO);
         }
         let mut acc = Cells::ZERO;
-        for pair in self.segments.windows(2) {
-            let (seg, end) = (pair[0], pair[1].start);
+        for (seg, end) in self.steps() {
+            let Some(end) = end else { break };
             let chunk = seg.rate * (end - seg.start);
             if acc + chunk >= amount {
                 return Some(seg.start + (amount - acc) / seg.rate);
             }
             acc += chunk;
         }
-        let last = self.segments.last()?;
+        let last = self.segments().last()?;
         (!last.rate.is_zero()).then(|| last.start + (amount - acc) / last.rate)
     }
 
@@ -337,7 +561,7 @@ impl BitStream {
         if self.long_run_rate() < other.long_run_rate() {
             return false;
         }
-        for seg in self.segments.iter().chain(other.segments()) {
+        for seg in self.segments().iter().chain(other.segments()) {
             if self.cumulative(seg.start) < other.cumulative(seg.start) {
                 return false;
             }
@@ -366,11 +590,11 @@ impl BitStream {
         if factor.is_zero() {
             return Ok(BitStream::zero());
         }
-        Ok(BitStream::from_normalized(
-            self.segments
+        // A positive factor keeps the rates strictly falling.
+        Ok(BitStream::from_canonical(
+            self.segments()
                 .iter()
-                .map(|seg| Segment::new(seg.rate * factor, seg.start))
-                .collect(),
+                .map(|seg| Segment::new(seg.rate * factor, seg.start)),
         ))
     }
 }
@@ -385,7 +609,7 @@ impl Default for BitStream {
 impl fmt::Debug for BitStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BitStream[")?;
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, seg) in self.segments().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -398,7 +622,7 @@ impl fmt::Debug for BitStream {
 impl fmt::Display for BitStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, seg) in self.segments().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -415,6 +639,42 @@ mod tests {
 
     fn rt(r: (i128, i128), t: (i128, i128)) -> (Ratio, Ratio) {
         (ratio(r.0, r.1), ratio(t.0, t.1))
+    }
+
+    /// Every stored stream is one of these; growth in any of them is
+    /// resident bytes per connection.
+    #[test]
+    fn layout_pins() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<BitStream>(), 24);
+        assert_eq!(size_of::<WordSegment>(), 32);
+        assert_eq!(size_of::<Segment>(), 64);
+        assert_eq!(size_of::<Segments<'_>>(), 24);
+    }
+
+    #[test]
+    fn word_form_exactly_when_every_component_fits() {
+        let narrow = BitStream::from_rate_breaks([
+            rt((1, 1), (0, 1)),
+            rt((1, i64::MAX as i128), (i64::MAX as i128, 3)),
+        ])
+        .unwrap();
+        assert!(matches!(narrow.store, Store::Words(_)));
+        assert_eq!(narrow.resident_bytes(), 2 * 32);
+        // One component a bit too wide stores the whole stream wide.
+        for (rate, start) in [((1, 1 << 63), (5, 1)), ((1, 4), (1 << 63, 1))] {
+            let wide = BitStream::from_rate_breaks([rt((1, 1), (0, 1)), rt(rate, start)]).unwrap();
+            assert!(matches!(wide.store, Store::Wide(_)), "{wide}");
+            assert_eq!(wide.resident_bytes(), 2 * 64);
+            assert_eq!(
+                wide.segments().get(1),
+                Some(Segment::new(
+                    Rate::new(ratio(rate.0, rate.1)),
+                    Time::new(ratio(start.0, start.1))
+                ))
+            );
+            assert_eq!(BitStream::from_segments(wide.segments()).unwrap(), wide);
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ fn figure2_vbr_bit_stream_model() {
     let contract = TrafficContract::vbr(VbrParams::new(rate(1, 2), rate(1, 8), 4).unwrap());
     let s = contract.worst_case_stream();
     assert_eq!(
-        s.segments(),
-        &[
+        s.segments().iter().collect::<Vec<_>>(),
+        [
             Segment::new(rate(1, 1), Time::ZERO),
             Segment::new(rate(1, 2), Time::ONE),
             Segment::new(rate(1, 8), Time::from_integer(7)),
@@ -49,8 +49,8 @@ fn figure4_delay_of_a_bit_stream() {
     // the shifted stream's 1/4 rate at 3/4 per cell time:
     // t' - CDV = (7/4) / (3/4) = 7/3.
     assert_eq!(
-        d.segments(),
-        &[
+        d.segments().iter().collect::<Vec<_>>(),
+        [
             Segment::new(rate(1, 1), Time::ZERO),
             Segment::new(rate(1, 4), Time::new(ratio(7, 3))),
         ]
@@ -73,8 +73,8 @@ fn figure5_multiplexing() {
     let s2 = stream(&[(ratio(1, 1), ratio(0, 1)), (ratio(1, 4), ratio(2, 1))]);
     let s = s1.multiplex(&s2);
     assert_eq!(
-        s.segments(),
-        &[
+        s.segments().iter().collect::<Vec<_>>(),
+        [
             Segment::new(rate(3, 2), Time::ZERO),
             Segment::new(rate(3, 4), Time::from_integer(2)),
             Segment::new(rate(3, 8), Time::from_integer(4)),
@@ -102,8 +102,8 @@ fn figure7_filtering() {
     // cell time after t=3: t' = 3 + 4 = 7.
     let f = s.filter();
     assert_eq!(
-        f.segments(),
-        &[
+        f.segments().iter().collect::<Vec<_>>(),
+        [
             Segment::new(rate(1, 1), Time::ZERO),
             Segment::new(rate(1, 4), Time::from_integer(7)),
         ]

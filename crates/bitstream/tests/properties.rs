@@ -10,7 +10,7 @@
 //! `RTCAC_TEST_SEED` (0 if unset) with its own number, and a failing
 //! test names the seed that replays it.
 
-use rtcac_bitstream::{BitStream, Cells, Rate, Time, TrafficContract, VbrParams};
+use rtcac_bitstream::{BitStream, Cells, Rate, Segment, Time, TrafficContract, VbrParams};
 use rtcac_rational::{ratio, Ratio};
 
 const CASES: u64 = 96;
@@ -103,6 +103,54 @@ fn arb_source(rng: &mut Rng) -> BitStream {
     let scr = ratio(1, s.max(p)); // scr <= pcr
     TrafficContract::vbr(VbrParams::new(Rate::new(pcr), Rate::new(scr), mbs).expect("valid"))
         .worst_case_stream()
+}
+
+/// [`arb_stream`]'s shape, often with components past 64 bits: every
+/// breakpoint after the first pushed `2^62`–`2^66` cell times later, or
+/// the peak rate of a stream with more than one segment raised by as
+/// much (a third of the draws stay as they are). The huge values are
+/// integers and a huge rate lasts a few cell times at most, so the
+/// algebra on them stays far inside `i128`.
+fn arb_wide_stream(rng: &mut Rng) -> BitStream {
+    let base = arb_stream(rng);
+    let big = ratio((1 << rng.range(62, 66)) + rng.range(0, 1 << 20), 1);
+    let mode = rng.range(0, 2).min(base.segment_count() as i128);
+    let widen = |k: usize, seg: Segment| match (mode, k) {
+        (1, 1..) => Segment::new(seg.rate, Time::new(seg.start.as_ratio() + big)),
+        (2, 0) => Segment::new(Rate::new(seg.rate.as_ratio() + big), seg.start),
+        _ => seg,
+    };
+    BitStream::from_segments(
+        base.segments()
+            .iter()
+            .enumerate()
+            .map(|(k, seg)| widen(k, seg)),
+    )
+    .expect("widening keeps a bit stream")
+}
+
+/// Whether a value fits the 64-bit word form.
+fn fits_words(r: Ratio) -> bool {
+    i64::try_from(r.numer()).is_ok() && i64::try_from(r.denom()).is_ok()
+}
+
+/// Checks the storage form of `s` against its values: 32-byte words
+/// exactly when every rate and start fits, a 64-byte [`Segment`] per
+/// segment otherwise, and a round trip through the segment view.
+/// Returns whether `s` is stored wide.
+fn assert_storage(s: &BitStream) -> bool {
+    let words = s
+        .segments()
+        .iter()
+        .all(|seg| fits_words(seg.rate.as_ratio()) && fits_words(seg.start.as_ratio()));
+    for seg in s.segments() {
+        let r = seg.rate.as_ratio();
+        assert_eq!(r.to_narrow().map(Ratio::from), fits_words(r).then_some(r));
+    }
+    let per_segment = if words { 32 } else { 64 };
+    assert_eq!(s.resident_bytes(), s.segment_count() * per_segment, "{s}");
+    assert_eq!(BitStream::from_segments(s.segments()).as_ref(), Ok(s));
+    !words
 }
 
 fn sample_times() -> Vec<Time> {
@@ -401,4 +449,69 @@ fn delay_bound_matches_brute_force_scan() {
             "scan {best} far below analytic {analytic} for {arrival} / {interference}"
         );
     }
+}
+
+/// The algebra's laws on both storage forms: streams with components
+/// past 64 bits (stored as 64-byte segments) beside word-sized ones,
+/// with every result checked for the form its values call for.
+#[test]
+fn both_storage_forms_keep_the_algebra() {
+    assert_eq!(std::mem::size_of::<Segment>(), 64);
+    let mut rng = Rng::salted(118);
+    let mut wide = 0;
+    for _ in 0..CASES {
+        let (a, b, c) = (
+            arb_wide_stream(&mut rng),
+            arb_wide_stream(&mut rng),
+            arb_wide_stream(&mut rng),
+        );
+        for s in [&a, &b, &c] {
+            wide += usize::from(assert_storage(s));
+        }
+        let ab = a.multiplex(&b);
+        assert_storage(&ab);
+        assert_eq!(ab, b.multiplex(&a));
+        assert_eq!(ab.multiplex(&c), a.multiplex(&b.multiplex(&c)));
+        assert_eq!(BitStream::multiplex_all([&a, &b, &c]), ab.multiplex(&c));
+        assert_eq!(a.multiplex(&BitStream::zero()), a);
+        assert_eq!(ab.demultiplex(&b).as_ref(), Ok(&a));
+        let horizon = a.stabilization_time().max(b.stabilization_time());
+        for t in sample_times().into_iter().chain([horizon]) {
+            assert_eq!(ab.cumulative(t), a.cumulative(t) + b.cumulative(t));
+        }
+
+        let f = a.filter();
+        assert_storage(&f);
+        assert!(f.peak_rate() <= Rate::FULL);
+        assert_eq!(f.filter(), f);
+        assert!(a.dominates(&f));
+        assert_eq!(
+            BitStream::multiplex_filtered([&a, &b]),
+            f.multiplex(&b.filter())
+        );
+
+        // Jitter clumps at the link rate, so it inflates a link-feasible
+        // stream such as `f`.
+        let d = f.delay(Time::from_integer(rng.range(1, 20)));
+        assert_storage(&d);
+        assert!(d.dominates(&f));
+
+        match (
+            a.delay_bound(&BitStream::zero()),
+            a.backlog_bound(Rate::FULL),
+        ) {
+            (Ok(d), Some(b)) => assert_eq!(d.as_ratio(), b.as_ratio()),
+            (Err(_), None) => {}
+            (d, b) => panic!("disagree: {d:?} vs {b:?}"),
+        }
+        let c16 = c.coarsen(16).expect("positive grid");
+        assert_storage(&c16);
+        assert!(c16.dominates(&c));
+    }
+    // Both forms, each in a good share of the draws.
+    let drawn = 3 * CASES as usize;
+    assert!(
+        wide > drawn / 4 && wide < drawn * 3 / 4,
+        "{wide} of {drawn} wide"
+    );
 }

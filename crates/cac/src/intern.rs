@@ -255,6 +255,13 @@ mod tests {
         contract.worst_case_stream().delay(cdv)
     }
 
+    /// The slab is resident per distinct `(contract, CDV)`: a growing
+    /// slot is resident bytes per connection.
+    #[test]
+    fn slot_layout_pin() {
+        assert_eq!(std::mem::size_of::<Slot>(), 160);
+    }
+
     #[test]
     fn acquire_dedups_and_counts_refs() {
         let mut intern = ContractIntern::new();

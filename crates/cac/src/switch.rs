@@ -601,6 +601,13 @@ mod tests {
         )
     }
 
+    /// One per established leg: a growing leg is resident bytes per
+    /// connection.
+    #[test]
+    fn leg_layout_pin() {
+        assert_eq!(std::mem::size_of::<Leg>(), 24);
+    }
+
     #[test]
     fn admit_single_connection() {
         let mut sw = one_level_switch(32);
@@ -963,6 +970,49 @@ mod tests {
         assert_eq!(sw.epoch(), 1);
         sw.release(ConnectionId::new(1)).unwrap();
         assert_eq!(sw.epoch(), 2);
+    }
+
+    /// Two CBR contracts with coprime 63-bit denominators at one port:
+    /// the first two of the three whose rate sum overflows `i128`. Each
+    /// envelope fits machine words; the sum of the two does not, so the
+    /// aggregate that holds both is stored in the 64-byte form.
+    #[test]
+    fn coprime_word_denominators_are_priced_and_stored_exactly() {
+        const D1: i128 = 9_223_372_036_854_775_783;
+        const D2: i128 = 9_223_372_036_854_775_643;
+        let wide = |s: &BitStream| s.resident_bytes() == s.segment_count() * 64;
+        let port =
+            |sw: &Switch, i: u32| sw.tables.arrival(l(i), l(100), Priority::HIGHEST).cloned();
+        for shared_in_link in [false, true] {
+            let mut sw = one_level_switch(32);
+            let second_in = u32::from(!shared_in_link);
+            let legs = [
+                (ConnectionId::new(1), request(cbr(1, D1), 0, 0, 0)),
+                (ConnectionId::new(2), request(cbr(1, D2), 0, second_in, 0)),
+            ];
+            for (id, leg) in legs {
+                assert!(sw.admit(id, leg).unwrap().is_admitted());
+            }
+            // The bounds computed when every segment was stored wide.
+            let bound = if shared_in_link { 0 } else { 1 };
+            assert_eq!(
+                sw.computed_bound(l(100), Priority::HIGHEST).unwrap(),
+                Time::from_integer(bound)
+            );
+            // Apart, each in-link stores one word-sized envelope; shared,
+            // the one stored aggregate is their wide sum.
+            let stored: Vec<BitStream> = (0..2).filter_map(|i| port(&sw, i)).collect();
+            assert_eq!(stored.len(), if shared_in_link { 1 } else { 2 });
+            assert!(stored.iter().all(|s| wide(s) == shared_in_link));
+            assert!(wide(&BitStream::multiplex_all(&stored)));
+            let restored = |sw: &Switch| {
+                Switch::restore(sw.config().clone(), sw.epoch(), sw.connections()).unwrap()
+            };
+            assert_eq!(sw.tables, restored(&sw).tables);
+            sw.release(ConnectionId::new(1)).unwrap();
+            assert_eq!(sw.tables, restored(&sw).tables);
+            assert!(port(&sw, second_in).is_some_and(|s| !wide(&s)));
+        }
     }
 
     #[test]

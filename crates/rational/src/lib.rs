@@ -33,7 +33,7 @@ mod ops;
 mod ratio;
 
 pub use isqrt::{isqrt_floor, sqrt_lower, sqrt_upper};
-pub use ratio::{Ratio, RatioError};
+pub use ratio::{NarrowRatio, Ratio, RatioError};
 
 /// Convenience constructor used pervasively in tests and examples.
 ///

@@ -53,6 +53,37 @@ pub struct Ratio {
     den: i128,
 }
 
+/// A [`Ratio`] whose reduced numerator and denominator both fit `i64`:
+/// the 16-byte storage form of a value, half the size of a `Ratio`.
+///
+/// Only [`Ratio::to_narrow`] makes one, so its fields are always a
+/// reduced fraction with a positive denominator, and converting back
+/// with [`From`] needs no GCD. Field equality is value equality.
+///
+/// ```
+/// use rtcac_rational::{ratio, Ratio};
+///
+/// let word = ratio(3, 4).to_narrow().ok_or("wide")?;
+/// assert_eq!(Ratio::from(word), ratio(3, 4));
+/// assert_eq!(ratio(1, 1 << 63).to_narrow(), None);
+/// # Ok::<(), &str>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NarrowRatio {
+    num: i64,
+    den: i64,
+}
+
+impl From<NarrowRatio> for Ratio {
+    #[inline]
+    fn from(word: NarrowRatio) -> Ratio {
+        Ratio {
+            num: i128::from(word.num),
+            den: i128::from(word.den),
+        }
+    }
+}
+
 // Narrow and wide arithmetic.
 //
 // Every operation below has two bodies. The *wide* one is plain `i128`
@@ -102,6 +133,7 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 /// `(num, den)` as machine words when both fit `i64` — the width at
 /// which every product on the narrow paths fits `i128` unchecked:
 /// `|num| <= 2^63` and `0 < den < 2^63`.
+#[inline]
 fn narrow(r: Ratio) -> Option<(i64, i64)> {
     match (i64::try_from(r.num), i64::try_from(r.den)) {
         (Ok(num), Ok(den)) => Some((num, den)),
@@ -205,6 +237,13 @@ impl Ratio {
             num: sign * (num / g),
             den: den / g,
         })
+    }
+
+    /// The value in machine words, if both reduced components fit
+    /// `i64` — the same width test that picks the word-sized arithmetic.
+    #[inline]
+    pub fn to_narrow(self) -> Option<NarrowRatio> {
+        narrow(self).map(|(num, den)| NarrowRatio { num, den })
     }
 
     /// Creates a ratio from an integer value.
@@ -426,6 +465,7 @@ impl Ratio {
     }
 
     /// Returns the smaller of two ratios.
+    #[inline]
     pub fn min(self, other: Ratio) -> Ratio {
         if self <= other {
             self
@@ -435,6 +475,7 @@ impl Ratio {
     }
 
     /// Returns the larger of two ratios.
+    #[inline]
     pub fn max(self, other: Ratio) -> Ratio {
         if self >= other {
             self
@@ -455,16 +496,22 @@ impl Ratio {
 
     /// Exact comparison that never overflows, using continued-fraction
     /// style descent when the cross products exceed `i128`.
+    #[inline]
     fn cmp_exact(&self, other: &Ratio) -> Ordering {
         // Fast path: checked cross-multiplication.
-        if let (Some(lhs), Some(rhs)) = (
+        match (
             self.num.checked_mul(other.den),
             other.num.checked_mul(self.den),
         ) {
-            return lhs.cmp(&rhs);
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => self.cmp_descent(other),
         }
-        // Slow path: compare signs, then integer parts, then recurse on
-        // the reciprocal of the fractional parts (Stern–Brocot descent).
+    }
+
+    /// [`Ratio::cmp_exact`] where a cross product leaves `i128`.
+    fn cmp_descent(&self, other: &Ratio) -> Ordering {
+        // Compare signs, then integer parts, then recurse on the
+        // reciprocal of the fractional parts (Stern–Brocot descent).
         match (self.num.signum(), other.num.signum()) {
             (a, b) if a != b => return a.cmp(&b),
             (-1, -1) => {
@@ -511,6 +558,7 @@ impl Default for Ratio {
 }
 
 impl PartialEq for Ratio {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         // Both are reduced with positive denominators, so field equality
         // is value equality.
@@ -521,12 +569,14 @@ impl PartialEq for Ratio {
 impl Eq for Ratio {}
 
 impl PartialOrd for Ratio {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Ratio {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.cmp_exact(other)
     }

@@ -235,3 +235,61 @@ fn width_decides_the_path() {
     assert!(narrow(crate::ratio(1, 1 << 63)).is_none());
     assert!(narrow(crate::ratio(i64::MIN as i128 - 1, 1)).is_none());
 }
+
+/// `to_narrow` is the arithmetic's own width test, made visible: `Some`
+/// exactly when the word-sized bodies would run, and a value that comes
+/// back unchanged.
+fn assert_word_form(r: Ratio, ctx: &str) -> bool {
+    let word = r.to_narrow();
+    assert_eq!(word.is_some(), narrow(r).is_some(), "to_narrow, {ctx}");
+    if let Some(word) = word {
+        let back = Ratio::from(word);
+        assert_eq!(fields(Some(back)), fields(Some(r)), "round trip, {ctx}");
+    }
+    word.is_some()
+}
+
+#[test]
+fn to_narrow_agrees_with_the_width_test() {
+    let max = i128::from(i64::MAX);
+    let min = i128::from(i64::MIN);
+    // The corners of the word form, and one bit past each.
+    for (num, den, fits) in [
+        (min, 1, true),
+        (max, 1, true),
+        (min, max, true),
+        (max, max - 1, true),
+        (-max, max - 1, true),
+        (1, 1 << 63, false),
+        (-1, 1 << 63, false),
+        (min, 1 << 63, true), // reduces to -1
+        (min - 1, 1, false),
+        (max + 1, 1, false),
+        (1 << 63, 3, false),
+    ] {
+        let ctx = format!("{num}/{den}");
+        assert_eq!(
+            assert_word_form(crate::ratio(num, den), &ctx),
+            fits,
+            "{ctx}"
+        );
+    }
+    let seed = seed();
+    let mut rng = SplitMix64(seed ^ 0x0057_04D5);
+    let (mut words, mut wide) = (0u64, 0u64);
+    for case in 0..QUADRUPLES / 4 {
+        let class = class(&mut rng);
+        let (a, b) = pair(&mut rng, class);
+        let Ok(r) = Ratio::new(a, b) else {
+            continue;
+        };
+        let ctx = format!("RTCAC_TEST_SEED={seed} case {case}: {a}/{b}");
+        if assert_word_form(r, &ctx) {
+            words += 1;
+        } else {
+            wide += 1;
+        }
+    }
+    assert!(words > QUADRUPLES / 16, "word-sized values: {words}");
+    assert!(wide > QUADRUPLES / 100, "wide values: {wide}");
+}
