@@ -419,12 +419,22 @@ fn delay_bound_matches_brute_force_scan() {
         let Ok(analytic) = arrival.delay_bound(&interference) else {
             continue; // overloaded: nothing to compare
         };
-        // Fine-grid scan of D(t) = C^{-1}(A(t)) - t over t in [0, 120].
+        // Fine-grid scan of D(t) = C^{-1}(A(t)) - t. Past both streams'
+        // last breakpoints D is linear with slope rho_A / (1 - rho_I) - 1,
+        // which is not positive when a bound exists, so D peaks at or
+        // before the later last breakpoint: scan t over [0, 120] and on to
+        // one cell past that breakpoint.
+        let last_start = |s: &BitStream| s.segments().last().map_or(Time::ZERO, |seg| seg.start);
+        let horizon = Time::from_integer(120)
+            .max(last_start(&arrival).max(last_start(&interference)) + Time::from_integer(1));
         let step = ratio(1, 8);
         let mut best = Time::ZERO;
         let mut g = Time::ZERO;
-        for k in 0..(120 * 8) {
+        for k in 0.. {
             let t = Time::new(ratio(k, 8));
+            if t >= horizon {
+                break;
+            }
             let a = arrival.cumulative(t);
             // Advance g until C(g) >= a (C and A are non-decreasing, so
             // g only moves forward).

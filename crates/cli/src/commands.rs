@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 use rtcac_bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::Priority;
@@ -328,86 +329,6 @@ pub(crate) fn build_engine(
     Ok(engine)
 }
 
-/// `rtcac engine`: replay every `connect` of the scenario — unicast and
-/// point-to-multipoint — in file order through the concurrent sharded
-/// admission engine, then report outcomes, engine statistics, and the
-/// final computed port bounds.
-///
-/// With `metrics_path`, the run is observed by a fresh
-/// [`rtcac_obs::Registry`] whose final snapshot is written to
-/// `metrics_path` in Prometheus text format and to `metrics_path.json`
-/// in JSON.
-///
-/// # Errors
-///
-/// Returns [`CliError::Domain`] on API-level failures; rejections are
-/// reported in the output, not raised.
-pub fn engine(scenario: &Scenario, metrics_path: Option<&str>) -> Result<String, CliError> {
-    let registry = metrics_path.map(|_| Arc::new(rtcac_obs::Registry::new()));
-    let (replay, steps) = replay_connects(scenario, build_engine(scenario, registry.as_ref())?)?;
-    let engine = &replay.driver.engine;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "engine: {} setups over {} shards",
-        steps.len(),
-        scenario.topology.switches().count()
-    );
-    for step in steps {
-        match step {
-            Step::Connected {
-                index,
-                delay,
-                detour,
-            } => {
-                let spec = &scenario.connections[index];
-                let name = &spec.name;
-                let _ = match (detour, &spec.route) {
-                    (Some(Detour::Rerouted { attempts }), _) => writeln!(
-                        out,
-                        "{name}: REROUTED after {attempts} attempt(s), guaranteed_delay={delay} cells"
-                    ),
-                    (_, RouteKind::Multicast(_)) => {
-                        let leaves = engine.per_leaf_bounds(replay.established[&index]);
-                        let leaves = leaves.map_or(0, |b| b.len());
-                        writeln!(
-                            out,
-                            "{name}: ADMITTED (p2mp) worst_leaf_delay={delay} cells over {leaves} leaves"
-                        )
-                    }
-                    (_, RouteKind::Unicast(_)) => {
-                        writeln!(out, "{name}: ADMITTED guaranteed_delay={delay} cells")
-                    }
-                };
-            }
-            Step::Rejected { index, reason, .. } => {
-                let name = &scenario.connections[index].name;
-                let _ = writeln!(out, "{name}: REJECTED ({reason})");
-            }
-            // A connect-only replay steps nothing else.
-            _ => {}
-        }
-    }
-    let stats = engine.stats();
-    let _ = writeln!(
-        out,
-        "stats: submitted={} admitted={} rejected={} aborted={} rerouted={} mcast={}/{}",
-        stats.submitted,
-        stats.admitted,
-        stats.rejected,
-        stats.aborted,
-        stats.rerouted,
-        stats.mcast_admitted,
-        stats.mcast_submitted,
-    );
-    port_report(scenario, &replay.driver, &mut out)?;
-    if let (Some(path), Some(registry)) = (metrics_path, &registry) {
-        export_metrics(registry, path, &mut out)?;
-    }
-    Ok(out)
-}
-
 /// `rtcac check --engine`: replay the scenario's actions in file order
 /// through the concurrent sharded engine instead of the serial
 /// signaling network — connects (unicast [`AdmissionEngine::admit`]
@@ -481,40 +402,6 @@ pub(crate) fn write_metrics_file(path: &str, contents: &str) -> Result<(), CliEr
     }
     std::fs::write(target, contents)
         .map_err(|e| CliError::Domain(format!("cannot write '{path}': {e}")))
-}
-
-/// `rtcac stats`: replay the scenario in file order through the sharded
-/// engine under a fresh [`rtcac_obs::Registry`] and print the resulting
-/// metrics snapshot — Prometheus text by default, JSON with `json`. The
-/// output is the bare exposition, suitable for piping.
-///
-/// # Errors
-///
-/// As [`engine`].
-pub fn stats(scenario: &Scenario, json: bool) -> Result<String, CliError> {
-    let registry = Arc::new(rtcac_obs::Registry::new());
-    // A registry-linked tracer rides along so the exposition also
-    // carries the per-span duration histograms (`trace_span_ns`) and
-    // the span-ring accounting.
-    let tracer = Tracer::with_registry(Sampling::Always, Arc::clone(&registry));
-    let mut engine = build_engine(scenario, Some(&registry))?;
-    engine.set_tracer(tracer.clone());
-    replay_connects(scenario, engine)?;
-    registry
-        .gauge("obs_trace_spans_recorded")
-        .set(tracer.recorded());
-    registry
-        .gauge("obs_trace_spans_dropped")
-        .set(tracer.dropped());
-    registry
-        .gauge("obs_trace_spans_evicted")
-        .set(tracer.evicted());
-    let snapshot = registry.snapshot();
-    Ok(if json {
-        snapshot.to_json()
-    } else {
-        snapshot.to_prometheus()
-    })
 }
 
 /// `rtcac trace`: replay the scenario with an always-sampling
@@ -907,76 +794,40 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
 }
 
-/// Parameters of `rtcac load`.
-#[derive(Debug, Clone)]
-pub struct LoadArgs {
-    /// Target service address.
-    pub addr: String,
-    /// Generator threads (one connection each).
-    pub threads: usize,
-    /// Total frames (setups + releases) across all threads.
-    pub ops: u64,
-    /// In-flight frames per connection.
-    pub pipeline: usize,
-    /// Target total ops/s (open-loop pacing); `None` = max throughput.
-    pub rate: Option<u64>,
-    /// Randomization seed.
-    pub seed: u64,
-    /// Send DRAIN after the run (clean server shutdown).
-    pub drain: bool,
-    /// Soak duration in minutes: repeat `ops`-sized batches until it
-    /// elapses, scraping the server's memory gauges throughout.
-    pub soak_minutes: Option<f64>,
-    /// Exposition endpoint to scrape during a soak.
-    pub metrics_addr: String,
-}
-
-/// `rtcac load`: drive the open-loop generator against a running
-/// `rtcac serve` and report ops/s plus setup latency quantiles.
+/// `rtcac load`: drive the traffic source against a running
+/// `rtcac serve` and report what it sent and how the server answered.
+/// With `soak`, repeat `config`-sized batches for that long while
+/// scraping the server's exposition endpoint at the given address.
+/// With `drain`, send DRAIN afterwards.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Domain`] for connection or protocol failures.
-pub fn serve_load(args: &LoadArgs) -> Result<String, CliError> {
-    let config = rtcac_serve::LoadConfig {
-        addr: args.addr.clone(),
-        threads: args.threads,
-        ops: args.ops,
-        pipeline: args.pipeline,
-        rate: args.rate,
-        seed: args.seed,
-    };
-    if let Some(minutes) = args.soak_minutes {
-        return serve_soak(args, &config, minutes);
-    }
-    let report = rtcac_serve::run_load(&config).map_err(CliError::domain)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "load: {} ops in {:.2}s against {} ({} threads, pipeline {}{})",
-        report.ops,
-        report.elapsed_ns as f64 / 1e9,
-        args.addr,
-        args.threads,
-        args.pipeline,
-        match args.rate {
-            Some(r) => format!(", paced at {r} ops/s"),
-            None => String::new(),
+pub fn serve_load(
+    config: &rtcac_serve::LoadConfig,
+    soak: Option<(Duration, &str)>,
+    drain: bool,
+) -> Result<String, CliError> {
+    let mut out = match soak {
+        Some((duration, metrics_addr)) => soak_report(config, duration, metrics_addr)?,
+        None => {
+            let report = rtcac_serve::run_load(config).map_err(CliError::domain)?;
+            format!(
+                "load: {} ops in {:.2}s against {} ({} threads)\n\
+                 load: setups={} (admitted={} rejected={}) releases={}\n",
+                report.ops,
+                report.elapsed_ns as f64 / 1e9,
+                config.addr,
+                config.threads,
+                report.setups,
+                report.admitted,
+                report.rejected,
+                report.released
+            )
         }
-    );
-    let _ = writeln!(
-        out,
-        "load: setups={} (admitted={} rejected={}) releases={}",
-        report.setups, report.admitted, report.rejected, report.released
-    );
-    let _ = writeln!(out, "load: throughput {:.0} ops/s", report.ops_per_sec);
-    let _ = writeln!(
-        out,
-        "load: setup latency p50={}ns p90={}ns p99={}ns",
-        report.p50_ns, report.p90_ns, report.p99_ns
-    );
-    if args.drain {
-        let mut client = rtcac_serve::Client::connect(&args.addr).map_err(CliError::domain)?;
+    };
+    if drain {
+        let mut client = rtcac_serve::Client::connect(&config.addr).map_err(CliError::domain)?;
         match client.drain().map_err(CliError::domain)? {
             rtcac_serve::Response::Draining { active } => {
                 let _ = writeln!(out, "load: drain requested ({active} still active)");
@@ -998,12 +849,11 @@ pub fn serve_load(args: &LoadArgs) -> Result<String, CliError> {
 /// "now", not since-boot averages), and the summary reports the memory
 /// trajectory — the stability probe for a resident service under
 /// sustained setup/release churn.
-fn serve_soak(
-    args: &LoadArgs,
+fn soak_report(
     config: &rtcac_serve::LoadConfig,
-    minutes: f64,
+    duration: Duration,
+    metrics_addr: &str,
 ) -> Result<String, CliError> {
-    let duration = std::time::Duration::from_secs_f64(minutes * 60.0);
     let status: rtcac_serve::SoakObserver = Box::new(|s| {
         println!(
             "soak: t={:>5.0}s setups/s={:<8.0} rejects/s={:<6.0} reserve_p99={}ns resident={}",
@@ -1011,29 +861,26 @@ fn serve_soak(
             s.setups_per_sec,
             s.rejects_per_sec,
             s.reserve_p99_ns,
-            human_bytes(s.resident_bytes),
+            rtcac_serve::human_bytes(s.resident_bytes),
         );
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
     });
-    let report = rtcac_serve::run_soak(config, duration, &args.metrics_addr, Some(status))
+    let report = rtcac_serve::run_soak(config, duration, metrics_addr, Some(status))
         .map_err(CliError::domain)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "soak: {} batches ({} ops) in {:.1}s against {} — {:.0} ops/s, worst p99 {}ns",
+        "soak: {} batches ({} ops) in {:.1}s against {}",
         report.batches,
         report.ops,
         report.elapsed_ns as f64 / 1e9,
-        args.addr,
-        report.ops_per_sec,
-        report.worst_p99_ns,
+        config.addr,
     );
     if report.samples.is_empty() {
         let _ = writeln!(
             out,
-            "soak: no memory samples (is the metrics endpoint at {} up?)",
-            args.metrics_addr
+            "soak: no memory samples (is the metrics endpoint at {metrics_addr} up?)"
         );
     } else {
         for s in &report.samples {
@@ -1055,37 +902,7 @@ fn serve_soak(
             report.peak_resident_bytes()
         );
     }
-    if args.drain {
-        let mut client = rtcac_serve::Client::connect(&args.addr).map_err(CliError::domain)?;
-        match client.drain().map_err(CliError::domain)? {
-            rtcac_serve::Response::Draining { active } => {
-                let _ = writeln!(out, "soak: drain requested ({active} still active)");
-            }
-            other => {
-                return Err(CliError::Domain(format!(
-                    "soak: unexpected DRAIN reply: {other:?}"
-                )))
-            }
-        }
-    }
     Ok(out)
-}
-
-/// Renders a byte count with a binary-unit suffix (`1.5MiB`), for the
-/// soak status lines and `rtcac top`.
-pub(crate) fn human_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes}B")
-    } else {
-        format!("{value:.1}{}", UNITS[unit])
-    }
 }
 
 /// `rtcac stats --addr`: scrape a live server's exposition endpoint
@@ -1363,27 +1180,17 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         assert!(out.contains("fast: CONNECTED"));
         assert!(out.contains("summary:"));
         assert!(out.contains("port "));
-    }
-
-    #[test]
-    fn engine_reports_outcomes_stats_and_ports() {
-        let scenario = Scenario::parse(SCENARIO).unwrap();
-        let out = engine(&scenario, None).unwrap();
-        assert!(out.contains("engine: 3 setups over 2 shards"), "{out}");
-        assert!(out.contains("fast: ADMITTED"), "{out}");
-        assert!(out.contains("stats: submitted=3 admitted="), "{out}");
-        assert!(out.contains("port "), "{out}");
         // The concurrent engine must agree with the serial check on
         // every per-connection verdict.
-        let serial = check(&scenario).unwrap();
+        let sharded = check_engine(&scenario, None).unwrap();
+        assert!(sharded.contains("fast: CONNECTED"), "{sharded}");
+        assert!(sharded.contains("port "), "{sharded}");
         for spec in &scenario.connections {
-            let connected = serial.contains(&format!("{}: CONNECTED", spec.name));
+            let connected = format!("{}: CONNECTED", spec.name);
             assert_eq!(
-                out.contains(&format!("{}: ADMITTED", spec.name)),
-                connected,
-                "{}\nvs\n{}",
-                out,
-                serial
+                sharded.contains(&connected),
+                out.contains(&connected),
+                "{sharded}\nvs\n{out}"
             );
         }
     }
@@ -1425,18 +1232,18 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
     }
 
     #[test]
-    fn engine_and_snapshot_save_repeat_byte_for_byte() {
+    fn check_engine_and_snapshot_save_repeat_byte_for_byte() {
         let dir = std::env::temp_dir().join(format!("rtcac-cli-repeat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.snap");
         let path = path.to_str().unwrap();
         for name in ["cell_floor", "multicast", "plant"] {
             let scenario = shipped_scenario(name);
-            let report = engine(&scenario, None).unwrap();
+            let report = check_engine(&scenario, None).unwrap();
             let saved = snapshot_save(&scenario, path).unwrap();
             let bytes = std::fs::read(path).unwrap();
             for _ in 0..20 {
-                assert_eq!(engine(&scenario, None).unwrap(), report, "{name}");
+                assert_eq!(check_engine(&scenario, None).unwrap(), report, "{name}");
                 assert_eq!(snapshot_save(&scenario, path).unwrap(), saved, "{name}");
                 assert_eq!(std::fs::read(path).unwrap(), bytes, "{name}");
             }
@@ -1447,14 +1254,26 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
     #[test]
     fn engine_admits_multicast_scenarios() {
         let scenario = Scenario::parse(MULTICAST_SCENARIO).unwrap();
-        let out = engine(&scenario, None).unwrap();
+        let dir = std::env::temp_dir().join(format!("rtcac-cli-p2mp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("p2mp.prom");
+        let out = check_engine(&scenario, Some(path.to_str().unwrap())).unwrap();
         assert!(
-            out.contains("cast: ADMITTED (p2mp) worst_leaf_delay="),
+            out.contains("cast: CONNECTED (p2mp) worst_leaf_delay="),
             "{out}"
         );
         assert!(out.contains("over 2 leaves"), "{out}");
-        assert!(out.contains("pair: ADMITTED"), "{out}");
-        assert!(out.contains("mcast=1/1"), "{out}");
+        assert!(out.contains("pair: CONNECTED"), "{out}");
+        let prom = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            prom.contains("engine_mcast_setups_admitted_total 1"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("engine_mcast_setups_submitted_total 1"),
+            "{prom}"
+        );
         // The advertised worst-leaf bound must agree with the serial
         // setup.
         let serial = check(&scenario).unwrap();
@@ -1537,16 +1356,18 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.prom");
         let path_str = path.to_str().unwrap();
-        let out = engine(&scenario, Some(path_str)).unwrap();
+        let out = check_engine(&scenario, Some(path_str)).unwrap();
         assert!(out.contains("metrics: wrote"), "{out}");
 
         let prom = std::fs::read_to_string(&path).unwrap();
+        assert!(prom.starts_with("# TYPE"), "{prom}");
         assert!(prom.contains("engine_setups_submitted_total 3"), "{prom}");
         assert!(prom.contains("engine_reserve_ns_count"), "{prom}");
         assert!(prom.contains("engine_lock_hold_ns_count"), "{prom}");
         assert!(prom.contains("engine_shard_lock_wait_ns"), "{prom}");
 
         let json = std::fs::read_to_string(format!("{path_str}.json")).unwrap();
+        assert!(json.trim_start().starts_with('{'), "{json}");
         assert!(json.contains("\"engine_setups_submitted_total\""), "{json}");
         assert!(json.contains("engine_reserve_ns"), "{json}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1559,7 +1380,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("deep").join("run").join("out.prom");
         let path_str = path.to_str().unwrap();
-        let out = engine(&scenario, Some(path_str)).unwrap();
+        let out = check_engine(&scenario, Some(path_str)).unwrap();
         assert!(out.contains("metrics: wrote"), "{out}");
         assert!(path.exists(), "metrics file must exist at {path_str}");
         assert!(std::path::Path::new(&format!("{path_str}.json")).exists());
@@ -1582,7 +1403,7 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
             "error must name the offending path: {msg}"
         );
         let scenario = Scenario::parse(SCENARIO).unwrap();
-        let err = engine(&scenario, Some(path.to_str().unwrap())).unwrap_err();
+        let err = check_engine(&scenario, Some(path.to_str().unwrap())).unwrap_err();
         assert!(err.to_string().contains("blocker"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1645,10 +1466,12 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
 
     #[test]
     fn batch_commands_refuse_by_naming_the_first_non_connect_directive() {
+        let dir = std::env::temp_dir().join(format!("rtcac-cli-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("never.snap");
+        let out = out.to_str().unwrap();
         let scenario = Scenario::parse(FAILOVER_SCENARIO).unwrap();
-        let err = engine(&scenario, None).unwrap_err();
-        assert!(err.to_string().contains("'fail-link main'"), "{err}");
-        let err = stats(&scenario, false).unwrap_err();
+        let err = snapshot_save(&scenario, out).unwrap_err();
         assert!(err.to_string().contains("'fail-link main'"), "{err}");
         let err = simulate(&scenario, 1_000, None).unwrap_err();
         assert!(err.to_string().contains("'fail-link main'"), "{err}");
@@ -1660,7 +1483,7 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
         ] {
             let scenario = Scenario::parse(&format!("{SCENARIO}{directive}\n")).unwrap();
             for err in [
-                engine(&scenario, None).unwrap_err(),
+                snapshot_save(&scenario, out).unwrap_err(),
                 simulate(&scenario, 1_000, None).unwrap_err(),
             ] {
                 let msg = err.to_string();
@@ -1668,6 +1491,7 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
                 assert!(!msg.contains("fault"), "{msg}");
             }
         }
+        assert!(!dir.exists(), "a refused save wrote into {}", dir.display());
     }
 
     /// A crankback connect with no healthy route at all is a verdict,
@@ -1693,17 +1517,6 @@ connect after route=up,main,down contract=cbr:1/8 delay=256
         let sharded = check_engine(&scenario, None).unwrap();
         assert!(sharded.contains("c1: REJECTED ("), "{sharded}");
         assert!(sharded.contains("summary: 1/2 connected"), "{sharded}");
-    }
-
-    #[test]
-    fn stats_prints_bare_exposition() {
-        let scenario = Scenario::parse(SCENARIO).unwrap();
-        let prom = stats(&scenario, false).unwrap();
-        assert!(prom.starts_with("# TYPE"), "{prom}");
-        assert!(prom.contains("engine_setups_submitted_total 3"), "{prom}");
-        let json = stats(&scenario, true).unwrap();
-        assert!(json.trim_start().starts_with('{'), "{json}");
-        assert!(json.contains("engine_setups_submitted_total"), "{json}");
     }
 
     #[test]

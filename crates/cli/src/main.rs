@@ -2,6 +2,7 @@
 //! All real work lives in [`rtcac_cli::commands`].
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 use rtcac_cli::commands::{self, BoundArgs, RtnetArgs};
 use rtcac_cli::scenario::Scenario;
@@ -64,14 +65,6 @@ USAGE:
       violation dumps ONE black box of the recent rounds into DIR
       ('rtcac flight inspect' reads it); clean storms write nothing.
 
-  rtcac engine SCENARIO_FILE [--metrics PATH]
-      Admit the scenario's connects in file order through the concurrent
-      sharded engine (two-phase reserve/commit) and report outcomes,
-      engine statistics, and final port bounds. With --metrics, the
-      observability snapshot (phase timings, lock waits and outcome
-      counters) is written to PATH in Prometheus text format
-      and to PATH.json in JSON.
-
   rtcac serve [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--nodes N]
               [--terminals N] [--bound CELLS] [--workers N]
               [--snapshot-free] [--snapshot PATH] [--snapshot-every SECS]
@@ -111,20 +104,19 @@ USAGE:
       'inspect' prints the header, section table and state summary;
       'diff' compares two snapshots field by field.
 
-  rtcac load [--addr HOST:PORT] [--threads N] [--ops N] [--pipeline N]
-             [--rate OPS_PER_SEC] [--seed N] [--smoke] [--drain]
-             [--soak MINS [--metrics-addr HOST:PORT]]
-      Open-loop multi-threaded load generator against a running
-      'rtcac serve': pipelined setup+release churn over randomized
-      star-ring routes, reporting ops/s and setup latency p50/p90/p99
-      (measured from scheduled send times when --rate paces the run).
-      --smoke is shorthand for a small CI-sized run; --drain sends
-      DRAIN afterwards. --soak MINS repeats --ops-sized batches until
-      the deadline while scraping the server's metrics endpoint into a
-      windowed time-series, printing one live status line per sample
-      (setup and reject rates, sliding reserve p99, resident bytes) —
-      the churn memory-stability probe. Tracked perf figures come from
-      the reference benchmark (benchmark/run.sh), not from this tool.
+  rtcac load [--addr HOST:PORT] [--threads N] [--ops N] [--seed N]
+             [--smoke] [--drain] [--soak MINS [--metrics-addr HOST:PORT]]
+      Traffic source for a running 'rtcac serve': pipelined
+      setup+release churn over randomized star-ring routes, reporting
+      how many setups were sent, admitted and rejected. --smoke is
+      shorthand for a small CI-sized run; --drain sends DRAIN
+      afterwards. --soak MINS repeats --ops-sized batches until the
+      deadline while scraping the server's metrics endpoint the way
+      'rtcac top' does, printing one live status line per sample (setup
+      and reject rates, sliding reserve p99, resident bytes) — the
+      churn memory-stability probe. It measures no latency or
+      throughput: perf figures come from the reference benchmark
+      (benchmark/run.sh).
 
   rtcac top [--addr HOST:PORT] [--interval MS] [--samples N] [--no-tui]
       Live terminal view of a running 'rtcac serve': scrapes /metrics
@@ -146,12 +138,11 @@ USAGE:
       (chrome://tracing, Perfetto); 'dump' asks a live server to write
       a black box now, bypassing the once-per-reason latch.
 
-  rtcac stats SCENARIO_FILE [--json]
   rtcac stats --addr HOST:PORT [--json]
-      Admit the scenario in file order and print the bare metrics
+      Print a live 'rtcac serve' exposition endpoint's bare metrics
       snapshot to stdout — Prometheus text by default, JSON with
-      --json. With --addr, scrape a live 'rtcac serve' exposition
-      endpoint instead.
+      --json. A scenario's snapshot is 'rtcac check FILE --engine
+      --metrics PATH'.
 
   rtcac simulate SCENARIO_FILE [--slots N] [--jitter CELLS] [--seed N]
       Admit the scenario, then measure it in the cell-level simulator.
@@ -232,15 +223,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 commands::check(&scenario)
             }
         }
-        Some("engine") => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError::Usage("engine needs a scenario file".into()))?;
-            let rest = flags("engine", it, "--metrics")?;
-            let metrics = flag_value(&rest, "--metrics")?;
-            let scenario = load(path)?;
-            commands::engine(&scenario, metrics)
-        }
         Some("storm") => {
             let rest = flags(
                 "storm",
@@ -290,19 +272,14 @@ fn run(args: &[String]) -> Result<String, CliError> {
         Some("stats") => {
             let rest = flags("stats", it, "--json --addr")?;
             let json = rest.iter().any(|a| a.as_str() == "--json");
-            if let Some(addr) = flag_value(&rest, "--addr")? {
-                return commands::stats_remote(addr, json);
-            }
-            let path = match rest.first() {
-                Some(a) if !a.starts_with("--") => a.as_str(),
-                _ => {
-                    return Err(CliError::Usage(
-                        "stats needs a scenario file or --addr HOST:PORT".into(),
-                    ))
-                }
-            };
-            let scenario = load(path)?;
-            commands::stats(&scenario, json)
+            let addr = flag_value(&rest, "--addr")?.ok_or_else(|| {
+                CliError::Usage(
+                    "stats needs --addr HOST:PORT (a scenario's metrics: \
+                     'rtcac check FILE --engine --metrics PATH')"
+                        .into(),
+                )
+            })?;
+            commands::stats_remote(addr, json)
         }
         Some("serve") => {
             let rest = flags(
@@ -361,34 +338,43 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let rest = flags(
                 "load",
                 it,
-                "--addr --threads --ops --pipeline --rate --seed --smoke --drain \
-                 --soak --metrics-addr",
+                "--addr --threads --ops --seed --smoke --drain --soak --metrics-addr",
             )?;
             let smoke = rest.iter().any(|a| a.as_str() == "--smoke");
-            commands::serve_load(&commands::LoadArgs {
+            let config = rtcac_serve::LoadConfig {
                 addr: flag_value(&rest, "--addr")?
                     .unwrap_or("127.0.0.1:7047")
                     .to_owned(),
                 threads: flag_u64(&rest, "--threads")?.unwrap_or(if smoke { 2 } else { 4 })
                     as usize,
                 ops: flag_u64(&rest, "--ops")?.unwrap_or(if smoke { 20_000 } else { 1_000_000 }),
-                pipeline: flag_u64(&rest, "--pipeline")?.unwrap_or(32) as usize,
-                rate: flag_u64(&rest, "--rate")?,
                 seed: flag_u64(&rest, "--seed")?.unwrap_or(7),
-                drain: rest.iter().any(|a| a.as_str() == "--drain"),
-                soak_minutes: flag_value(&rest, "--soak")?
-                    .map(|v| {
-                        v.parse::<f64>().ok().filter(|m| *m > 0.0).ok_or_else(|| {
+            };
+            let soak = flag_value(&rest, "--soak")?
+                .map(|v| {
+                    v.parse::<f64>()
+                        .ok()
+                        .filter(|m| *m > 0.0)
+                        .and_then(|m| Duration::try_from_secs_f64(m * 60.0).ok())
+                        .ok_or_else(|| {
                             CliError::Usage(format!(
                                 "--soak needs a positive number of minutes, got '{v}'"
                             ))
                         })
-                    })
-                    .transpose()?,
-                metrics_addr: flag_value(&rest, "--metrics-addr")?
-                    .unwrap_or("127.0.0.1:7048")
-                    .to_owned(),
-            })
+                })
+                .transpose()?;
+            let metrics_addr = flag_value(&rest, "--metrics-addr")?;
+            if metrics_addr.is_some() && soak.is_none() {
+                return Err(CliError::Usage(
+                    "load --metrics-addr names the endpoint a --soak scrapes; it needs --soak"
+                        .into(),
+                ));
+            }
+            commands::serve_load(
+                &config,
+                soak.map(|duration| (duration, metrics_addr.unwrap_or("127.0.0.1:7048"))),
+                rest.iter().any(|a| a.as_str() == "--drain"),
+            )
         }
         Some("top") => {
             let rest = flags("top", it, "--addr --interval --samples --no-tui")?;

@@ -291,9 +291,8 @@ impl Scenario {
     }
 
     /// Whether every directive is a plain connect — the only kind of
-    /// scenario `rtcac engine`, `stats`, `simulate` and `snapshot save`
-    /// take; anything else (release, degrade/restore, fail/heal, chaos)
-    /// needs `rtcac check`.
+    /// scenario `rtcac simulate` and `snapshot save` take; anything else
+    /// (release, degrade/restore, fail/heal, chaos) needs `rtcac check`.
     pub fn is_connect_only(&self) -> bool {
         self.first_non_connect().is_none()
     }

@@ -1,12 +1,9 @@
 //! `rtcac top` — a live terminal view of a running admission server.
 //!
-//! Scrapes the server's `/metrics` exposition endpoint on an interval,
-//! parses the Prometheus text back into a snapshot
-//! ([`rtcac_obs::Snapshot::from_prometheus`]), and feeds a windowed
+//! Scrapes the server's `/metrics` exposition endpoint on an interval
+//! through [`rtcac_serve::Scraper`], which feeds a windowed
 //! [`rtcac_obs::TimeSeries`] — so every figure shown is a *live* rate
-//! or a sliding-window quantile, not a since-boot average. The raw
-//! text endpoint is scraped (not `/metrics.json`) because windowed
-//! quantiles need the histogram buckets themselves.
+//! or a sliding-window quantile, not a since-boot average.
 //!
 //! Two render modes: a redrawn ANSI dashboard (default, for a human
 //! terminal) and `--no-tui` one-line-per-sample output (for CI logs
@@ -15,9 +12,9 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use rtcac_obs::{Snapshot, TimeSeries};
+use rtcac_obs::TimeSeries;
+use rtcac_serve::{human_bytes, Scraper};
 
-use crate::commands::human_bytes;
 use crate::error::CliError;
 
 /// Parameters of `rtcac top`.
@@ -57,29 +54,21 @@ const MAX_SCRAPE_FAILURES: u32 = 5;
 /// all, or disappears mid-watch.
 pub fn top(args: &TopArgs) -> Result<String, CliError> {
     let interval = Duration::from_millis(args.interval_ms.max(100));
-    let mut series = TimeSeries::default();
-    let mut last_scrape: Option<Instant> = None;
+    let mut scraper = Scraper::new(&args.addr);
     let mut failures = 0u32;
     let mut taken = 0u64;
     let started = Instant::now();
     loop {
-        match rtcac_serve::http_get(&args.addr, "/metrics") {
-            Ok(body) => {
+        match scraper.scrape() {
+            Ok(series) => {
                 failures = 0;
-                let now = Instant::now();
-                let elapsed_ms = last_scrape
-                    .map(|t| now.duration_since(t).as_millis() as u64)
-                    .unwrap_or(0);
-                last_scrape = Some(now);
-                let snap = Snapshot::from_prometheus(&body);
-                series.observe(&snap, elapsed_ms);
                 taken += 1;
                 if args.no_tui {
-                    println!("{}", status_line(&series, started.elapsed()));
+                    println!("{}", status_line(series, started.elapsed()));
                 } else {
                     // Clear + home, then the full frame: a flicker-free
                     // redraw without any terminal library.
-                    print!("\x1b[2J\x1b[H{}", render_frame(&series, args, started));
+                    print!("\x1b[2J\x1b[H{}", render_frame(series, args, started));
                 }
                 use std::io::Write as _;
                 let _ = std::io::stdout().flush();

@@ -13,8 +13,6 @@ fn replay_commands_refuse_workers_by_name() {
     let file = "examples/scenarios/cell_floor.rtcac";
     for (command, args) in [
         ("trace", vec!["trace", file, "--engine", "--workers", "4"]),
-        ("engine", vec!["engine", file, "--workers", "4"]),
-        ("stats", vec!["stats", file, "--workers", "4"]),
         (
             "snapshot save",
             vec!["snapshot", "save", file, out, "--workers", "4"],

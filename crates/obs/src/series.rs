@@ -13,7 +13,8 @@
 //! Feed it locally (a [`Sampler`] thread snapshotting a registry every
 //! second, or an explicit `observe` call in tests) or remotely
 //! ([`Snapshot::from_prometheus`] over scraped `/metrics` text — how
-//! `rtcac top` and `rtcac load --soak` build their windows).
+//! `rtcac_serve::Scraper` builds the window that `rtcac top` and
+//! `rtcac load --soak` read).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -25,10 +25,13 @@
 //!   pipelined raw path (server sessions dispatch serially, so replies
 //!   are FIFO).
 //! * [`metrics_http`] — a tiny HTTP exposition endpoint (`/metrics`,
-//!   `/metrics.json`, `/healthz`) for Prometheus-style scrapes.
-//! * [`load`] — an open-loop multi-threaded generator
-//!   ([`run_load`]) measuring setup latency from *scheduled* send
-//!   times, immune to coordinated omission.
+//!   `/metrics.json`, `/healthz`) for Prometheus-style scrapes, and the
+//!   [`Scraper`] that reads one into a windowed time-series.
+//! * [`load`] — a multi-threaded traffic source ([`run_load`]) of
+//!   setup/release churn over random routes, and the soak probe
+//!   ([`run_soak`]) that samples the server's memory gauges under it.
+//!   It measures no latency or throughput; the reference benchmark
+//!   does.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +44,7 @@ pub mod wire;
 
 pub use client::Client;
 pub use load::{run_load, run_soak, LoadConfig, LoadReport, SoakObserver, SoakReport, SoakSample};
-pub use metrics_http::http_get;
+pub use metrics_http::{http_get, human_bytes, Scraper};
 pub use proto::{ErrorCode, Request, Response};
 pub use server::{DrainSummary, ServeConfig, ServeError, Server};
 pub use wire::{WireError, MAX_PAYLOAD, PROTO_VERSION};

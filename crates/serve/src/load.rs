@@ -1,17 +1,14 @@
-//! Open-loop load generator for the admission service.
+//! Traffic source for the admission service: setup/release churn
+//! against a live server, for smoke runs and memory soaks. It measures
+//! nothing itself; the reference benchmark (`benchmark/run.sh`) owns
+//! every throughput and latency figure.
 //!
 //! Each worker thread owns one [`Client`] connection and drives a
 //! pipelined stream of SETUP and RELEASE frames over randomized
 //! terminal-to-terminal routes of the served star-ring (rebuilt locally
 //! from the HELLO reply, so route link ids always match the server's).
-//!
-//! **Open loop**: with `--rate`, every send has a *scheduled* time
-//! (`start + k·interval`) and setup latency is measured from that
-//! schedule, not from the moment the send finally happened — a slow
-//! server therefore shows up as growing latency instead of silently
-//! throttling the generator (the coordinated-omission trap). Without a
-//! rate the generator runs closed-loop at maximum throughput with a
-//! bounded pipeline window.
+//! The loop is closed: a worker keeps at most `PIPELINE` (32) frames in
+//! flight and reads a reply before it sends more.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,16 +18,19 @@ use std::time::{Duration, Instant};
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
 use rtcac_cac::Priority;
 use rtcac_net::{builders, SimRng};
-use rtcac_obs::Registry;
 use rtcac_rational::ratio;
 use rtcac_signaling::SetupRequest;
 
 use crate::client::Client;
+use crate::metrics_http::Scraper;
 use crate::proto::{Request, Response};
 use crate::wire::WireError;
 
 /// Distinct random routes each worker thread cycles through.
 const ROUTES_PER_THREAD: usize = 128;
+
+/// In-flight frames per connection before a worker reads a reply.
+const PIPELINE: usize = 32;
 
 /// Configuration of [`run_load`].
 #[derive(Debug, Clone)]
@@ -41,26 +41,8 @@ pub struct LoadConfig {
     pub threads: usize,
     /// Total frames (setups + releases) to send across all threads.
     pub ops: u64,
-    /// In-flight frames per connection before the generator reads a
-    /// reply (ignored when `rate` paces the send side).
-    pub pipeline: usize,
-    /// Target total ops/s across all threads; `None` = closed-loop max.
-    pub rate: Option<u64>,
     /// Seed for the route/traffic randomization.
     pub seed: u64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> LoadConfig {
-        LoadConfig {
-            addr: "127.0.0.1:7047".into(),
-            threads: 4,
-            ops: 1_000_000,
-            pipeline: 32,
-            rate: None,
-            seed: 7,
-        }
-    }
 }
 
 /// Aggregate result of one load run.
@@ -78,22 +60,12 @@ pub struct LoadReport {
     pub released: u64,
     /// Wall-clock for the whole run.
     pub elapsed_ns: u64,
-    /// Served frames per second.
-    pub ops_per_sec: f64,
-    /// Setup latency quantiles (scheduled-send to reply), nanoseconds.
-    pub p50_ns: u64,
-    /// 90th percentile setup latency.
-    pub p90_ns: u64,
-    /// 99th percentile setup latency.
-    pub p99_ns: u64,
 }
 
 /// One periodic scrape of the served engine during a soak run. The
-/// rate and quantile figures come from a windowed [`TimeSeries`] built
-/// over the scrapes (scrape-to-scrape deltas), so they describe "now",
-/// not the since-boot average.
-///
-/// [`TimeSeries`]: rtcac_obs::TimeSeries
+/// rate and quantile figures come from the [`Scraper`]'s windowed
+/// series (scrape-to-scrape deltas), so they describe "now", not the
+/// since-boot average.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakSample {
     /// Seconds since the soak started.
@@ -126,10 +98,6 @@ pub struct SoakReport {
     pub ops: u64,
     /// Wall-clock of the whole soak.
     pub elapsed_ns: u64,
-    /// Served frames per second over the whole soak.
-    pub ops_per_sec: f64,
-    /// Worst per-batch p99 setup latency seen.
-    pub worst_p99_ns: u64,
     /// The scraped memory trajectory, in time order.
     pub samples: Vec<SoakSample>,
 }
@@ -170,25 +138,12 @@ pub fn run_soak(
     let stop = Arc::new(AtomicBool::new(false));
     let scraper = {
         let stop = Arc::clone(&stop);
-        let addr = metrics_addr.to_owned();
+        let mut scraper = Scraper::new(metrics_addr);
         let started = Instant::now();
         thread::spawn(move || {
             let mut samples = Vec::new();
-            // Each scrape becomes one tick of a windowed series: the
-            // Prometheus text is parsed back into a snapshot, and the
-            // scrape-to-scrape deltas yield live rates and a sliding
-            // p99 instead of since-boot averages.
-            let mut series = rtcac_obs::TimeSeries::default();
-            let mut last_scrape: Option<Instant> = None;
             while !stop.load(Ordering::Relaxed) {
-                if let Ok(body) = crate::metrics_http::http_get(&addr, "/metrics") {
-                    let now = Instant::now();
-                    let elapsed_ms = last_scrape
-                        .map(|t| now.duration_since(t).as_millis() as u64)
-                        .unwrap_or(0);
-                    last_scrape = Some(now);
-                    let snap = rtcac_obs::Snapshot::from_prometheus(&body);
-                    series.observe(&snap, elapsed_ms);
+                if let Ok(series) = scraper.scrape() {
                     let sample = SoakSample {
                         at_secs: started.elapsed().as_secs_f64(),
                         resident_bytes: series.last_gauge("engine_resident_bytes").unwrap_or(0),
@@ -217,7 +172,6 @@ pub fn run_soak(
     let started = Instant::now();
     let mut batches = 0u64;
     let mut ops = 0u64;
-    let mut worst_p99_ns = 0u64;
     let result = loop {
         if started.elapsed() >= duration {
             break Ok(());
@@ -226,7 +180,6 @@ pub fn run_soak(
             Ok(report) => {
                 batches += 1;
                 ops += report.ops;
-                worst_p99_ns = worst_p99_ns.max(report.p99_ns);
             }
             Err(e) => break Err(e),
         }
@@ -234,13 +187,10 @@ pub fn run_soak(
     stop.store(true, Ordering::Relaxed);
     let samples = scraper.join().expect("soak scraper panicked");
     result?;
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
     Ok(SoakReport {
         batches,
         ops,
-        elapsed_ns,
-        ops_per_sec: ops as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        worst_p99_ns,
+        elapsed_ns: started.elapsed().as_nanos() as u64,
         samples,
     })
 }
@@ -255,12 +205,6 @@ struct ThreadTally {
     released: u64,
 }
 
-/// An in-flight frame awaiting its FIFO reply.
-struct Pending {
-    is_setup: bool,
-    sched_ns: u64,
-}
-
 /// Runs the configured load against a live server and aggregates the
 /// per-thread tallies.
 ///
@@ -270,22 +214,19 @@ struct Pending {
 /// (e.g. the server answered SETUP with something other than
 /// ADMITTED / REJECTED / ERROR).
 pub fn run_load(config: &LoadConfig) -> Result<LoadReport, WireError> {
-    let registry = Arc::new(Registry::new());
-    let hist = registry.histogram("serve_setup_ns");
     let threads = config.threads.max(1);
     let per_thread = config.ops / threads as u64;
     let start = Instant::now();
     let mut handles = Vec::new();
     for t in 0..threads {
         let cfg = config.clone();
-        let hist = hist.clone();
         let ops = if t == 0 {
             // First thread absorbs the division remainder.
             config.ops - per_thread * (threads as u64 - 1)
         } else {
             per_thread
         };
-        handles.push(thread::spawn(move || worker(&cfg, t, ops, start, &hist)));
+        handles.push(thread::spawn(move || worker(&cfg, t, ops)));
     }
     let mut tally = ThreadTally::default();
     let mut first_err = None;
@@ -304,31 +245,19 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, WireError> {
     if let Some(e) = first_err {
         return Err(e);
     }
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let snap = hist.snapshot();
     Ok(LoadReport {
         ops: tally.ops,
         setups: tally.setups,
         admitted: tally.admitted,
         rejected: tally.rejected,
         released: tally.released,
-        elapsed_ns,
-        ops_per_sec: tally.ops as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns: snap.p50(),
-        p90_ns: snap.p90(),
-        p99_ns: snap.p99(),
+        elapsed_ns: start.elapsed().as_nanos() as u64,
     })
 }
 
 /// One generator thread: connect, learn the topology, fire its share of
 /// the ops, then release everything it still holds.
-fn worker(
-    config: &LoadConfig,
-    index: usize,
-    ops: u64,
-    start: Instant,
-    hist: &rtcac_obs::Histogram,
-) -> Result<ThreadTally, WireError> {
+fn worker(config: &LoadConfig, index: usize, ops: u64) -> Result<ThreadTally, WireError> {
     let mut client = Client::connect(&config.addr).map_err(WireError::Io)?;
     let Response::ServerInfo {
         nodes, terminals, ..
@@ -350,39 +279,14 @@ fn worker(
             .wrapping_add(index as u64),
     );
 
-    // Per-send pacing for the open-loop mode: thread k of T sending at
-    // total rate R sends every T/R seconds.
-    let interval_ns = config
-        .rate
-        .map(|r| (config.threads.max(1) as u64 * 1_000_000_000) / r.max(1));
-
     let mut tally = ThreadTally::default();
-    let mut inflight: VecDeque<Pending> = VecDeque::new();
+    // Whether each in-flight frame is a SETUP, in send order: the
+    // session answers FIFO.
+    let mut inflight: VecDeque<bool> = VecDeque::new();
     let mut to_release: Vec<u64> = Vec::new();
-    let pipeline = config.pipeline.max(1);
     let mut sent = 0u64;
     while sent < ops || !inflight.is_empty() {
-        // Fill the window (or send exactly on schedule when paced).
-        while inflight.len() < pipeline && sent < ops {
-            let now_ns = start.elapsed().as_nanos() as u64;
-            let sched_ns = match interval_ns {
-                Some(step) => {
-                    let sched = sent * step;
-                    if sched > now_ns {
-                        // Not due yet: drain a reply if one is owed,
-                        // otherwise sleep out the gap.
-                        if let Some(p) = inflight.pop_front() {
-                            client.flush()?;
-                            settle(&mut client, &p, start, hist, &mut tally, &mut to_release)?;
-                        } else {
-                            thread::sleep(Duration::from_nanos(sched - now_ns));
-                        }
-                        continue;
-                    }
-                    sched
-                }
-                None => now_ns,
-            };
+        while inflight.len() < PIPELINE && sent < ops {
             // Roughly alternate setups and releases so occupancy stays
             // bounded and the op mix is the paper's setup/teardown churn.
             let is_setup = if to_release.is_empty() {
@@ -402,12 +306,12 @@ fn worker(
                 let id = to_release.swap_remove(rng.gen_below(to_release.len() as u64) as usize);
                 client.send(&Request::Release { id })?;
             }
-            inflight.push_back(Pending { is_setup, sched_ns });
+            inflight.push_back(is_setup);
             sent += 1;
         }
         client.flush()?;
-        if let Some(p) = inflight.pop_front() {
-            settle(&mut client, &p, start, hist, &mut tally, &mut to_release)?;
+        if let Some(is_setup) = inflight.pop_front() {
+            settle(&mut client, is_setup, &mut tally, &mut to_release)?;
         }
     }
     // Cleanup: the run is over; release everything still held so the
@@ -418,21 +322,16 @@ fn worker(
     Ok(tally)
 }
 
-/// Receives and books one FIFO reply. Setup latency is recorded
-/// against the frame's *scheduled* send time (open-loop semantics).
+/// Receives and books one FIFO reply.
 fn settle(
     client: &mut Client,
-    pending: &Pending,
-    start: Instant,
-    hist: &rtcac_obs::Histogram,
+    is_setup: bool,
     tally: &mut ThreadTally,
     to_release: &mut Vec<u64>,
 ) -> Result<(), WireError> {
     let reply = client.recv()?;
     tally.ops += 1;
-    if pending.is_setup {
-        let now_ns = start.elapsed().as_nanos() as u64;
-        hist.record(now_ns.saturating_sub(pending.sched_ns));
+    if is_setup {
         tally.setups += 1;
         match reply {
             Response::Admitted { id, .. } => {

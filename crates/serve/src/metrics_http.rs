@@ -1,11 +1,11 @@
 //! A deliberately tiny HTTP/1.0 exposition endpoint.
 //!
 //! Enough of HTTP to let `curl`, Prometheus, `rtcac stats --addr`, and
-//! `rtcac top` scrape the registry: `GET /metrics` (Prometheus text
-//! format), `GET /metrics.json` (the registry's JSON form), and
-//! `GET /healthz`. Anything else is a 404. Request bodies, keep-alive,
-//! and chunked encoding are all out of scope — every response closes
-//! the socket.
+//! the [`Scraper`] behind `rtcac top` and `rtcac load --soak` read the
+//! registry: `GET /metrics` (Prometheus text format),
+//! `GET /metrics.json` (the registry's JSON form), and `GET /healthz`.
+//! Anything else is a 404. Request bodies, keep-alive, and chunked
+//! encoding are all out of scope — every response closes the socket.
 //!
 //! The endpoint is defensive about its input: the request line is read
 //! through a hard byte cap, so an oversized line is answered with a
@@ -24,10 +24,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtcac_engine::AdmissionEngine;
-use rtcac_obs::Registry;
+use rtcac_obs::{Registry, Snapshot, TimeSeries};
 
 /// Hard cap on the request line. Anything longer is answered with a
 /// typed `414` — a scraper URL has no business being this long.
@@ -230,13 +230,73 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
     Ok(body.to_string())
 }
 
+/// A live server's `/metrics`, scraped into a windowed
+/// [`TimeSeries`]: each scrape is parsed back into a snapshot
+/// ([`Snapshot::from_prometheus`]) and observed as one tick spanning the
+/// time since the previous scrape, so the series answers live rates and
+/// sliding-window quantiles instead of since-boot averages. The raw
+/// text is scraped, not `/metrics.json`, because windowed quantiles
+/// need the histogram buckets themselves. `rtcac top` and
+/// `rtcac load --soak` both read a server through this.
+#[derive(Debug)]
+pub struct Scraper {
+    addr: String,
+    series: TimeSeries,
+    last_scrape: Option<Instant>,
+}
+
+impl Scraper {
+    /// A scraper of the exposition endpoint at `addr` (`host:port`),
+    /// with an empty default-sized window.
+    pub fn new(addr: &str) -> Scraper {
+        Scraper {
+            addr: addr.to_owned(),
+            series: TimeSeries::default(),
+            last_scrape: None,
+        }
+    }
+
+    /// Scrapes once and returns the series with the new tick observed.
+    ///
+    /// # Errors
+    ///
+    /// As [`http_get`]; a failed scrape leaves the series untouched.
+    pub fn scrape(&mut self) -> std::io::Result<&TimeSeries> {
+        let body = http_get(&self.addr, "/metrics")?;
+        let now = Instant::now();
+        let elapsed_ms = self
+            .last_scrape
+            .map_or(0, |t| now.duration_since(t).as_millis() as u64);
+        self.last_scrape = Some(now);
+        self.series
+            .observe(&Snapshot::from_prometheus(&body), elapsed_ms);
+        Ok(&self.series)
+    }
+}
+
+/// Renders a byte count with a binary-unit suffix (`1.5MiB`), for the
+/// resident-bytes figures of a scraped series.
+pub fn human_bytes(bytes: u64) -> String {
+    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
+    let mut value = bytes as f64;
+    let mut unit = 0;
+    while value >= 1024.0 && unit < UNITS.len() - 1 {
+        value /= 1024.0;
+        unit += 1;
+    }
+    if unit == 0 {
+        format!("{bytes}B")
+    } else {
+        format!("{value:.1}{}", UNITS[unit])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtcac_bitstream::Time;
     use rtcac_cac::SwitchConfig;
     use rtcac_net::builders;
-    use rtcac_obs::Snapshot;
     use rtcac_signaling::CdvPolicy;
 
     fn endpoint() -> (SocketAddr, Arc<Registry>, Arc<AtomicBool>) {
@@ -387,5 +447,22 @@ mod tests {
             http_get(&addr.to_string(), "/healthz").expect("healthy again"),
             "ok\n"
         );
+    }
+
+    #[test]
+    fn scraper_windows_successive_scrapes() {
+        let (addr, registry, _restoring) = endpoint();
+        let mut scraper = Scraper::new(&addr.to_string());
+        scraper.scrape().expect("first scrape");
+        registry.counter("engine_setups_submitted_total").add(7);
+        let series = scraper.scrape().expect("second scrape");
+        assert_eq!(series.len(), 2);
+        assert_eq!(series.window_count("engine_setups_submitted_total"), 7);
+        assert!(series.last_gauge("engine_resident_bytes").is_some());
+        // A failed scrape is an error and adds no tick.
+        let mut refused = Scraper::new("127.0.0.1:1");
+        assert!(refused.scrape().is_err());
+        assert_eq!(human_bytes(512), "512B");
+        assert_eq!(human_bytes(3 << 20), "3.0MiB");
     }
 }

@@ -24,8 +24,8 @@
 //!   classes and the experiment drivers behind Figures 10–13;
 //! - [`serve`] — the resident admission service: a TCP server speaking
 //!   a length-prefixed binary protocol (SETUP / RELEASE / QUERY /
-//!   DRAIN / STATS), a blocking client sharing the same codec, and an
-//!   open-loop load generator;
+//!   DRAIN / STATS), a blocking client sharing the same codec, and a
+//!   multi-threaded traffic source;
 //! - [`obs`] — std-only observability: counters, log2 histograms,
 //!   trace spans, a bounded event ring, and Prometheus/JSON
 //!   exposition, wired through the engine, signaling, and simulator;
