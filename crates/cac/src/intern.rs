@@ -16,14 +16,19 @@
 //! from interned streams are bit-identical to aggregates built from
 //! per-leg copies.
 //!
+//! Each key is stored in machine words when every rate and the CDV fit
+//! `i64` over `i64` — the same width test stored segments use — and
+//! boxed in its arithmetic form otherwise.
+//!
 //! [`ConnectionRequest::arrival_stream`]: crate::ConnectionRequest::arrival_stream
 
-use rtcac_bitstream::{BitStream, Time, TrafficContract};
+use rtcac_bitstream::{BitStream, CbrParams, Rate, Time, TrafficContract, VbrParams};
+use rtcac_rational::NarrowRatio;
 
 use crate::CacError;
 
 /// A cheap, copyable reference to an interned `(contract, CDV)` entry
-/// of **one switch's** [`ContractIntern`]. Handles are per-switch slab
+/// of **one switch's** contract intern. Handles are per-switch slab
 /// indices: never mix handles across switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContractHandle(u32);
@@ -38,12 +43,90 @@ impl ContractHandle {
 /// Sentinel terminating the in-slab free list.
 const NO_SLOT: u32 = u32::MAX;
 
+/// A `(contract, CDV)` key whose every component fits machine words:
+/// 56 bytes, against 128 for the pair itself. CBR is stored as
+/// `scr = pcr` with `mbs = 0`; a VBR burst is at least one cell, so
+/// the two kinds never share a key. Fields order as values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct WordKey {
+    pcr: NarrowRatio,
+    scr: NarrowRatio,
+    cdv: NarrowRatio,
+    mbs: u64,
+}
+
+impl WordKey {
+    /// The word form of `(contract, cdv)`, if every component fits.
+    fn narrow(contract: TrafficContract, cdv: Time) -> Option<WordKey> {
+        let pcr = contract.pcr().as_ratio().to_narrow()?;
+        let (scr, mbs) = match contract {
+            TrafficContract::Cbr(_) => (pcr, 0),
+            TrafficContract::Vbr(p) => (p.scr().as_ratio().to_narrow()?, p.mbs()),
+        };
+        let cdv = cdv.as_ratio().to_narrow()?;
+        Some(WordKey { pcr, scr, cdv, mbs })
+    }
+
+    /// The contract the key was narrowed from.
+    fn contract(self) -> TrafficContract {
+        let pcr = Rate::new(self.pcr.into());
+        let contract = match self.mbs {
+            0 => CbrParams::new(pcr).map(TrafficContract::Cbr),
+            mbs => VbrParams::new(pcr, Rate::new(self.scr.into()), mbs).map(TrafficContract::Vbr),
+        };
+        contract.expect("an interned key was narrowed from a valid contract")
+    }
+}
+
+/// A stored intern key: machine words, or the boxed pair when a
+/// component is past `i64`. Which form a key takes depends only on its
+/// values.
+#[derive(Debug, Clone)]
+enum Key {
+    Word(WordKey),
+    Wide(Box<(TrafficContract, Time)>),
+}
+
+impl Key {
+    fn as_ref(&self) -> KeyRef<'_> {
+        match self {
+            Key::Word(word) => KeyRef::Word(*word),
+            Key::Wide(wide) => KeyRef::Wide(wide),
+        }
+    }
+}
+
+/// A key as lookups compare it, borrowing a wide pair so that no
+/// lookup allocates. Keys order word before wide, each kind by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum KeyRef<'a> {
+    Word(WordKey),
+    Wide(&'a (TrafficContract, Time)),
+}
+
+impl<'a> KeyRef<'a> {
+    /// The key of `pair`, narrowed once.
+    fn of(pair: &'a (TrafficContract, Time)) -> KeyRef<'a> {
+        match WordKey::narrow(pair.0, pair.1) {
+            Some(word) => KeyRef::Word(word),
+            None => KeyRef::Wide(pair),
+        }
+    }
+
+    /// The stored form: a wide key is boxed here, and only here.
+    fn to_key(self) -> Key {
+        match self {
+            KeyRef::Word(word) => Key::Word(word),
+            KeyRef::Wide(wide) => Key::Wide(Box::new(*wide)),
+        }
+    }
+}
+
 /// One live intern entry: the admission parameters and the arrival
 /// envelope they induce, plus the number of legs referencing it.
 #[derive(Debug, Clone)]
 struct Entry {
-    contract: TrafficContract,
-    cdv: Time,
+    key: Key,
     stream: BitStream,
     refs: u32,
 }
@@ -57,14 +140,16 @@ enum Slot {
 
 /// The per-switch contract intern table: a slab of refcounted
 /// [`Entry`]s plus the list of live slots sorted by their entries'
-/// `(contract, cdv)`, binary-searched through the slab. Lookups are
-/// deterministic, each key is stored once (in its entry), and freed
-/// slots are reused before the slab grows.
-#[derive(Debug, Clone, Default)]
+/// keys, binary-searched through the slab. A key is stored once, in
+/// its entry, as machine words whenever its values fit (96 bytes a
+/// slot); a lookup narrows the request's key once and compares words.
+/// Lookups are deterministic, and freed slots are reused before the
+/// slab grows.
+#[derive(Debug, Clone)]
 pub(crate) struct ContractIntern {
     slots: Vec<Slot>,
     free_head: u32,
-    /// Live slots, strictly ascending by their entries' `(contract, cdv)`.
+    /// Live slots, strictly ascending by their entries' keys.
     index: Vec<u32>,
 }
 
@@ -77,16 +162,11 @@ impl ContractIntern {
         }
     }
 
-    /// Where `(contract, cdv)` sits in the sorted index: `Ok` at a live
-    /// entry's position, `Err` where a new entry would go.
-    fn locate(&self, contract: TrafficContract, cdv: Time) -> Result<usize, usize> {
-        self.index.binary_search_by(|&slot| {
-            let entry = self.entry(ContractHandle(slot));
-            entry
-                .contract
-                .cmp(&contract)
-                .then_with(|| entry.cdv.cmp(&cdv))
-        })
+    /// Where `key` sits in the sorted index: `Ok` at a live entry's
+    /// position, `Err` where a new entry would go.
+    fn locate(&self, key: KeyRef<'_>) -> Result<usize, usize> {
+        self.index
+            .binary_search_by(|&slot| self.entry(ContractHandle(slot)).key.as_ref().cmp(&key))
     }
 
     /// Acquires a handle for `(contract, cdv)`, bumping the refcount of
@@ -102,17 +182,22 @@ impl ContractIntern {
         cdv: Time,
         make: impl FnOnce() -> Result<BitStream, CacError>,
     ) -> Result<ContractHandle, CacError> {
-        if let Some(handle) = self.find(contract, cdv) {
-            self.retain(handle);
-            return Ok(handle);
+        let pair = (contract, cdv);
+        let key = KeyRef::of(&pair);
+        match self.locate(key) {
+            Ok(pos) => {
+                let handle = ContractHandle(self.index[pos]);
+                self.retain(handle);
+                Ok(handle)
+            }
+            Err(pos) => Ok(self.insert_at(pos, key, make()?)),
         }
-        Ok(self.insert(contract, cdv, make()?))
     }
 
     /// The handle of the live entry for `(contract, cdv)`, if any,
     /// without touching its refcount.
     pub(crate) fn find(&self, contract: TrafficContract, cdv: Time) -> Option<ContractHandle> {
-        self.locate(contract, cdv)
+        self.locate(KeyRef::of(&(contract, cdv)))
             .ok()
             .map(|pos| ContractHandle(self.index[pos]))
     }
@@ -133,12 +218,18 @@ impl ContractIntern {
         cdv: Time,
         stream: BitStream,
     ) -> ContractHandle {
-        let found = self.locate(contract, cdv);
+        let pair = (contract, cdv);
+        let key = KeyRef::of(&pair);
+        let found = self.locate(key);
         debug_assert!(found.is_err(), "(contract, cdv) interned twice");
         let (Ok(pos) | Err(pos)) = found;
+        self.insert_at(pos, key, stream)
+    }
+
+    /// Stores a new entry for `key` and indexes it at `pos`.
+    fn insert_at(&mut self, pos: usize, key: KeyRef<'_>, stream: BitStream) -> ContractHandle {
         let entry = Entry {
-            contract,
-            cdv,
+            key: key.to_key(),
             stream,
             refs: 1,
         };
@@ -172,8 +263,7 @@ impl ContractIntern {
         if entry.refs > 0 {
             return false;
         }
-        let (contract, cdv) = (entry.contract, entry.cdv);
-        let found = self.locate(contract, cdv);
+        let found = self.locate(self.entry(handle).key.as_ref());
         debug_assert_eq!(found.map(|pos| self.index[pos]), Ok(slot));
         if let Ok(pos) = found {
             self.index.remove(pos);
@@ -199,12 +289,18 @@ impl ContractIntern {
 
     /// The interned traffic contract.
     pub(crate) fn contract(&self, handle: ContractHandle) -> TrafficContract {
-        self.entry(handle).contract
+        match &self.entry(handle).key {
+            Key::Word(word) => word.contract(),
+            Key::Wide(wide) => wide.0,
+        }
     }
 
     /// The interned accumulated CDV.
     pub(crate) fn cdv(&self, handle: ContractHandle) -> Time {
-        self.entry(handle).cdv
+        match &self.entry(handle).key {
+            Key::Word(word) => Time::new(word.cdv.into()),
+            Key::Wide(wide) => wide.1,
+        }
     }
 
     /// The current refcount of a live entry.
@@ -225,26 +321,32 @@ impl ContractIntern {
     }
 
     /// Approximate resident heap bytes of the intern table: slab +
-    /// sorted slot index + the interned stream segments.
+    /// sorted slot index + the interned stream segments + the box of
+    /// each key too wide for machine words.
     pub(crate) fn resident_bytes(&self) -> usize {
         let slab = self.slots.capacity() * std::mem::size_of::<Slot>();
         let index = self.index.capacity() * std::mem::size_of::<u32>();
-        let streams: usize = self
+        let entries: usize = self
             .slots
             .iter()
             .map(|slot| match slot {
-                Slot::Occupied(entry) => entry.stream.resident_bytes(),
+                Slot::Occupied(entry) => {
+                    let wide = match entry.key {
+                        Key::Word(_) => 0,
+                        Key::Wide(_) => std::mem::size_of::<(TrafficContract, Time)>(),
+                    };
+                    entry.stream.resident_bytes() + wide
+                }
                 Slot::Free { .. } => 0,
             })
             .sum();
-        slab + index + streams
+        slab + index + entries
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtcac_bitstream::{CbrParams, Rate, VbrParams};
     use rtcac_rational::ratio;
 
     fn cbr(num: i128, den: i128) -> TrafficContract {
@@ -259,7 +361,70 @@ mod tests {
     /// slot is resident bytes per connection.
     #[test]
     fn slot_layout_pin() {
-        assert_eq!(std::mem::size_of::<Slot>(), 160);
+        assert_eq!(std::mem::size_of::<WordKey>(), 56);
+        assert_eq!(std::mem::size_of::<Slot>(), 96);
+    }
+
+    /// The two coprime 63-bit-denominator CBR rates of ROADMAP item 2:
+    /// the widest word keys.
+    fn edge_cbr() -> [TrafficContract; 2] {
+        [
+            cbr(1, 9_223_372_036_854_775_783),
+            cbr(1, 9_223_372_036_854_775_643),
+        ]
+    }
+
+    /// A rate and a CDV whose denominators are past `i64`.
+    fn wide_cbr() -> TrafficContract {
+        cbr(1, 1 << 63)
+    }
+
+    fn wide_cdv() -> Time {
+        Time::new(ratio(3, 1 << 63))
+    }
+
+    #[test]
+    fn wide_keys_are_boxed_and_counted() {
+        let mut intern = ContractIntern::new();
+        let [a, b] = edge_cbr();
+        let keys = [
+            (wide_cbr(), Time::ZERO),
+            (cbr(1, 8), wide_cdv()),
+            (a, Time::ZERO),
+            (b, wide_cdv()),
+            (cbr(1, 8), Time::from_integer(16)),
+        ];
+        let handles: Vec<ContractHandle> = keys
+            .iter()
+            .map(|&(c, cdv)| intern.acquire(c, cdv, || Ok(stream_of(c, cdv))).unwrap())
+            .collect();
+        let wide: Vec<bool> = handles
+            .iter()
+            .map(|&h| matches!(intern.entry(h).key, Key::Wide(_)))
+            .collect();
+        assert_eq!(wide, [true, true, false, true, false]);
+        for (&(c, cdv), &h) in keys.iter().zip(&handles) {
+            assert_eq!(intern.find(c, cdv), Some(h));
+            assert_eq!((intern.contract(h), intern.cdv(h)), (c, cdv));
+        }
+        // Word keys sort before wide ones.
+        let words: Vec<u32> = intern.index[..2].to_vec();
+        assert!(words.contains(&handles[2].raw()) && words.contains(&handles[4].raw()));
+
+        let streams: usize = handles
+            .iter()
+            .map(|&h| intern.stream(h).resident_bytes())
+            .sum();
+        let boxes = 3 * std::mem::size_of::<(TrafficContract, Time)>();
+        let fixed = intern.slots.capacity() * std::mem::size_of::<Slot>()
+            + intern.index.capacity() * std::mem::size_of::<u32>();
+        assert_eq!(intern.resident_bytes(), fixed + streams + boxes);
+
+        for h in handles {
+            assert!(intern.release(h));
+        }
+        assert_eq!(intern.len(), 0);
+        assert_eq!(intern.resident_bytes(), fixed);
     }
 
     #[test]
@@ -338,15 +503,15 @@ mod tests {
     }
 
     fn key_of(intern: &ContractIntern, slot: u32) -> (TrafficContract, Time) {
-        let entry = intern.entry(ContractHandle(slot));
-        (entry.contract, entry.cdv)
+        let handle = ContractHandle(slot);
+        (intern.contract(handle), intern.cdv(handle))
     }
 
-    /// Seeded churn of acquires and releases over 8 contracts x 3 CDVs:
-    /// after every step the sorted index is strictly ascending by
-    /// `(contract, cdv)`, holds exactly the live slots, and `find`
-    /// agrees with a linear scan of the slab. `RTCAC_TEST_SEED=<u64>`
-    /// replays a failure; every failure names it.
+    /// Seeded churn of acquires and releases over 11 contracts x 4 CDVs,
+    /// word and wide keys mixed: after every step the sorted index is
+    /// strictly ascending by key, holds exactly the live slots, and
+    /// `find` agrees with a linear scan of the slab.
+    /// `RTCAC_TEST_SEED=<u64>` replays a failure; every failure names it.
     #[test]
     fn sorted_index_matches_slab_under_churn() {
         const STEPS: usize = 6_000;
@@ -369,8 +534,16 @@ mod tests {
             TrafficContract::vbr(
                 VbrParams::new(Rate::new(ratio(1, 3)), Rate::new(ratio(1, 7)), 5).unwrap(),
             ),
+            edge_cbr()[0],
+            edge_cbr()[1],
+            wide_cbr(),
         ];
-        let cdvs = [Time::ZERO, Time::from_integer(16), Time::new(ratio(81, 2))];
+        let cdvs = [
+            Time::ZERO,
+            Time::from_integer(16),
+            Time::new(ratio(81, 2)),
+            wide_cdv(),
+        ];
         let keys: Vec<(TrafficContract, Time)> = contracts
             .iter()
             .flat_map(|&c| cdvs.iter().map(move |&cdv| (c, cdv)))
@@ -390,10 +563,9 @@ mod tests {
             }
 
             let index = &intern.index;
+            let key = |slot: u32| intern.entry(ContractHandle(slot)).key.as_ref();
             assert!(
-                index
-                    .windows(2)
-                    .all(|w| key_of(&intern, w[0]) < key_of(&intern, w[1])),
+                index.windows(2).all(|w| key(w[0]) < key(w[1])),
                 "{ctx}: index not strictly ascending"
             );
             let mut indexed = index.clone();

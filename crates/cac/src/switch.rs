@@ -109,13 +109,15 @@ struct Commit {
 ///
 /// Each leg is stored once, in one `Vec` sorted by `(connection,
 /// out-link)`. A leg holds only its links, priority, and a refcounted
-/// [`ContractIntern`] handle to the `(contract, CDV)` entry that owns
-/// the arrival envelope — one envelope per *distinct* parameter pair,
-/// however many legs carry it. Binary search serves lookups, and the
-/// sort order is the **stable public iteration order** (exactly the
-/// order the former `BTreeMap` storage iterated), so admission ledgers
-/// and snapshot encodings are byte-identical across representation
-/// changes.
+/// handle into the switch's contract intern, whose entry owns the
+/// `(contract, CDV)` key and the arrival envelope — one of each per
+/// *distinct* parameter pair, however many legs carry it. An entry is
+/// 96 bytes: its key is stored as machine words whenever every rate and
+/// the CDV fit `i64` over `i64`, and boxed otherwise. Binary search
+/// serves lookups, and the sort order is the **stable public iteration
+/// order** (exactly the order the former `BTreeMap` storage iterated),
+/// so admission ledgers and snapshot encodings are byte-identical
+/// across representation changes.
 #[derive(Debug, Clone)]
 pub struct Switch {
     config: SwitchConfig,
@@ -1013,6 +1015,39 @@ mod tests {
             assert_eq!(sw.tables, restored(&sw).tables);
             assert!(port(&sw, second_in).is_some_and(|s| !wide(&s)));
         }
+    }
+
+    /// Keys past machine words are interned boxed beside word keys, and
+    /// every leg reads back exactly the request it was restored from,
+    /// until the last release empties the intern.
+    #[test]
+    fn wide_keys_round_trip_through_connections() {
+        let wide_cdv = Time::new(ratio(3, 1 << 63));
+        let leg = |id: u64, contract, cdv, i| {
+            let request = ConnectionRequest::new(contract, cdv, l(i), l(100), Priority::HIGHEST);
+            (ConnectionId::new(id), request)
+        };
+        let legs = [
+            leg(1, cbr(1, 9_223_372_036_854_775_783), Time::ZERO, 0),
+            leg(2, cbr(1, 9_223_372_036_854_775_643), wide_cdv, 1),
+            leg(3, cbr(1, 1 << 63), Time::ZERO, 2),
+            leg(4, cbr(1, 8), wide_cdv, 3),
+            leg(5, cbr(1, 8), Time::from_integer(16), 3),
+            leg(6, cbr(1, 8), wide_cdv, 4),
+        ];
+        let config = SwitchConfig::uniform(1, Time::from_integer(32)).unwrap();
+        let mut sw = Switch::restore(config, 0, legs).unwrap();
+        assert_eq!(sw.connections().collect::<Vec<_>>(), legs);
+        for (_, request) in &legs {
+            let found = sw.intern.find(request.contract(), request.cdv());
+            assert!(found.is_some(), "{request:?}");
+        }
+        assert_eq!(sw.interned_contracts(), 5);
+        for (id, request) in legs {
+            assert_eq!(sw.release(id).unwrap(), [request]);
+        }
+        assert_eq!(sw.interned_contracts(), 0);
+        assert_eq!(sw.connections().count(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Each round draws a seeded random — but always *valid* — `.rtcac`
 //! scenario from [`rtcac_storm::generate`] (generated topology,
 //! optional time-varying impairment profile, LRD-shaped connect
-//! volume), then steps two [`Replay`]s of it in lock-step: one over
+//! volume), then steps two `Replay`s of it in lock-step: one over
 //! the serial signaling `Network` and one over the concurrent sharded
 //! `AdmissionEngine`. The parity oracle is `serial_step ==
 //! engine_step`, directive by directive:

@@ -138,7 +138,7 @@ enum AttemptResult {
 /// A concurrent, sharded connection admission engine.
 ///
 /// Wraps one [`Switch`](rtcac_cac::Switch) per topology switch node in
-/// a [`Shard`] (the switch behind one mutex) and serves setups with a
+/// a `Shard` (the switch behind one mutex) and serves setups with a
 /// deterministic **two-phase protocol**:
 ///
 /// 1. **Reserve** — the worker locks every shard on the route in
@@ -314,7 +314,7 @@ impl AdmissionEngine {
     /// [`ServicePool`](crate::ServicePool) calls this before it waits
     /// for a permit, so its trace also covers the queue wait.
     /// Unsampled contexts skip the tags — a rejection re-attaches them
-    /// in [`publish_report`](Self::publish_report) — so the sampled-out
+    /// in `publish_report` — so the sampled-out
     /// hot path never formats strings or touches the health lock.
     pub fn start_trace(&self, name: &'static str, id: ConnectionId) -> TraceCtx {
         let mut ctx = self.tracer.start(name);

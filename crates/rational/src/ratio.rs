@@ -58,13 +58,15 @@ pub struct Ratio {
 ///
 /// Only [`Ratio::to_narrow`] makes one, so its fields are always a
 /// reduced fraction with a positive denominator, and converting back
-/// with [`From`] needs no GCD. Field equality is value equality.
+/// with [`From`] needs no GCD. Field equality is value equality, and
+/// the order is the values' order.
 ///
 /// ```
 /// use rtcac_rational::{ratio, Ratio};
 ///
 /// let word = ratio(3, 4).to_narrow().ok_or("wide")?;
 /// assert_eq!(Ratio::from(word), ratio(3, 4));
+/// assert!(word < ratio(4, 5).to_narrow().ok_or("wide")?);
 /// assert_eq!(ratio(1, 1 << 63).to_narrow(), None);
 /// # Ok::<(), &str>(())
 /// ```
@@ -72,6 +74,23 @@ pub struct Ratio {
 pub struct NarrowRatio {
     num: i64,
     den: i64,
+}
+
+impl Ord for NarrowRatio {
+    /// Compares values by their cross products, which fit `i128`
+    /// unchecked for word-sized components.
+    #[inline]
+    fn cmp(&self, other: &NarrowRatio) -> Ordering {
+        let lhs = i128::from(self.num) * i128::from(other.den);
+        lhs.cmp(&(i128::from(other.num) * i128::from(self.den)))
+    }
+}
+
+impl PartialOrd for NarrowRatio {
+    #[inline]
+    fn partial_cmp(&self, other: &NarrowRatio) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl From<NarrowRatio> for Ratio {

@@ -239,14 +239,14 @@ fn width_decides_the_path() {
 /// `to_narrow` is the arithmetic's own width test, made visible: `Some`
 /// exactly when the word-sized bodies would run, and a value that comes
 /// back unchanged.
-fn assert_word_form(r: Ratio, ctx: &str) -> bool {
+fn assert_word_form(r: Ratio, ctx: &str) -> Option<NarrowRatio> {
     let word = r.to_narrow();
     assert_eq!(word.is_some(), narrow(r).is_some(), "to_narrow, {ctx}");
     if let Some(word) = word {
         let back = Ratio::from(word);
         assert_eq!(fields(Some(back)), fields(Some(r)), "round trip, {ctx}");
     }
-    word.is_some()
+    word
 }
 
 #[test]
@@ -269,7 +269,7 @@ fn to_narrow_agrees_with_the_width_test() {
     ] {
         let ctx = format!("{num}/{den}");
         assert_eq!(
-            assert_word_form(crate::ratio(num, den), &ctx),
+            assert_word_form(crate::ratio(num, den), &ctx).is_some(),
             fits,
             "{ctx}"
         );
@@ -277,6 +277,7 @@ fn to_narrow_agrees_with_the_width_test() {
     let seed = seed();
     let mut rng = SplitMix64(seed ^ 0x0057_04D5);
     let (mut words, mut wide) = (0u64, 0u64);
+    let mut prev: Option<(Ratio, NarrowRatio)> = None;
     for case in 0..QUADRUPLES / 4 {
         let class = class(&mut rng);
         let (a, b) = pair(&mut rng, class);
@@ -284,11 +285,16 @@ fn to_narrow_agrees_with_the_width_test() {
             continue;
         };
         let ctx = format!("RTCAC_TEST_SEED={seed} case {case}: {a}/{b}");
-        if assert_word_form(r, &ctx) {
-            words += 1;
-        } else {
+        let Some(word) = assert_word_form(r, &ctx) else {
             wide += 1;
+            continue;
+        };
+        words += 1;
+        // Words order as their values do.
+        if let Some((p, p_word)) = prev {
+            assert_eq!(p_word.cmp(&word), p.cmp(&r), "order vs {p}, {ctx}");
         }
+        prev = Some((r, word));
     }
     assert!(words > QUADRUPLES / 16, "word-sized values: {words}");
     assert!(wide > QUADRUPLES / 100, "wide values: {wide}");

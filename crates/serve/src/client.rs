@@ -12,7 +12,8 @@
 //!   order and a FIFO of in-flight requests is all the matching a
 //!   caller needs. A session flushes once per read batch, so the
 //!   replies to a burst that reached it in one read arrive together.
-//!   The open-loop load generator lives on this path.
+//!   `rtcac load`, a closed-loop traffic source that keeps at most 32
+//!   frames in flight per connection, lives on this path.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
