@@ -6,48 +6,12 @@
 //! Plain harness-less timing (std::time::Instant) — the registry is
 //! offline, so criterion is unavailable.
 
-use rtcac_bench::{human_time, time_op};
-use rtcac_bitstream::{Rate, Time, TrafficContract, VbrParams};
-use rtcac_cac::{ConnectionId, ConnectionRequest, Priority, Switch, SwitchConfig};
+use rtcac_bench::{human_time, loaded_switch, preload_contract, preload_probe, time_op};
+use rtcac_bitstream::Time;
+use rtcac_cac::{ConnectionId, ConnectionRequest, Priority};
 use rtcac_net::LinkId;
-use rtcac_rational::ratio;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn contract(k: u64) -> TrafficContract {
-    TrafficContract::vbr(
-        VbrParams::new(
-            Rate::new(ratio(1, 40 + (k % 11) as i128)),
-            Rate::new(ratio(1, 600 + (k % 17) as i128)),
-            2 + k % 6,
-        )
-        .unwrap(),
-    )
-}
-
-/// A switch preloaded with `n` established connections spread over 4
-/// incoming links and `levels` priorities. Quantization keeps the
-/// exact-rational denominators of the heterogeneous contracts bounded
-/// (the production configuration for large switches).
-fn loaded_switch(n: u64, levels: u8) -> Switch {
-    let config = SwitchConfig::uniform(levels, Time::from_integer(500))
-        .unwrap()
-        .with_quantization(4096)
-        .unwrap();
-    let mut sw = Switch::new(config);
-    for k in 0..n {
-        let request = ConnectionRequest::new(
-            contract(k),
-            Time::from_integer(64),
-            LinkId::external((k % 4) as u32),
-            LinkId::external(100),
-            Priority::new((k % levels as u64) as u8),
-        );
-        let decision = sw.admit(ConnectionId::new(k), request).unwrap();
-        assert!(decision.is_admitted(), "bench preload must fit");
-    }
-    sw
-}
 
 const BUDGET: Duration = Duration::from_millis(200);
 
@@ -58,32 +22,20 @@ fn report(name: &str, secs: f64) {
 fn main() {
     for n in [8u64, 32, 128] {
         let sw = loaded_switch(n, 1);
-        let probe = ConnectionRequest::new(
-            contract(9999),
-            Time::from_integer(64),
-            LinkId::external(1),
-            LinkId::external(100),
-            Priority::HIGHEST,
-        );
+        let probe = preload_probe();
         let t = time_op(|| black_box(sw.check(black_box(&probe)).unwrap()), BUDGET);
         report(&format!("cac_check_vs_connections/{n}"), t);
     }
     for levels in [1u8, 2, 4] {
         let sw = loaded_switch(64, levels);
-        let probe = ConnectionRequest::new(
-            contract(9999),
-            Time::from_integer(64),
-            LinkId::external(1),
-            LinkId::external(100),
-            Priority::HIGHEST,
-        );
+        let probe = preload_probe();
         let t = time_op(|| black_box(sw.check(black_box(&probe)).unwrap()), BUDGET);
         report(&format!("cac_check_vs_priorities/{levels}"), t);
     }
     {
         let sw = loaded_switch(64, 1);
         let probe = ConnectionRequest::new(
-            contract(4242),
+            preload_contract(4242),
             Time::from_integer(64),
             LinkId::external(2),
             LinkId::external(100),

@@ -16,6 +16,11 @@ pub mod memory;
 
 use std::fmt::Display;
 
+use rtcac_bitstream::{Rate, Time, TrafficContract, VbrParams};
+use rtcac_cac::{ConnectionId, ConnectionRequest, Priority, Switch, SwitchConfig};
+use rtcac_net::LinkId;
+use rtcac_rational::ratio;
+
 /// Prints a `# key: value` header line.
 pub fn header(key: &str, value: impl Display) {
     println!("# {key}: {value}");
@@ -61,6 +66,65 @@ pub fn time_op<T>(mut op: impl FnMut() -> T, min_total: std::time::Duration) -> 
         }
     }
     start.elapsed().as_secs_f64() / iters as f64
+}
+
+/// The `k`-th VBR contract of the admission-cost preload: eleven peak
+/// rates and seventeen sustained rates, so the exact denominators of a
+/// port's aggregate grow until quantization bounds them.
+pub fn preload_contract(k: u64) -> TrafficContract {
+    TrafficContract::vbr(
+        VbrParams::new(
+            Rate::new(ratio(1, 40 + (k % 11) as i128)),
+            Rate::new(ratio(1, 600 + (k % 17) as i128)),
+            2 + k % 6,
+        )
+        .expect("the preload's contracts are valid"),
+    )
+}
+
+/// A switch preloaded with `n` established connections spread over 4
+/// incoming links and `levels` priorities, all on out-link 100.
+/// Quantization keeps the exact-rational denominators of the
+/// heterogeneous contracts bounded (the production configuration for
+/// large switches).
+///
+/// # Panics
+///
+/// Panics if a preload connection is refused (it never is for the
+/// sizes the admission-cost bench and its allocation pin use).
+pub fn loaded_switch(n: u64, levels: u8) -> Switch {
+    let config = SwitchConfig::uniform(levels, Time::from_integer(500))
+        .and_then(|config| config.with_quantization(4096))
+        .expect("a valid preload config");
+    let mut sw = Switch::new(config);
+    for k in 0..n {
+        let request = ConnectionRequest::new(
+            preload_contract(k),
+            Time::from_integer(64),
+            LinkId::external((k % 4) as u32),
+            LinkId::external(100),
+            Priority::new((k % levels as u64) as u8),
+        );
+        let decision = sw.admit(ConnectionId::new(k), request);
+        assert!(
+            decision.is_ok_and(|d| d.is_admitted()),
+            "preload connection {k} must fit"
+        );
+    }
+    sw
+}
+
+/// The request the admission-cost bench prices against a preload: a
+/// contract no preload connection holds, on in-link 1 at the highest
+/// priority.
+pub fn preload_probe() -> ConnectionRequest {
+    ConnectionRequest::new(
+        preload_contract(9999),
+        Time::from_integer(64),
+        LinkId::external(1),
+        LinkId::external(100),
+        Priority::HIGHEST,
+    )
 }
 
 /// Formats a seconds-per-call figure with an adaptive unit.

@@ -40,15 +40,16 @@ impl PiecewiseLinear {
         let mut knots = Vec::with_capacity(segs.len());
         let mut slopes = Vec::with_capacity(segs.len());
         let mut value = Cells::ZERO;
-        let mut prev: Option<(Ratio, Time)> = None;
-        for seg in segs {
-            if let Some((slope, start)) = prev {
-                value += Rate::new(slope) * (seg.start - start);
+        let mut prev: Option<(Rate, Time)> = None;
+        let mut k = 0;
+        while let (Some(start), Some(slope)) = (segs.start(k), segs.headroom(k, Rate::FULL)) {
+            if let Some((slope, prev)) = prev {
+                value += slope * (start - prev);
             }
-            let slope = Ratio::ONE - seg.rate.as_ratio();
-            knots.push((seg.start, value));
-            slopes.push(slope);
-            prev = Some((slope, seg.start));
+            knots.push((start, value));
+            slopes.push(slope.as_ratio());
+            prev = Some((slope, start));
+            k += 1;
         }
         Ok(PiecewiseLinear { knots, slopes })
     }
@@ -133,7 +134,7 @@ pub(crate) fn horizontal_deviation(
 }
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

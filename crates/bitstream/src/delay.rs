@@ -67,9 +67,7 @@ impl BitStream {
     fn shift_left(&self, cdv: Time) -> Vec<Segment> {
         let segs = self.segments();
         // From the segment containing time `cdv` (right-continuous).
-        let from = segs
-            .partition_point(|seg| seg.start <= cdv)
-            .saturating_sub(1);
+        let from = segs.partition_point(|start| start <= cdv).saturating_sub(1);
         let shift = |(k, seg): (usize, Segment)| match k {
             0 => Segment::new(seg.rate, Time::ZERO),
             _ => Segment::new(seg.rate, seg.start - cdv),

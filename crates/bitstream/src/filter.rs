@@ -2,6 +2,8 @@
 //! "clamp by a service line" smoothing primitive also used by
 //! Algorithm 3.1 (delay).
 
+use core::num::NonZeroU64;
+
 use crate::{BitStream, Cells, Rate, Segment, Segments, StreamError, Time};
 
 impl BitStream {
@@ -60,15 +62,21 @@ impl BitStream {
 
     /// This stream, read segment by segment.
     pub(crate) fn view(&self) -> View<'_> {
-        View::new(&[], self.segments())
+        let segs = self.segments();
+        View::new(&[], segs, segs.den().map(|den| (den, [0; 2])))
     }
 
     /// `filter(self)`, read segment by segment without being built.
     pub(crate) fn filtered(&self) -> View<'_> {
-        if self.peak_rate() <= Rate::FULL {
+        let segs = self.segments();
+        let within_link = match (segs.den(), segs.count(0)) {
+            (Some(den), Some((peak, _))) => peak.unsigned_abs() <= den.get(),
+            _ => self.peak_rate() <= Rate::FULL,
+        };
+        if within_link {
             return self.view();
         }
-        View::smooth(Cells::ZERO, self.segments(), Rate::FULL)
+        View::smooth(Cells::ZERO, segs, Rate::FULL)
     }
 }
 
@@ -77,19 +85,30 @@ impl BitStream {
 /// stream. Every output of [`View::smooth`] has that shape — the clamp,
 /// the segment the drained queue resumes in, the input's tail — so a
 /// merge can read `filter(s)` without it being built.
+///
+/// Where the run has a shared denominator and the lead runs at the link
+/// rate (`den / den`) or at a rate of the run, every rate of the view is
+/// a count of `1 / den`, and [`View::count`] reads it without a GCD.
 #[derive(Debug, Clone)]
 pub(crate) struct View<'a> {
     lead: [Segment; 2],
     lead_len: usize,
     rest: Segments<'a>,
+    /// The shared denominator and the lead's numerators over it.
+    counts: Option<(NonZeroU64, [i64; 2])>,
 }
 
 impl<'a> View<'a> {
-    fn new(lead: &[Segment], rest: Segments<'a>) -> View<'a> {
+    fn new(
+        lead: &[Segment],
+        rest: Segments<'a>,
+        counts: Option<(NonZeroU64, [i64; 2])>,
+    ) -> View<'a> {
         let mut view = View {
             lead: [Segment::new(Rate::ZERO, Time::ZERO); 2],
             lead_len: lead.len(),
             rest,
+            counts,
         };
         view.lead[..lead.len()].copy_from_slice(lead);
         view
@@ -108,22 +127,30 @@ impl<'a> View<'a> {
         // the last breakpoint it drains iff the last rate is below the
         // capacity.
         let mut queue = backlog;
-        let mut segs = segments.iter().enumerate().peekable();
-        while let Some((i, seg)) = segs.next() {
-            let end = segs.peek().map(|(_, next)| next.start);
-            let drain_rate = capacity - seg.rate; // positive when draining
+        let mut i = 0;
+        while let (Some(start), Some(drain_rate)) =
+            (segments.start(i), segments.headroom(i, capacity))
+        {
+            let end = segments.start(i + 1);
+            // Positive when draining.
             if drain_rate.is_positive() {
-                let t_drain = seg.start + queue / drain_rate;
+                let t_drain = start + queue / drain_rate;
                 if end.is_none_or(|end| t_drain <= end) {
-                    return View::resumed(segments, i, seg.rate, t_drain, capacity);
+                    return View::resumed(segments, i, capacity - drain_rate, t_drain, capacity);
                 }
             }
             if let Some(end) = end {
-                queue -= drain_rate * (end - seg.start);
+                queue -= drain_rate * (end - start);
             }
+            i += 1;
         }
         // Last rate >= capacity with a backlog: never drains.
-        View::new(&[Segment::new(capacity, Time::ZERO)], Segments::EMPTY)
+        let counts = (capacity == Rate::FULL).then_some((NonZeroU64::MIN, [1, 0]));
+        View::new(
+            &[Segment::new(capacity, Time::ZERO)],
+            Segments::EMPTY,
+            counts,
+        )
     }
 
     /// `capacity` on `[0, t_drain)`, then the input from segment `i`
@@ -140,13 +167,20 @@ impl<'a> View<'a> {
         let rest = segments.suffix(i + 1);
         let clamp = Segment::new(capacity, Time::ZERO);
         let resume = Segment::new(rate, t_drain);
+        // The clamp at the link rate counts `den` of `1 / den`; the
+        // resumed segment keeps segment `i`'s numerator.
+        let counts = segments
+            .den()
+            .filter(|_| capacity == Rate::FULL)
+            .zip(segments.count(i))
+            .map(|(den, (num, _))| (den, den.get() as i64, num)); // `den` is at most `i64::MAX`
         match (
             t_drain.is_positive(),
             rest.first().map(|next| next.start) != Some(t_drain),
         ) {
-            (true, true) => View::new(&[clamp, resume], rest),
-            (true, false) => View::new(&[clamp], rest),
-            (false, _) => View::new(&[resume], rest),
+            (true, true) => View::new(&[clamp, resume], rest, counts.map(|(d, c, r)| (d, [c, r]))),
+            (true, false) => View::new(&[clamp], rest, counts.map(|(d, c, _)| (d, [c, 0]))),
+            (false, _) => View::new(&[resume], rest, counts.map(|(d, _, r)| (d, [r, 0]))),
         }
     }
 
@@ -168,10 +202,35 @@ impl<'a> View<'a> {
         self.get(self.len().checked_sub(1)?)
     }
 
+    /// The denominator every rate of the view is a count of, if any.
+    pub(crate) fn den(&self) -> Option<NonZeroU64> {
+        self.counts.map(|(den, _)| den)
+    }
+
+    /// Segment `n`'s rate as a numerator over [`View::den`], and its
+    /// start: `None` past the end or where the view has no denominator.
+    #[inline]
+    pub(crate) fn count(&self, n: usize) -> Option<(i64, Time)> {
+        let (_, lead) = self.counts?;
+        match n.checked_sub(self.lead_len) {
+            None => Some((*lead.get(n)?, self.lead.get(n)?.start)),
+            Some(k) => self.rest.count(k),
+        }
+    }
+
     /// The stream this view reads.
     pub(crate) fn into_stream(self) -> BitStream {
         let lead = self.lead.into_iter().take(self.lead_len);
-        BitStream::from_canonical(lead.chain(self.rest))
+        match (self.counts, self.rest.counts(1)) {
+            (Some((den, nums)), Some(rest)) => {
+                let lead = nums
+                    .into_iter()
+                    .zip(lead)
+                    .map(|(num, seg)| (num, seg.start));
+                BitStream::from_counts(den, lead.chain(rest))
+            }
+            _ => BitStream::from_canonical(lead.chain(self.rest)),
+        }
     }
 }
 

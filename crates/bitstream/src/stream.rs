@@ -2,9 +2,10 @@
 //! arrival envelope (§2, Figure 3).
 
 use core::fmt;
+use core::num::NonZeroU64;
 use core::slice;
 
-use rtcac_rational::{NarrowRatio, Ratio};
+use rtcac_rational::{gcd, NarrowRatio, Ratio};
 
 use crate::{Cells, Rate, StreamError, Time};
 
@@ -12,9 +13,10 @@ use crate::{Cells, Rate, StreamError, Time};
 /// until the start of the next segment (or forever, for the last one).
 ///
 /// This is the form every segment is read and computed in: two exact
-/// [`Ratio`]s, 64 bytes. A stream stores its segments in half that
-/// whenever every rate and start fits machine words (see
-/// [`BitStream::segments`]), and hands each one out as a `Segment`.
+/// [`Ratio`]s, 64 bytes. A stream stores its segments in 24 bytes each
+/// whenever its rates share a word-sized denominator and every start
+/// fits machine words (see [`BitStream::segments`]), and hands each one
+/// out as a `Segment`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Flow rate during this segment, normalized to the link bandwidth.
@@ -30,40 +32,62 @@ impl Segment {
     }
 }
 
-/// A [`Segment`] whose rate and start both fit `i64` over `i64`: 32
-/// bytes, the stored form of every segment of a stream whose components
-/// all fit.
+/// The largest denominator a stream's rates share in the stored form:
+/// `i64::MAX`, so that a numerator's complement `den − num` and every
+/// rate rebuilt from its numerator stay machine words.
+pub(crate) const DEN_MAX: u64 = i64::MAX as u64;
+
+/// `lcm(a, b)`, if it is at most [`DEN_MAX`].
+pub(crate) fn lcm(a: NonZeroU64, b: NonZeroU64) -> Option<NonZeroU64> {
+    if a == b || b == NonZeroU64::MIN {
+        return Some(a);
+    }
+    if a == NonZeroU64::MIN {
+        return Some(b).filter(|b| b.get() <= DEN_MAX);
+    }
+    let lcm = (a.get() / gcd(a.get(), b.get())).checked_mul(b.get())?;
+    NonZeroU64::new(lcm).filter(|lcm| lcm.get() <= DEN_MAX)
+}
+
+/// A stored segment of a stream whose rates share one denominator: the
+/// rate as a numerator over it and the start in machine words, 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct WordSegment {
-    rate: NarrowRatio,
+struct SharedSegment {
+    num: i64,
     start: NarrowRatio,
 }
 
-impl WordSegment {
+impl SharedSegment {
     #[inline]
-    fn pack(seg: Segment) -> Option<WordSegment> {
-        Some(WordSegment {
-            rate: seg.rate.as_ratio().to_narrow()?,
-            start: seg.start.as_ratio().to_narrow()?,
-        })
+    fn start(self) -> Time {
+        Time::new(Ratio::from(self.start))
     }
 
     #[inline]
-    fn unpack(self) -> Segment {
-        Segment::new(
-            Rate::new(Ratio::from(self.rate)),
-            Time::new(Ratio::from(self.start)),
-        )
+    fn unpack(self, den: NonZeroU64) -> Segment {
+        SharedSegment::unpack_at(self.num, self.start(), den)
+    }
+
+    /// A segment read as a numerator over `den`, as a [`Segment`].
+    #[inline]
+    fn unpack_at(num: i64, start: Time, den: NonZeroU64) -> Segment {
+        Segment::new(Rate::new(Ratio::from_words(num, den)), start)
     }
 }
 
-/// A stream's stored segments: machine words when every component of
-/// every segment fits, the 64-byte arithmetic form otherwise. The form
-/// is a function of the values alone, so equal streams always share it
-/// and the derived `Eq` and `Hash` compare values.
+/// A stream's stored segments. `Shared` holds every rate as a numerator
+/// over `den`, the lcm of the reduced rate denominators, whenever that
+/// lcm is at most [`DEN_MAX`], every numerator fits `i64` and every
+/// start fits `i64` over `i64`; `Wide` holds the 64-byte arithmetic form
+/// otherwise. The form and `den` are functions of the values alone, so
+/// equal streams always share them and the derived `Eq` and `Hash`
+/// compare values.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Store {
-    Words(Box<[WordSegment]>),
+    Shared {
+        den: NonZeroU64,
+        segs: Box<[SharedSegment]>,
+    },
     Wide(Box<[Segment]>),
 }
 
@@ -72,18 +96,111 @@ impl Store {
     fn pack(segments: impl IntoIterator<Item = Segment>) -> Store {
         let mut segments = segments.into_iter();
         let (least, most) = segments.size_hint();
-        let mut words = Vec::with_capacity(most.unwrap_or(least));
+        let mut packer = Packer {
+            den: NonZeroU64::MIN,
+            segs: Vec::with_capacity(most.unwrap_or(least)),
+        };
         for seg in segments.by_ref() {
-            match WordSegment::pack(seg) {
-                Some(word) => words.push(word),
+            if !packer.push(seg) {
+                let packed = packer.segs.into_iter().map(|word| word.unpack(packer.den));
+                return Store::Wide(packed.chain([seg]).chain(segments).collect());
+            }
+        }
+        Store::Shared {
+            den: packer.den,
+            segs: packer.segs.into_boxed_slice(),
+        }
+    }
+
+    /// [`Store::pack`] for segments whose rates are already numerators
+    /// over `den` (at most [`DEN_MAX`]): no rate is reduced on the way
+    /// in, and one GCD pass at the end takes `den` down to the lcm of the
+    /// reduced rate denominators.
+    fn pack_counts(den: NonZeroU64, mut counts: impl Iterator<Item = (i64, Time)>) -> Store {
+        debug_assert!(den.get() <= DEN_MAX);
+        let (least, most) = counts.size_hint();
+        let mut segs = Vec::with_capacity(most.unwrap_or(least));
+        for (num, start) in counts.by_ref() {
+            match start.as_ratio().to_narrow() {
+                Some(start) => segs.push(SharedSegment { num, start }),
                 None => {
-                    let packed = words.into_iter().map(WordSegment::unpack);
-                    let wide = packed.chain([seg]).chain(segments);
-                    return Store::Wide(wide.collect());
+                    let unpack = |(num, start)| SharedSegment::unpack_at(num, start, den);
+                    let packed = segs.into_iter().map(|word| word.unpack(den));
+                    let rest = [(num, start)].into_iter().chain(counts).map(unpack);
+                    return Store::pack(packed.chain(rest));
                 }
             }
         }
-        Store::Words(words.into_boxed_slice())
+        // Every reduced denominator is `den / gcd(den, num)`, so their
+        // lcm is `den` over the gcd of `den` and every numerator.
+        let mut common = den.get();
+        for seg in &segs {
+            if common == 1 {
+                break;
+            }
+            common = gcd(common, seg.num.unsigned_abs());
+        }
+        let den = match NonZeroU64::new(den.get() / common) {
+            Some(reduced) if common > 1 => {
+                let common = common as i64; // divides `den`, so at most `DEN_MAX`
+                segs.iter_mut().for_each(|seg| seg.num /= common);
+                reduced
+            }
+            _ => den,
+        };
+        Store::Shared {
+            den,
+            segs: segs.into_boxed_slice(),
+        }
+    }
+}
+
+/// Segments being packed over the lcm of the rate denominators seen so
+/// far: a new denominator rescales what is packed, once.
+struct Packer {
+    den: NonZeroU64,
+    segs: Vec<SharedSegment>,
+}
+
+impl Packer {
+    /// Packs one more segment; `false` if the stream cannot be stored
+    /// shared, with what is packed still reading back the same.
+    fn push(&mut self, seg: Segment) -> bool {
+        let (rate, start) = (seg.rate.as_ratio(), seg.start.as_ratio());
+        let (Ok(num), Some(rate_den), Some(start)) = (
+            i64::try_from(rate.numer()),
+            u64::try_from(rate.denom()).ok().and_then(NonZeroU64::new),
+            start.to_narrow(),
+        ) else {
+            return false;
+        };
+        let (den, own) = (self.den.get(), rate_den.get());
+        let scale = if own == den {
+            1
+        } else if den % own == 0 {
+            den / own
+        } else {
+            let Some(lcm) = lcm(self.den, rate_den) else {
+                return false;
+            };
+            // Both at most `DEN_MAX`, so both fit `i64`.
+            let factor = if den == 1 { lcm.get() } else { lcm.get() / den } as i64;
+            if self
+                .segs
+                .iter()
+                .any(|seg| seg.num.checked_mul(factor).is_none())
+            {
+                return false;
+            }
+            self.segs.iter_mut().for_each(|seg| seg.num *= factor);
+            self.den = lcm;
+            lcm.get() / own
+        };
+        let Some(num) = num.checked_mul(scale as i64) else {
+            return false;
+        };
+        self.segs.push(SharedSegment { num, start });
+        true
     }
 }
 
@@ -112,13 +229,13 @@ pub struct Segments<'a>(Run<'a>);
 
 #[derive(Clone, Copy)]
 enum Run<'a> {
-    Words(&'a [WordSegment]),
+    Shared(&'a [SharedSegment], NonZeroU64),
     Wide(&'a [Segment]),
 }
 
 impl<'a> Segments<'a> {
-    /// A view of no segments.
-    pub(crate) const EMPTY: Segments<'static> = Segments(Run::Wide(&[]));
+    /// A view of no segments (over the denominator 1).
+    pub(crate) const EMPTY: Segments<'static> = Segments(Run::Shared(&[], NonZeroU64::MIN));
 
     /// A view of segments that no stream stores (yet).
     pub(crate) fn wide(segments: &'a [Segment]) -> Segments<'a> {
@@ -129,7 +246,7 @@ impl<'a> Segments<'a> {
     #[inline]
     pub fn len(self) -> usize {
         match self.0 {
-            Run::Words(words) => words.len(),
+            Run::Shared(segs, _) => segs.len(),
             Run::Wide(segs) => segs.len(),
         }
     }
@@ -144,7 +261,7 @@ impl<'a> Segments<'a> {
     #[inline]
     pub fn get(self, k: usize) -> Option<Segment> {
         match self.0 {
-            Run::Words(words) => words.get(k).map(|word| word.unpack()),
+            Run::Shared(segs, den) => segs.get(k).map(|seg| seg.unpack(den)),
             Run::Wide(segs) => segs.get(k).copied(),
         }
     }
@@ -165,26 +282,84 @@ impl<'a> Segments<'a> {
     #[inline]
     pub fn iter(self) -> SegmentIter<'a> {
         SegmentIter(match self.0 {
-            Run::Words(words) => IterRun::Words(words.iter()),
+            Run::Shared(segs, den) => IterRun::Shared(segs.iter(), den),
             Run::Wide(segs) => IterRun::Wide(segs.iter()),
         })
+    }
+
+    /// The denominator every rate is a count of, in the shared form.
+    #[inline]
+    pub(crate) fn den(self) -> Option<NonZeroU64> {
+        match self.0 {
+            Run::Shared(_, den) => Some(den),
+            Run::Wide(_) => None,
+        }
+    }
+
+    /// Segment `k`'s rate as a numerator over [`Segments::den`], and its
+    /// start: `None` past the end or in the wide form.
+    #[inline]
+    pub(crate) fn count(self, k: usize) -> Option<(i64, Time)> {
+        match self.0 {
+            Run::Shared(segs, _) => segs.get(k).map(|seg| (seg.num, seg.start())),
+            Run::Wide(_) => None,
+        }
+    }
+
+    /// Every segment as [`Segments::count`] reads it, each numerator
+    /// multiplied by `scale`: `None` in the wide form. The caller makes
+    /// sure the largest product, the first, fits.
+    pub(crate) fn counts(
+        self,
+        scale: i64,
+    ) -> Option<impl ExactSizeIterator<Item = (i64, Time)> + 'a> {
+        match self.0 {
+            Run::Shared(segs, _) => {
+                Some(segs.iter().map(move |seg| (seg.num * scale, seg.start())))
+            }
+            Run::Wide(_) => None,
+        }
+    }
+
+    /// The start of segment `k`, read without its rate.
+    #[inline]
+    pub(crate) fn start(self, k: usize) -> Option<Time> {
+        match self.0 {
+            Run::Shared(segs, _) => segs.get(k).map(|seg| seg.start()),
+            Run::Wide(segs) => segs.get(k).map(|seg| seg.start),
+        }
+    }
+
+    /// `capacity − rate` of segment `k`: the rate at which a queue served
+    /// at `capacity` drains during it. At the link rate the shared form
+    /// reads it from the numerator, `(den − num) / den`, with one GCD.
+    #[inline]
+    pub(crate) fn headroom(self, k: usize, capacity: Rate) -> Option<Rate> {
+        match self.0 {
+            Run::Shared(segs, den) if capacity == Rate::FULL => {
+                let seg = segs.get(k)?;
+                let left = den.get() as i64 - seg.num; // `den` is at most `DEN_MAX`
+                Some(Rate::new(Ratio::from_words(left, den)))
+            }
+            _ => self.get(k).map(|seg| capacity - seg.rate),
+        }
     }
 
     /// The segments from `k` on (none if there are fewer).
     #[inline]
     pub(crate) fn suffix(self, k: usize) -> Segments<'a> {
         Segments(match self.0 {
-            Run::Words(words) => Run::Words(words.get(k..).unwrap_or_default()),
+            Run::Shared(segs, den) => Run::Shared(segs.get(k..).unwrap_or_default(), den),
             Run::Wide(segs) => Run::Wide(segs.get(k..).unwrap_or_default()),
         })
     }
 
-    /// The number of leading segments that satisfy `pred`, which must
-    /// hold on a prefix and fail on the rest (a binary search).
-    pub(crate) fn partition_point(self, mut pred: impl FnMut(Segment) -> bool) -> usize {
+    /// The number of leading segments whose start satisfies `pred`,
+    /// which must hold on a prefix and fail on the rest (a binary search).
+    pub(crate) fn partition_point(self, mut pred: impl FnMut(Time) -> bool) -> usize {
         match self.0 {
-            Run::Words(words) => words.partition_point(|word| pred(word.unpack())),
-            Run::Wide(segs) => segs.partition_point(|&seg| pred(seg)),
+            Run::Shared(segs, _) => segs.partition_point(|seg| pred(seg.start())),
+            Run::Wide(segs) => segs.partition_point(|seg| pred(seg.start)),
         }
     }
 }
@@ -211,7 +386,7 @@ pub struct SegmentIter<'a>(IterRun<'a>);
 
 #[derive(Debug, Clone)]
 enum IterRun<'a> {
-    Words(slice::Iter<'a, WordSegment>),
+    Shared(slice::Iter<'a, SharedSegment>, NonZeroU64),
     Wide(slice::Iter<'a, Segment>),
 }
 
@@ -221,7 +396,7 @@ impl Iterator for SegmentIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<Segment> {
         match &mut self.0 {
-            IterRun::Words(words) => words.next().map(|word| word.unpack()),
+            IterRun::Shared(segs, den) => segs.next().map(|seg| seg.unpack(*den)),
             IterRun::Wide(segs) => segs.next().copied(),
         }
     }
@@ -229,7 +404,7 @@ impl Iterator for SegmentIter<'_> {
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
-            IterRun::Words(words) => words.size_hint(),
+            IterRun::Shared(segs, _) => segs.size_hint(),
             IterRun::Wide(segs) => segs.size_hint(),
         }
     }
@@ -379,9 +554,20 @@ impl BitStream {
     /// from 0, starts strictly increasing, rates non-negative and
     /// strictly falling — packed once into the stream's store.
     pub(crate) fn from_canonical(segments: impl IntoIterator<Item = Segment>) -> BitStream {
-        let stream = BitStream {
-            store: Store::pack(segments),
-        };
+        BitStream::from_store(Store::pack(segments))
+    }
+
+    /// [`BitStream::from_canonical`] for segments whose rates are
+    /// numerators over `den`, at most `i64::MAX`.
+    pub(crate) fn from_counts(
+        den: NonZeroU64,
+        counts: impl Iterator<Item = (i64, Time)>,
+    ) -> BitStream {
+        BitStream::from_store(Store::pack_counts(den, counts))
+    }
+
+    fn from_store(store: Store) -> BitStream {
+        let stream = BitStream { store };
         debug_assert!(stream.is_canonical(), "not canonical: {stream:?}");
         stream
     }
@@ -396,23 +582,25 @@ impl BitStream {
     }
 
     /// The segments of the stream, in time order, read by value through
-    /// a borrowed view (see [`Segments`]). The stream stores them as
-    /// 32-byte machine words when every rate and start fits `i64` over
-    /// `i64`, and as [`Segment`]s otherwise; the view reads either.
+    /// a borrowed view (see [`Segments`]). The stream stores its rates as
+    /// `i64` numerators over one shared denominator, the lcm of the
+    /// rates' own, and its starts as `i64` over `i64`, whenever all of
+    /// them fit (the denominator at most `i64::MAX`); it stores
+    /// [`Segment`]s otherwise. The view reads either.
     pub fn segments(&self) -> Segments<'_> {
         Segments(match &self.store {
-            Store::Words(words) => Run::Words(words),
+            Store::Shared { den, segs } => Run::Shared(segs, *den),
             Store::Wide(segs) => Run::Wide(segs),
         })
     }
 
-    /// Resident heap bytes of this stream: its segment buffer, 32 bytes
-    /// a segment when every rate and start fits `i64` over `i64` and 64
-    /// (a [`Segment`]) otherwise. The buffer is exactly as long as the
-    /// stream.
+    /// Resident heap bytes of this stream: its segment buffer, 24 bytes
+    /// a segment in the shared-denominator form and 64 (a [`Segment`])
+    /// otherwise. The denominator lives in the stream itself, and the
+    /// buffer is exactly as long as the stream.
     pub fn resident_bytes(&self) -> usize {
         match &self.store {
-            Store::Words(words) => core::mem::size_of_val::<[WordSegment]>(words),
+            Store::Shared { segs, .. } => core::mem::size_of_val::<[SharedSegment]>(segs),
             Store::Wide(segs) => core::mem::size_of_val::<[Segment]>(segs),
         }
     }
@@ -423,16 +611,6 @@ impl BitStream {
         self.segments().len()
     }
 
-    /// The first segment and the last one.
-    fn ends(&self) -> (Segment, Segment) {
-        let segs = self.segments();
-        let origin = Segment::new(Rate::ZERO, Time::ZERO);
-        (
-            segs.first().unwrap_or(origin),
-            segs.last().unwrap_or(origin),
-        )
-    }
-
     /// Whether this is the zero stream (carries no traffic at all).
     pub fn is_zero(&self) -> bool {
         self.segment_count() == 1 && self.peak_rate().is_zero()
@@ -440,18 +618,22 @@ impl BitStream {
 
     /// The initial (peak) rate `r(0)`.
     pub fn peak_rate(&self) -> Rate {
-        self.ends().0.rate
+        self.segments().first().map_or(Rate::ZERO, |seg| seg.rate)
     }
 
     /// The final rate `r(m)`, which extends to infinity — the long-run
     /// sustained rate of the stream.
     pub fn long_run_rate(&self) -> Rate {
-        self.ends().1.rate
+        self.segments().last().map_or(Rate::ZERO, |seg| seg.rate)
     }
 
     /// The time after which the stream flows at its long-run rate.
     pub fn stabilization_time(&self) -> Time {
-        self.ends().1.start
+        let segs = self.segments();
+        segs.len()
+            .checked_sub(1)
+            .and_then(|last| segs.start(last))
+            .unwrap_or(Time::ZERO)
     }
 
     /// The instantaneous rate at time `t` (`t >= 0`).
@@ -462,7 +644,7 @@ impl BitStream {
     pub fn rate_at(&self, t: Time) -> Rate {
         assert!(!t.is_negative(), "rate_at: negative time");
         let segs = self.segments();
-        let at = segs.partition_point(|seg| seg.start <= t);
+        let at = segs.partition_point(|start| start <= t);
         segs.get(at.saturating_sub(1))
             .map_or(Rate::ZERO, |seg| seg.rate)
     }
@@ -647,34 +829,68 @@ mod tests {
     fn layout_pins() {
         use core::mem::size_of;
         assert_eq!(size_of::<BitStream>(), 24);
-        assert_eq!(size_of::<WordSegment>(), 32);
+        assert_eq!(size_of::<SharedSegment>(), 24);
         assert_eq!(size_of::<Segment>(), 64);
         assert_eq!(size_of::<Segments<'_>>(), 24);
     }
 
+    fn shared_den(s: &BitStream) -> Option<u64> {
+        match &s.store {
+            Store::Shared { den, .. } => Some(den.get()),
+            Store::Wide(_) => None,
+        }
+    }
+
     #[test]
-    fn word_form_exactly_when_every_component_fits() {
-        let narrow = BitStream::from_rate_breaks([
-            rt((1, 1), (0, 1)),
-            rt((1, i64::MAX as i128), (i64::MAX as i128, 3)),
-        ])
-        .unwrap();
-        assert!(matches!(narrow.store, Store::Words(_)));
-        assert_eq!(narrow.resident_bytes(), 2 * 32);
-        // One component a bit too wide stores the whole stream wide.
-        for (rate, start) in [((1, 1 << 63), (5, 1)), ((1, 4), (1 << 63, 1))] {
-            let wide = BitStream::from_rate_breaks([rt((1, 1), (0, 1)), rt(rate, start)]).unwrap();
-            assert!(matches!(wide.store, Store::Wide(_)), "{wide}");
+    fn shared_form_exactly_when_the_denominator_and_every_component_fit() {
+        const MAX: i128 = i64::MAX as i128;
+        let narrow =
+            BitStream::from_rate_breaks([rt((1, 1), (0, 1)), rt((1, MAX), (MAX, 3))]).unwrap();
+        assert_eq!(shared_den(&narrow), Some(i64::MAX as u64));
+        assert_eq!(narrow.resident_bytes(), 2 * 24);
+        // The denominator is the lcm of the reduced ones, not the largest.
+        let thirds = BitStream::from_rate_breaks([rt((3, 4), (0, 1)), rt((1, 6), (5, 2))]).unwrap();
+        assert_eq!(shared_den(&thirds), Some(12));
+        // Too wide: a denominator past `i64::MAX`, a start past machine
+        // words, a numerator past `i64` over a large denominator, and two
+        // word-sized denominators whose lcm is not.
+        for pairs in [
+            [rt((1, 1), (0, 1)), rt((1, 1 << 63), (5, 1))],
+            [rt((1, 1), (0, 1)), rt((1, 4), (1 << 63, 1))],
+            [rt((2, 1), (0, 1)), rt((1, MAX), (5, 1))],
+            [
+                rt((1, 9_223_372_036_854_775_643), (0, 1)),
+                rt((1, 9_223_372_036_854_775_783), (5, 1)),
+            ],
+        ] {
+            let wide = BitStream::from_rate_breaks(pairs).unwrap();
+            assert_eq!(shared_den(&wide), None, "{wide}");
             assert_eq!(wide.resident_bytes(), 2 * 64);
             assert_eq!(
-                wide.segments().get(1),
-                Some(Segment::new(
-                    Rate::new(ratio(rate.0, rate.1)),
-                    Time::new(ratio(start.0, start.1))
-                ))
+                wide.segments()
+                    .iter()
+                    .map(|seg| (seg.rate.as_ratio(), seg.start.as_ratio()))
+                    .collect::<Vec<_>>(),
+                pairs
             );
             assert_eq!(BitStream::from_segments(wide.segments()).unwrap(), wide);
         }
+    }
+
+    /// Every way of building the same values packs the same store: the
+    /// numerator path reduces onto the same denominator as the `Ratio`
+    /// path.
+    #[test]
+    fn every_build_path_packs_the_same_store() {
+        let a = BitStream::from_rate_breaks([rt((1, 2), (0, 1)), rt((1, 8), (3, 1))]).unwrap();
+        let b = BitStream::from_rate_breaks([rt((1, 2), (0, 1)), rt((3, 8), (3, 1))]).unwrap();
+        let sum = a.multiplex(&b);
+        assert_eq!(shared_den(&sum), Some(2));
+        let by_ratios =
+            BitStream::from_rate_breaks([rt((1, 1), (0, 1)), rt((1, 2), (3, 1))]).unwrap();
+        assert_eq!(sum, by_ratios);
+        assert_eq!(sum.demultiplex(&b).unwrap(), a);
+        assert_eq!(shared_den(&sum.demultiplex(&a).unwrap()), Some(8));
     }
 
     #[test]

@@ -111,13 +111,20 @@ fn arb_source(rng: &mut Rng) -> BitStream {
 /// much (a third of the draws stay as they are). The huge values are
 /// integers and a huge rate lasts a few cell times at most, so the
 /// algebra on them stays far inside `i128`.
-fn arb_wide_stream(rng: &mut Rng) -> BitStream {
+/// `arb_stream`, or with one component widened past 64 bits, or with
+/// `1 / odd` added to its peak rate when there is an `odd`.
+fn arb_wide_stream(rng: &mut Rng, odd: Option<i128>) -> BitStream {
     let base = arb_stream(rng);
     let big = ratio((1 << rng.range(62, 66)) + rng.range(0, 1 << 20), 1);
-    let mode = rng.range(0, 2).min(base.segment_count() as i128);
+    let mode = match odd {
+        Some(_) => 3 * rng.range(0, 1),
+        None => rng.range(0, 2).min(base.segment_count() as i128),
+    };
+    let odd = odd.unwrap_or(1);
     let widen = |k: usize, seg: Segment| match (mode, k) {
         (1, 1..) => Segment::new(seg.rate, Time::new(seg.start.as_ratio() + big)),
         (2, 0) => Segment::new(Rate::new(seg.rate.as_ratio() + big), seg.start),
+        (3, 0) => Segment::new(Rate::new(seg.rate.as_ratio() + ratio(1, odd)), seg.start),
         _ => seg,
     };
     BitStream::from_segments(
@@ -129,28 +136,52 @@ fn arb_wide_stream(rng: &mut Rng) -> BitStream {
     .expect("widening keeps a bit stream")
 }
 
-/// Whether a value fits the 64-bit word form.
-fn fits_words(r: Ratio) -> bool {
-    i64::try_from(r.numer()).is_ok() && i64::try_from(r.denom()).is_ok()
-}
-
-/// Checks the storage form of `s` against its values: 32-byte words
-/// exactly when every rate and start fits, a 64-byte [`Segment`] per
-/// segment otherwise, and a round trip through the segment view.
-/// Returns whether `s` is stored wide.
-fn assert_storage(s: &BitStream) -> bool {
-    let words = s
+/// The denominator `s` stores its rates over, if its values call for
+/// the shared form: the lcm of the reduced rate denominators, when it
+/// is at most `i64::MAX`, every rate's numerator over it fits `i64` and
+/// every start fits `i64` over `i64`.
+fn shared_den(s: &BitStream) -> Option<i128> {
+    let fits = |r: Ratio| i64::try_from(r.numer()).is_ok() && i64::try_from(r.denom()).is_ok();
+    let gcd = |mut a: i128, mut b: i128| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut den: i128 = 1;
+    for seg in s.segments() {
+        let d = seg.rate.as_ratio().denom();
+        den = (den / gcd(den, d)).checked_mul(d)?;
+        if den > i128::from(i64::MAX) || !fits(seg.start.as_ratio()) {
+            return None;
+        }
+    }
+    let num = |seg: Segment| seg.rate.as_ratio().numer() * (den / seg.rate.as_ratio().denom());
+    let nums_fit = s
         .segments()
         .iter()
-        .all(|seg| fits_words(seg.rate.as_ratio()) && fits_words(seg.start.as_ratio()));
+        .all(|seg| i64::try_from(num(seg)).is_ok());
+    nums_fit.then_some(den)
+}
+
+/// Checks the storage form of `s` against its values: 24 bytes a
+/// segment exactly when [`shared_den`] finds a denominator, a 64-byte
+/// [`Segment`] per segment otherwise, and a round trip through the
+/// segment view. Returns the shared denominator.
+fn assert_storage(s: &BitStream) -> Option<i128> {
+    let den = shared_den(s);
     for seg in s.segments() {
         let r = seg.rate.as_ratio();
-        assert_eq!(r.to_narrow().map(Ratio::from), fits_words(r).then_some(r));
+        assert_eq!(
+            Ratio::new(r.numer(), r.denom()),
+            Ok(r),
+            "rates read back reduced"
+        );
     }
-    let per_segment = if words { 32 } else { 64 };
+    let per_segment = if den.is_some() { 24 } else { 64 };
     assert_eq!(s.resident_bytes(), s.segment_count() * per_segment, "{s}");
     assert_eq!(BitStream::from_segments(s.segments()).as_ref(), Ok(s));
-    !words
+    den
 }
 
 fn sample_times() -> Vec<Time> {
@@ -462,21 +493,30 @@ fn delay_bound_matches_brute_force_scan() {
 }
 
 /// The algebra's laws on both storage forms: streams with components
-/// past 64 bits (stored as 64-byte segments) beside word-sized ones,
-/// with every result checked for the form its values call for.
+/// past 64 bits (stored as 64-byte segments) beside streams whose rates
+/// share a word-sized denominator, some of them over 2^30, with every
+/// result checked for the form its values call for.
 #[test]
 fn both_storage_forms_keep_the_algebra() {
     assert_eq!(std::mem::size_of::<Segment>(), 64);
     let mut rng = Rng::salted(118);
-    let mut wide = 0;
+    let (mut wide, mut large) = (0, 0);
     for _ in 0..CASES {
+        // In half the cases, an odd denominator from 2^30 to 2^40, one
+        // per case and no larger, so that jitter and dominance over the
+        // streams that hold it stay within `i128` (denominators near
+        // `i64::MAX` are covered by the merge differential).
+        let odd = (rng.range(0, 1) == 0)
+            .then(|| (1 << rng.range(30, 40)) + 2 * rng.range(0, 1 << 20) + 1);
         let (a, b, c) = (
-            arb_wide_stream(&mut rng),
-            arb_wide_stream(&mut rng),
-            arb_wide_stream(&mut rng),
+            arb_wide_stream(&mut rng, odd),
+            arb_wide_stream(&mut rng, odd),
+            arb_wide_stream(&mut rng, odd),
         );
         for s in [&a, &b, &c] {
-            wide += usize::from(assert_storage(s));
+            let den = assert_storage(s);
+            wide += usize::from(den.is_none());
+            large += usize::from(den.is_some_and(|den| den > 1 << 30));
         }
         let ab = a.multiplex(&b);
         assert_storage(&ab);
@@ -518,10 +558,12 @@ fn both_storage_forms_keep_the_algebra() {
         assert_storage(&c16);
         assert!(c16.dominates(&c));
     }
-    // Both forms, each in a good share of the draws.
+    // Both forms, each in a good share of the draws, and large shared
+    // denominators.
     let drawn = 3 * CASES as usize;
     assert!(
-        wide > drawn / 4 && wide < drawn * 3 / 4,
+        wide > drawn / 8 && wide < drawn * 3 / 4,
         "{wide} of {drawn} wide"
     );
+    assert!(large > drawn / 20, "{large} of {drawn} over 2^30");
 }

@@ -35,6 +35,19 @@ mod ratio;
 pub use isqrt::{isqrt_floor, sqrt_lower, sqrt_upper};
 pub use ratio::{NarrowRatio, Ratio, RatioError};
 
+/// The greatest common divisor of two machine words, by the binary
+/// (Stein) algorithm that reduces every word-sized [`Ratio`];
+/// `gcd(0, b) == b`.
+///
+/// ```
+/// assert_eq!(rtcac_rational::gcd(4096, 24), 8);
+/// assert_eq!(rtcac_rational::gcd(0, 7), 7);
+/// ```
+#[inline]
+pub fn gcd(a: u64, b: u64) -> u64 {
+    ratio::gcd_u64(a, b)
+}
+
 /// Convenience constructor used pervasively in tests and examples.
 ///
 /// # Panics

@@ -2,6 +2,7 @@
 
 use core::cmp::Ordering;
 use core::hash::{Hash, Hasher};
+use core::num::NonZeroU64;
 
 /// Error produced by fallible [`Ratio`] constructors and operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,8 +128,10 @@ fn gcd_wide(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
-/// Binary (Stein) GCD: shifts and subtractions only.
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+/// Binary (Stein) GCD: shifts and subtractions only. Once either odd
+/// part is 1 the rest is the shared power of two, which ends a GCD with
+/// a dyadic denominator in one step.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -141,6 +144,9 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
         b >>= b.trailing_zeros();
         if a > b {
             core::mem::swap(&mut a, &mut b);
+        }
+        if a == 1 {
+            return 1 << shift;
         }
         b -= a;
         if b == 0 {
@@ -263,6 +269,29 @@ impl Ratio {
     #[inline]
     pub fn to_narrow(self) -> Option<NarrowRatio> {
         narrow(self).map(|(num, den)| NarrowRatio { num, den })
+    }
+
+    /// `num / den` in lowest terms, for a word-sized numerator over a
+    /// positive word: one word-sized GCD, and total.
+    ///
+    /// ```
+    /// use core::num::NonZeroU64;
+    /// use rtcac_rational::{ratio, Ratio};
+    ///
+    /// let den = NonZeroU64::new(4096).ok_or("zero")?;
+    /// assert_eq!(Ratio::from_words(-6, den), ratio(-3, 2048));
+    /// assert_eq!(Ratio::from_words(0, den), Ratio::ZERO);
+    /// # Ok::<(), &str>(())
+    /// ```
+    #[inline]
+    pub fn from_words(num: i64, den: NonZeroU64) -> Ratio {
+        let (n, d) = (num.unsigned_abs(), den.get());
+        let g = gcd_u64(n, d);
+        let n = i128::from(n / g);
+        Ratio {
+            num: if num < 0 { -n } else { n },
+            den: i128::from(d / g),
+        }
     }
 
     /// Creates a ratio from an integer value.

@@ -220,6 +220,44 @@ fn binary_gcd_matches_euclid() {
 }
 
 #[test]
+fn from_words_matches_new_wide() {
+    let seed = seed();
+    let mut rng = SplitMix64(seed ^ 0xF0_4D5);
+    let edges = [
+        0,
+        1,
+        -1,
+        i64::MAX,
+        i64::MIN,
+        i64::MIN + 1,
+        1 << 62,
+        -(1 << 62),
+    ];
+    let dens = [1, 2, 4096, (1 << 63) - 1, 1 << 63, u64::MAX];
+    let pairs = edges
+        .iter()
+        .flat_map(|&n| dens.iter().map(move |&d| (n, d)))
+        .chain((0..50_000).map(|_| {
+            let common = rng.next() >> rng.below(64);
+            let num = (rng.next() >> rng.below(64)).wrapping_mul(common) as i64;
+            let den = (rng.next() >> rng.below(64)).wrapping_mul(common);
+            (num, den.max(1))
+        }));
+    for (num, den) in pairs {
+        let Some(nonzero) = NonZeroU64::new(den) else {
+            continue;
+        };
+        let got = Ratio::from_words(num, nonzero);
+        let want = Ratio::new_wide(i128::from(num), i128::from(den)).ok();
+        assert_eq!(
+            fields(Some(got)),
+            fields(want),
+            "RTCAC_TEST_SEED={seed}: {num}/{den}"
+        );
+    }
+}
+
+#[test]
 fn width_decides_the_path() {
     // The largest narrow operands: every product must still fit.
     let lo = crate::ratio(i64::MIN as i128, i64::MAX as i128);

@@ -189,6 +189,7 @@ struct ServiceState {
     m_active: Gauge,
     m_draining: Gauge,
     m_snapshot_save_ns: Histogram,
+    m_snapshot_save_failures: Counter,
     m_snapshot_restore_ns: Histogram,
     m_snapshot_bytes: Gauge,
     m_snapshot_age_seconds: Gauge,
@@ -248,8 +249,9 @@ impl ServiceState {
     }
 
     /// Writes the current engine state to the configured snapshot file
-    /// (atomic temp-then-rename). Failures are recorded, not fatal — a
-    /// full disk must not take the admission plane down.
+    /// (atomic temp-then-rename). A failure is counted in
+    /// `snapshot_save_failures_total` on the server's registry, not
+    /// fatal — a full disk must not take the admission plane down.
     fn save_snapshot(&self) {
         let Some(path) = &self.snapshot_path else {
             return;
@@ -264,9 +266,7 @@ impl ServiceState {
                 self.m_snapshot_age_seconds.set(0);
                 *self.last_save.lock().expect("snapshot clock") = Some(Instant::now());
             }
-            Err(e) => {
-                rtcac_obs::record_event("snapshot.save_failed", e.to_string());
-            }
+            Err(_) => self.m_snapshot_save_failures.inc(),
         }
     }
 
@@ -461,6 +461,7 @@ impl Server {
             m_active: gauge("serve_active_connections"),
             m_draining: gauge("serve_draining"),
             m_snapshot_save_ns: histogram("snapshot_save_ns"),
+            m_snapshot_save_failures: counter("snapshot_save_failures_total"),
             m_snapshot_restore_ns: histogram("snapshot_restore_ns"),
             m_snapshot_bytes: gauge("snapshot_bytes"),
             m_snapshot_age_seconds: gauge("snapshot_age_seconds"),

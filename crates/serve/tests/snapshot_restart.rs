@@ -8,14 +8,14 @@
 use std::fs;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
 use rtcac_cac::Priority;
 use rtcac_net::builders;
 use rtcac_rational::ratio;
 use rtcac_serve::wire::{read_frame, write_frame};
-use rtcac_serve::{Client, ErrorCode, Request, Response, ServeConfig, Server};
+use rtcac_serve::{http_get, Client, ErrorCode, Request, Response, ServeConfig, Server};
 use rtcac_signaling::SetupRequest;
 
 fn temp_snapshot(name: &str) -> PathBuf {
@@ -204,4 +204,45 @@ fn hello_backs_off_through_snapshot_restoring() {
         3,
         "the client retried through 3 restoring replies"
     );
+}
+
+/// A save that cannot write its file is counted on the server's own
+/// registry, where `/metrics` shows it, and the server keeps serving.
+#[test]
+fn failed_save_is_counted_on_metrics() {
+    let dir = std::env::temp_dir().join(format!("rtcac-serve-missing-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let server = Server::start(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        metrics_addr: Some("127.0.0.1:0".into()),
+        nodes: 4,
+        terminals: 2,
+        workers: 2,
+        snapshot_path: Some(dir.join("snap.bin").display().to_string()),
+        snapshot_every: Some(0), // save on every poll tick
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let metrics = server.metrics_addr().unwrap().to_string();
+    let failures = |body: &str| {
+        let line = body
+            .lines()
+            .find_map(|line| line.strip_prefix("snapshot_save_failures_total "));
+        line.and_then(|count| count.trim().parse::<u64>().ok())
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let body = http_get(&metrics, "/metrics").unwrap();
+        if failures(&body).is_some_and(|count| count >= 1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no failed save counted:\n{body}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.hello().unwrap();
+    drop(client);
+    server.request_drain();
+    server.join();
+    assert!(!dir.exists(), "a failed save creates nothing");
 }
