@@ -786,6 +786,9 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     if let Some(reason) = &summary.restore_failed {
         let _ = writeln!(out, "serve: snapshot restore REFUSED: {reason}");
     }
+    if let Some(reason) = &summary.save_failed {
+        let _ = writeln!(out, "serve: snapshot save FAILED: {reason}");
+    }
     if summary.is_clean() {
         let _ = writeln!(out, "serve: shutdown clean");
         Ok(out)

@@ -211,18 +211,15 @@ pub struct AdmissionEngine {
 impl AdmissionEngine {
     /// Creates an engine giving every switch node of the topology the
     /// same configuration (the analogue of
-    /// [`rtcac_signaling::Network::new`]). Metrics go to the installed
-    /// [`rtcac_obs`] global registry, or nowhere (at near-zero cost)
-    /// when none is installed; use
-    /// [`AdmissionEngine::with_registry`] for an explicit registry.
+    /// [`rtcac_signaling::Network::new`]). Its metric handles are
+    /// no-ops, costing a branch each; use
+    /// [`AdmissionEngine::with_registry`] to observe the engine.
     pub fn new(topology: Topology, config: SwitchConfig, policy: CdvPolicy) -> AdmissionEngine {
-        let metrics = EngineMetrics::from_global(topology.switches().map(|n| n.id()));
-        AdmissionEngine::build(topology, config, policy, metrics)
+        AdmissionEngine::build(topology, config, policy, EngineMetrics::default())
     }
 
-    /// Creates an engine whose metrics land in `registry` regardless of
-    /// the global default — the form tests and benches use to observe
-    /// in isolation.
+    /// Creates an engine whose metrics land in `registry` — the one way
+    /// in for every binary, test and bench that reads them.
     pub fn with_registry(
         topology: Topology,
         config: SwitchConfig,
@@ -1527,8 +1524,9 @@ impl AdmissionEngine {
     }
 
     /// Rebuilds an engine from an exported state — the warm-restart
-    /// constructor. Metrics go to the installed global registry like
-    /// [`AdmissionEngine::new`].
+    /// constructor. Its metric handles are no-ops like
+    /// [`AdmissionEngine::new`]'s; a service that restores into a
+    /// registry-backed engine uses [`AdmissionEngine::adopt_state`].
     ///
     /// Every part is re-validated against `topology` (shapes re-walk
     /// their link chains, legs re-derive their arrival streams), and
@@ -1545,23 +1543,7 @@ impl AdmissionEngine {
         topology: Topology,
         state: &EngineState,
     ) -> Result<AdmissionEngine, EngineError> {
-        let metrics = EngineMetrics::from_global(topology.switches().map(|n| n.id()));
-        AdmissionEngine::build_from_state(topology, state, metrics)
-    }
-
-    /// [`AdmissionEngine::from_state`] with an explicit metrics
-    /// registry (the form the resident service and tests use).
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionEngine::from_state`].
-    pub fn from_state_with_registry(
-        topology: Topology,
-        state: &EngineState,
-        registry: Arc<Registry>,
-    ) -> Result<AdmissionEngine, EngineError> {
-        let metrics = EngineMetrics::from_registry(registry, topology.switches().map(|n| n.id()));
-        AdmissionEngine::build_from_state(topology, state, metrics)
+        AdmissionEngine::build_from_state(topology, state, EngineMetrics::default())
     }
 
     fn build_from_state(

@@ -116,15 +116,6 @@ impl EngineMetrics {
         }
     }
 
-    /// Handles resolved against the installed global registry, or
-    /// no-ops when none is installed.
-    pub fn from_global(nodes: impl Iterator<Item = NodeId>) -> EngineMetrics {
-        match rtcac_obs::global() {
-            Some(r) => EngineMetrics::from_registry(Arc::clone(r), nodes),
-            None => EngineMetrics::default(),
-        }
-    }
-
     /// A phase start time — `None` (no clock read) when not live.
     pub fn start(&self) -> Option<Instant> {
         self.live.then(Instant::now)

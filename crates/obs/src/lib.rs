@@ -10,9 +10,6 @@
 //!   after which every update is a lock-free atomic op.
 //! * [`Histogram`] — log2-bucketed value/latency distribution with
 //!   p50/p90/p99/max readout from a [`HistogramSnapshot`].
-//! * [`Span`] — an RAII guard recording its lifetime (in nanoseconds)
-//!   into a histogram; [`Span::enter`] resolves the histogram from the
-//!   global registry, [`Span::timed`] uses a pre-resolved handle.
 //! * [`EventRing`] — a bounded, mutex-sharded event buffer that counts
 //!   drops under contention instead of ever blocking a hot path.
 //! * [`Snapshot`] — a point-in-time view of everything, rendered as
@@ -31,12 +28,13 @@
 //!
 //! Instrumented code paths obtain handles that are either *live*
 //! (pointing at registry atomics) or *no-op* (`Option::None` inside):
-//! when no registry is installed every `inc`/`record` is a single
-//! branch on a `None` and no clock is read, so instrumentation can stay
-//! compiled into hot paths at near-zero cost. Install a process-global
-//! registry with [`install`]; components may also accept an explicit
-//! registry (e.g. `AdmissionEngine::with_registry` in `rtcac-engine`)
-//! so tests and benches can observe in isolation.
+//! a component built without a registry gets no-op handles, so every
+//! `inc`/`record` is a single branch on a `None` and no clock is read,
+//! and instrumentation can stay compiled into hot paths at near-zero
+//! cost. There is no process-global registry: a component that records
+//! takes its [`Registry`] as an argument (e.g.
+//! `AdmissionEngine::with_registry` in `rtcac-engine`), so every
+//! reader holds the registry it reads.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -64,7 +62,6 @@ mod histogram;
 mod registry;
 mod ring;
 pub mod series;
-mod span;
 mod trace;
 
 pub use alloc::{alloc_count, alloc_live_bytes, note_alloc, note_dealloc};
@@ -74,79 +71,6 @@ pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapsh
 pub use registry::{Counter, Exemplar, Gauge, MetricId, Registry};
 pub use ring::{Event, EventRing};
 pub use series::{Sampler, TickDelta, TimeSeries};
-pub use span::Span;
 pub use trace::{
     chrome_trace, render_spans, Sampling, SpanId, SpanRecord, TraceCtx, TraceId, Tracer,
 };
-
-use std::sync::{Arc, OnceLock};
-
-static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-
-/// Installs the process-global registry. Returns `false` (leaving the
-/// existing registry in place) if one was already installed.
-pub fn install(registry: Arc<Registry>) -> bool {
-    GLOBAL.set(registry).is_ok()
-}
-
-/// The installed global registry, if any.
-pub fn global() -> Option<&'static Arc<Registry>> {
-    GLOBAL.get()
-}
-
-/// A counter from the global registry, or a no-op handle if no registry
-/// is installed.
-pub fn counter(name: &str) -> Counter {
-    global().map_or_else(Counter::noop, |r| r.counter(name))
-}
-
-/// A gauge from the global registry, or a no-op handle.
-pub fn gauge(name: &str) -> Gauge {
-    global().map_or_else(Gauge::noop, |r| r.gauge(name))
-}
-
-/// A histogram from the global registry, or a no-op handle.
-pub fn histogram(name: &str) -> Histogram {
-    global().map_or_else(Histogram::noop, |r| r.histogram(name))
-}
-
-/// Records an event into the global registry's ring (dropped silently
-/// when no registry is installed).
-pub fn record_event(name: &'static str, detail: impl Into<String>) {
-    if let Some(r) = global() {
-        r.events().record(name, detail);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The global OnceLock is process-wide, so keep all global-path
-    // assertions in one test (test binaries run tests concurrently).
-    #[test]
-    fn global_install_and_noop_fallback() {
-        // Before install the helpers return no-op handles that accept
-        // updates without panicking.
-        let c = counter("pre_install_total");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        let h = histogram("pre_install_ns");
-        h.record(5);
-        assert!(h.snapshot().count == 0);
-        record_event("pre", "nothing listens");
-
-        let registry = Arc::new(Registry::new());
-        assert!(install(Arc::clone(&registry)));
-        assert!(
-            !install(Arc::new(Registry::new())),
-            "second install wins nothing"
-        );
-
-        counter("post_install_total").inc();
-        record_event("post", "now recorded");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("post_install_total"), Some(1));
-        assert!(snap.events.events.iter().any(|e| e.name == "post"));
-    }
-}

@@ -127,6 +127,10 @@ pub struct DrainSummary {
     /// Why the boot-time snapshot restore failed, when it did — the
     /// server refused the snapshot and drained without serving traffic.
     pub restore_failed: Option<String>,
+    /// `<path>: <error>` of the last snapshot save, when that save
+    /// failed (a later successful save clears it). Not part of
+    /// [`DrainSummary::is_clean`].
+    pub save_failed: Option<String>,
 }
 
 impl DrainSummary {
@@ -173,6 +177,7 @@ struct ServiceState {
     snapshot_path: Option<PathBuf>,
     snapshot_every: Option<Duration>,
     last_save: Mutex<Option<Instant>>,
+    save_error: Mutex<Option<String>>,
     info: (u32, u32, u8, Time),
     admitted: AtomicU64,
     rejected: AtomicU64,
@@ -250,24 +255,30 @@ impl ServiceState {
 
     /// Writes the current engine state to the configured snapshot file
     /// (atomic temp-then-rename). A failure is counted in
-    /// `snapshot_save_failures_total` on the server's registry, not
-    /// fatal — a full disk must not take the admission plane down.
+    /// `snapshot_save_failures_total` on the server's registry and kept,
+    /// with its path, for the [`DrainSummary`]; it is not fatal — a full
+    /// disk must not take the admission plane down.
     fn save_snapshot(&self) {
         let Some(path) = &self.snapshot_path else {
             return;
         };
         let started = Instant::now();
         let doc = rtcac_snap::snapshot_engine(&self.engine, "rtcac-serve");
-        match rtcac_snap::save_atomic(&doc, path) {
+        let failed = match rtcac_snap::save_atomic(&doc, path) {
             Ok(bytes) => {
                 self.m_snapshot_save_ns
                     .record(started.elapsed().as_nanos() as u64);
                 self.m_snapshot_bytes.set(bytes);
                 self.m_snapshot_age_seconds.set(0);
                 *self.last_save.lock().expect("snapshot clock") = Some(Instant::now());
+                None
             }
-            Err(_) => self.m_snapshot_save_failures.inc(),
-        }
+            Err(e) => {
+                self.m_snapshot_save_failures.inc();
+                Some(format!("{}: {e}", path.display()))
+            }
+        };
+        *self.save_error.lock().expect("save error slot") = failed;
     }
 
     /// Periodic-save tick, called from the accept loop's poll path:
@@ -440,6 +451,7 @@ impl Server {
             // counts from here (or from the restored file's mtime once
             // the boot restore backdates it), never "immediately".
             last_save: Mutex::new(Some(Instant::now())),
+            save_error: Mutex::new(None),
             info: (
                 config.nodes as u32,
                 config.terminals as u32,
@@ -638,6 +650,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) -> DrainSummar
         violations,
         active: state.engine.connection_count(),
         restore_failed,
+        save_failed: state.save_error.lock().expect("save error slot").clone(),
     }
 }
 

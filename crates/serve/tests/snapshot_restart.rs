@@ -243,6 +243,19 @@ fn failed_save_is_counted_on_metrics() {
     client.hello().unwrap();
     drop(client);
     server.request_drain();
-    server.join();
+    let summary = server.join();
     assert!(!dir.exists(), "a failed save creates nothing");
+    let path = dir.join("snap.bin").display().to_string();
+    let failed = summary
+        .save_failed
+        .as_deref()
+        .expect("the drain report names the failed save");
+    assert!(
+        failed.starts_with(&format!("{path}: ")),
+        "the failed save names its path: {failed}"
+    );
+    assert!(
+        summary.is_clean(),
+        "a failed save does not change the exit code"
+    );
 }

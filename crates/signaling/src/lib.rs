@@ -60,7 +60,6 @@
 
 mod error;
 mod message;
-mod metrics;
 mod multicast;
 mod network;
 

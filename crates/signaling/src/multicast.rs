@@ -80,7 +80,6 @@ impl Network {
         // the serial walk and the engine reject identically.
         for &link in tree.links() {
             if !self.topology().link_usable(link)? {
-                self.metrics().setup_rejected_route_down();
                 return Ok(MulticastOutcome::Rejected(SetupRejection::RouteDown {
                     link,
                 }));
@@ -97,7 +96,6 @@ impl Network {
         // The QoS gate covers the *worst* leaf's guaranteed delay.
         let worst = priced.achievable();
         if request.delay_bound() < worst {
-            self.metrics().setup_rejected_qos();
             return Ok(MulticastOutcome::Rejected(
                 SetupRejection::QosUnsatisfiable {
                     requested: request.delay_bound(),
@@ -116,7 +114,6 @@ impl Network {
                 legs_rolled_back,
                 ..
             } => {
-                self.metrics().setup_rejected_switch();
                 self.push_event(SignalEvent::Rejected {
                     connection: id,
                     switch: at,
@@ -136,7 +133,6 @@ impl Network {
             tree: tree.clone(),
             per_leaf: priced.terminals().to_vec(),
         };
-        self.metrics().setup_connected();
         self.push_event(SignalEvent::Connected {
             connection: id,
             guaranteed_delay: info.guaranteed_delay(),
@@ -153,14 +149,12 @@ impl Network {
     /// Returns [`SignalError::UnknownConnection`] for an unknown id.
     pub fn teardown_multicast(&mut self, id: ConnectionId) -> Result<(), SignalError> {
         let Some(info) = self.remove_multicast(id) else {
-            self.metrics().teardown_unknown();
             return Err(SignalError::UnknownConnection(id));
         };
         let points = info.tree.queueing_points(self.topology())?;
         for node in release_order(points.into_iter().map(|(node, _, _)| node)) {
             self.switch_mut(node)?.release(id)?;
         }
-        self.metrics().teardown();
         self.push_event(SignalEvent::Released { connection: id });
         Ok(())
     }

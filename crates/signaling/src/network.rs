@@ -12,7 +12,6 @@ use rtcac_cac::{
 use rtcac_net::{LinkId, NodeId, Route, Topology};
 use rtcac_obs::Tracer;
 
-use crate::metrics::NetworkMetrics;
 use crate::{CdvPolicy, SetupRejection, SignalError, SignalEvent};
 
 // Re-exported from the shared admission core so alternative setup
@@ -123,7 +122,6 @@ pub struct Network {
     multicast: BTreeMap<ConnectionId, crate::MulticastInfo>,
     events: Vec<SignalEvent>,
     next_id: u64,
-    metrics: NetworkMetrics,
     tracer: Tracer,
     last_report: Option<AdmissionReport>,
     cdv_inflation: BTreeMap<LinkId, Time>,
@@ -145,7 +143,6 @@ impl Network {
             multicast: BTreeMap::new(),
             events: Vec::new(),
             next_id: 1,
-            metrics: NetworkMetrics::from_global(),
             tracer: Tracer::noop(),
             last_report: None,
             cdv_inflation: BTreeMap::new(),
@@ -180,13 +177,6 @@ impl Network {
     /// The CDV inflation currently applied to a link (zero by default).
     pub fn link_cdv_inflation(&self, link: LinkId) -> Time {
         self.cdv_inflation.get(&link).copied().unwrap_or(Time::ZERO)
-    }
-
-    /// Rebinds this network's observability handles to an explicit
-    /// [`rtcac_obs::Registry`] instead of the process-global one
-    /// (useful for tests and embedders that keep registries isolated).
-    pub fn set_registry(&mut self, registry: &std::sync::Arc<rtcac_obs::Registry>) {
-        self.metrics.rebind(registry);
     }
 
     /// Installs a [`Tracer`]: subsequent setups emit causal spans
@@ -369,7 +359,6 @@ impl Network {
         // on it may reserve anything (ATM crankback then retries on an
         // alternate route, see [`Network::setup_crankback`]).
         if let Some(link) = route.first_dead_link(&self.topology)? {
-            self.metrics.setup_rejected_route_down();
             ctx.event("reject.provenance", format!("route down at link {link}"));
             ctx.finish(true);
             return Ok(SetupOutcome::Rejected(SetupRejection::RouteDown { link }));
@@ -389,7 +378,6 @@ impl Network {
         // cover their sum.
         let achievable = priced.achievable();
         if request.delay_bound() < achievable {
-            self.metrics.setup_rejected_qos();
             let report = AdmissionReport::new(
                 rows,
                 AdmissionVerdict::RejectedQos {
@@ -433,7 +421,6 @@ impl Network {
                 legs_rolled_back,
                 ..
             } => {
-                self.metrics.setup_rejected_switch();
                 self.events.push(SignalEvent::Rejected {
                     connection: id,
                     switch: at,
@@ -470,7 +457,6 @@ impl Network {
                 .map(|h| (h.node, h.advertised))
                 .collect(),
         };
-        self.metrics.setup_connected();
         self.events.push(SignalEvent::Connected {
             connection: id,
             guaranteed_delay: achievable,
@@ -504,7 +490,7 @@ impl Network {
     }
 
     /// Runs the core reserve walk with the serial driver (live switch
-    /// map, signaling trace, hop metrics).
+    /// map and signaling trace).
     pub(crate) fn reserve_priced(
         &mut self,
         id: ConnectionId,
@@ -526,13 +512,8 @@ impl Network {
             id,
             switches: &mut self.switches,
             events: &mut self.events,
-            metrics: &self.metrics,
         };
         priced.reserve_observed(&mut driver, observe)
-    }
-
-    pub(crate) fn metrics(&self) -> &NetworkMetrics {
-        &self.metrics
     }
 
     /// Tears down an established connection, releasing every switch
@@ -542,11 +523,9 @@ impl Network {
     ///
     /// Returns [`SignalError::UnknownConnection`] if the id is not
     /// established — including a second teardown of an id that was
-    /// already released (both outcomes are counted under the
-    /// `outcome="unknown"` teardown counter).
+    /// already released.
     pub fn teardown(&mut self, id: ConnectionId) -> Result<(), SignalError> {
         let Some(info) = self.connections.remove(&id) else {
-            self.metrics.teardown_unknown();
             return Err(SignalError::UnknownConnection(id));
         };
         let points = info.route.queueing_points(&self.topology)?;
@@ -556,7 +535,6 @@ impl Network {
                 .ok_or(SignalError::NoSwitchAt(node))?
                 .release(id)?;
         }
-        self.metrics.teardown();
         self.events.push(SignalEvent::Released { connection: id });
         Ok(())
     }
@@ -579,13 +557,11 @@ impl Network {
         if !self.topology.fail_link(link)? {
             return Ok(FailureImpact::unchanged());
         }
-        self.metrics.element_failed(false);
         let torn_down = self.teardown_dead_routes()?;
         self.events.push(SignalEvent::LinkFailed {
             link,
             torn_down: torn_down.len(),
         });
-        self.publish_orphan_audit();
         Ok(FailureImpact::changed(torn_down))
     }
 
@@ -601,9 +577,7 @@ impl Network {
     pub fn heal_link(&mut self, link: LinkId) -> Result<bool, SignalError> {
         let changed = self.topology.heal_link(link)?;
         if changed {
-            self.metrics.element_healed(false);
             self.events.push(SignalEvent::LinkHealed { link });
-            self.publish_orphan_audit();
         }
         Ok(changed)
     }
@@ -620,13 +594,11 @@ impl Network {
         if !self.topology.fail_node(node)? {
             return Ok(FailureImpact::unchanged());
         }
-        self.metrics.element_failed(true);
         let torn_down = self.teardown_dead_routes()?;
         self.events.push(SignalEvent::NodeFailed {
             node,
             torn_down: torn_down.len(),
         });
-        self.publish_orphan_audit();
         Ok(FailureImpact::changed(torn_down))
     }
 
@@ -638,9 +610,7 @@ impl Network {
     pub fn heal_node(&mut self, node: NodeId) -> Result<bool, SignalError> {
         let changed = self.topology.heal_node(node)?;
         if changed {
-            self.metrics.element_healed(true);
             self.events.push(SignalEvent::NodeHealed { node });
-            self.publish_orphan_audit();
         }
         Ok(changed)
     }
@@ -667,7 +637,6 @@ impl Network {
                     .ok_or(SignalError::NoSwitchAt(node))?
                     .release(id)?;
             }
-            self.metrics.teardown_failover();
             self.events.push(SignalEvent::Released { connection: id });
         }
         let mut dead_mc = Vec::new();
@@ -688,7 +657,6 @@ impl Network {
                     .ok_or(SignalError::NoSwitchAt(node))?
                     .release(id)?;
             }
-            self.metrics.teardown_failover();
             self.events.push(SignalEvent::Released { connection: id });
         }
         dead.extend(dead_mc);
@@ -698,9 +666,8 @@ impl Network {
     /// Audits the switches for reservations not backed by any
     /// established connection. The invariant maintained by setup
     /// rollback and failure teardown is that this is always empty;
-    /// it is exposed (and published as the
-    /// `signaling_orphaned_reservations` gauge) so tests and operators
-    /// can verify rather than trust.
+    /// it is exposed so tests and callers can verify rather than
+    /// trust.
     pub fn orphaned_reservations(&self) -> Vec<(NodeId, ConnectionId)> {
         let mut orphans = Vec::new();
         for (&node, switch) in &self.switches {
@@ -712,11 +679,6 @@ impl Network {
         }
         orphans.dedup();
         orphans
-    }
-
-    fn publish_orphan_audit(&self) {
-        self.metrics
-            .set_orphaned(self.orphaned_reservations().len() as u64);
     }
 
     /// Re-verifies every established guarantee — unicast *and*
@@ -825,10 +787,8 @@ impl Network {
                 Err(e) if attempts.is_empty() => return Err(SignalError::Net(e)),
                 Err(_) => break, // alternates exhausted; report last rejection
             };
-            self.metrics.crankback_attempt();
             match self.setup(&route, request)? {
                 SetupOutcome::Connected(info) => {
-                    self.metrics.crankback_finished(true, backoff_cells);
                     return Ok(CrankbackOutcome {
                         outcome: SetupOutcome::Connected(info),
                         attempts,
@@ -859,7 +819,6 @@ impl Network {
                 }
             }
         }
-        self.metrics.crankback_finished(false, backoff_cells);
         let last = attempts
             .last()
             .map(|a| a.rejection.clone())
@@ -873,14 +832,12 @@ impl Network {
 }
 
 /// The serial [`HopDriver`]: admits each priced leg against the live
-/// switch map, recording the signaling trace and hop metrics as it
-/// goes. The concurrent `rtcac-engine` drives the identical core walk
+/// switch map, recording the signaling trace as it goes. The concurrent `rtcac-engine` drives the identical core walk
 /// against its locked shards instead.
 struct SerialDriver<'a> {
     id: ConnectionId,
     switches: &'a mut BTreeMap<NodeId, Switch>,
     events: &'a mut Vec<SignalEvent>,
-    metrics: &'a NetworkMetrics,
 }
 
 impl HopDriver for SerialDriver<'_> {
@@ -897,17 +854,13 @@ impl HopDriver for SerialDriver<'_> {
             .get_mut(&hop.node)
             .ok_or(SignalError::NoSwitchAt(hop.node))?;
         let decision = switch.admit(self.id, request)?;
-        match decision {
-            AdmissionDecision::Admitted(_) => {
-                self.metrics.hop_admitted(hop.cdv);
-                self.events.push(SignalEvent::SetupForwarded {
-                    connection: self.id,
-                    switch: hop.node,
-                    out_link: hop.out_link,
-                    cdv: hop.cdv,
-                });
-            }
-            AdmissionDecision::Rejected(_) => self.metrics.hop_rejected(hop.cdv),
+        if decision.is_admitted() {
+            self.events.push(SignalEvent::SetupForwarded {
+                connection: self.id,
+                switch: hop.node,
+                out_link: hop.out_link,
+                cdv: hop.cdv,
+            });
         }
         Ok(decision)
     }
@@ -1195,34 +1148,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn explicit_registry_counts_hops_and_outcomes() {
-        use std::sync::Arc;
-        let registry = Arc::new(rtcac_obs::Registry::new());
-        let (mut net, route) = line_net(3, 32);
-        net.set_registry(&registry);
-        // One connected setup (3 hops), one QoS rejection, one teardown.
-        let ok = SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(200));
-        let outcome = net.setup(&route, ok).unwrap();
-        let id = match outcome {
-            SetupOutcome::Connected(info) => info.id(),
-            other => panic!("expected connection, got {other:?}"),
-        };
-        let qos = SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(10));
-        assert!(!net.setup(&route, qos).unwrap().is_connected());
-        net.teardown(id).unwrap();
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_total("signaling_hop_checks_total"), 3);
-        assert_eq!(snap.counter_total("signaling_setups_total"), 2);
-        assert_eq!(snap.counter_total("signaling_teardowns_total"), 1);
-        // Hop CDVs were 0, 32, 64 cell times: three observations, the
-        // largest being 64.
-        let cdv = snap.histogram("signaling_cdv_cells").unwrap();
-        assert_eq!(cdv.count, 3);
-        assert_eq!(cdv.max, 64);
-    }
-
     /// a → s1 → {s2 | s3} → s4 → d with two equal-cost middle paths.
     fn diamond_net(bound: i128) -> (Network, [NodeId; 6]) {
         let mut t = Topology::new();
@@ -1386,17 +1311,14 @@ mod tests {
 
     #[test]
     fn unknown_and_double_teardown_agree() {
-        use std::sync::Arc;
-        let registry = Arc::new(rtcac_obs::Registry::new());
         let (mut net, route) = line_net(2, 32);
-        net.set_registry(&registry);
         let req = SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(100));
         let id = match net.setup(&route, req).unwrap() {
             SetupOutcome::Connected(info) => info.id(),
             other => panic!("expected connection, got {other:?}"),
         };
         // Teardown of a never-established id and a double teardown
-        // must return the *same* typed variant, and both are counted.
+        // must return the *same* typed variant.
         let unknown = net.teardown(ConnectionId::new(4242));
         assert!(
             matches!(unknown, Err(SignalError::UnknownConnection(u)) if u == ConnectionId::new(4242))
@@ -1404,43 +1326,25 @@ mod tests {
         net.teardown(id).unwrap();
         let doubled = net.teardown(id);
         assert!(matches!(doubled, Err(SignalError::UnknownConnection(u)) if u == id));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_total("signaling_teardowns_total"), 3);
-        assert_eq!(
-            snap.counter_with("signaling_teardowns_total", &[("outcome", "unknown")]),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter_with("signaling_teardowns_total", &[("outcome", "released")]),
-            Some(1)
-        );
     }
 
     #[test]
-    fn failure_metrics_and_events_recorded() {
-        use std::sync::Arc;
-        let registry = Arc::new(rtcac_obs::Registry::new());
+    fn link_failure_and_heal_are_signal_events() {
         let (mut net, route) = line_net(2, 32);
-        net.set_registry(&registry);
         let req = SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(100));
         assert!(net.setup(&route, req).unwrap().is_connected());
         let link = route.links()[0];
         net.fail_link(link).unwrap();
         net.heal_link(link).unwrap();
-        let snap = registry.snapshot();
+        assert!(net.orphaned_reservations().is_empty());
         assert_eq!(
-            snap.counter_with("signaling_element_failures_total", &[("element", "link")]),
-            Some(1)
+            net.events()
+                .iter()
+                .filter(|e| matches!(e, SignalEvent::Released { .. }))
+                .count(),
+            1,
+            "the failover teardown releases the one connection"
         );
-        assert_eq!(
-            snap.counter_with("signaling_element_heals_total", &[("element", "link")]),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter_with("signaling_teardowns_total", &[("outcome", "failover")]),
-            Some(1)
-        );
-        assert_eq!(snap.gauge("signaling_orphaned_reservations"), Some(0));
         assert!(net
             .events()
             .iter()

@@ -1,7 +1,6 @@
 //! The slotted simulation engine.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use rtcac_bitstream::TrafficContract;
 use rtcac_cac::{ConnectionId, Priority};
@@ -65,7 +64,6 @@ pub struct Simulation {
     queue_capacity: Option<usize>,
     jitter: Option<Jitter>,
     connections: BTreeMap<ConnectionId, SimConnection>,
-    registry: Option<Arc<rtcac_obs::Registry>>,
 }
 
 /// Bounded random propagation jitter injected on switch output links,
@@ -89,15 +87,7 @@ impl Simulation {
             queue_capacity: None,
             jitter: None,
             connections: BTreeMap::new(),
-            registry: None,
         }
-    }
-
-    /// Publishes each run's aggregate counters and queue-depth gauges
-    /// to an explicit [`rtcac_obs::Registry`] instead of the
-    /// process-global one.
-    pub fn set_registry(&mut self, registry: Arc<rtcac_obs::Registry>) {
-        self.registry = Some(registry);
     }
 
     /// Mirrors all connections established in a CAC-managed network as
@@ -399,51 +389,10 @@ impl Simulation {
             stats.in_flight = stats.emitted + stats.duplicated - stats.delivered - stats.dropped;
         }
 
-        self.publish_observability(&port_stats, &conn_stats, slots);
-
         SimReport {
             ports: port_stats,
             connections: conn_stats,
             slots,
-        }
-    }
-
-    /// End-of-run observability fold (cold path: once per `run`, after
-    /// the slot loop). Counters accumulate across runs; queue-depth
-    /// gauges keep the maximum ever observed.
-    fn publish_observability(
-        &self,
-        port_stats: &BTreeMap<(LinkId, Priority), PortStats>,
-        conn_stats: &BTreeMap<ConnectionId, ConnectionStats>,
-        slots: u64,
-    ) {
-        let registry: &rtcac_obs::Registry = match &self.registry {
-            Some(r) => r,
-            None => match rtcac_obs::global() {
-                Some(r) => r,
-                None => return,
-            },
-        };
-        registry.counter("sim_runs_total").inc();
-        registry.counter("sim_slots_total").add(slots);
-        let mut emitted = 0u64;
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        for stats in conn_stats.values() {
-            emitted += stats.emitted + stats.duplicated;
-            delivered += stats.delivered;
-            dropped += stats.dropped;
-        }
-        registry.counter("sim_cells_emitted_total").add(emitted);
-        registry.counter("sim_cells_delivered_total").add(delivered);
-        registry.counter("sim_cells_dropped_total").add(dropped);
-        let delay = registry.histogram("sim_port_max_delay_slots");
-        for (&(_, priority), stats) in port_stats {
-            let label = priority.level().to_string();
-            registry
-                .gauge_with("sim_queue_depth_max_cells", &[("priority", &label)])
-                .record_max(stats.max_occupancy as u64);
-            delay.record(stats.max_delay);
         }
     }
 
@@ -622,10 +571,9 @@ mod tests {
     }
 
     #[test]
-    fn run_publishes_drop_counters_and_depth_gauges() {
-        // Same overloaded fan-in as `queue_capacity_causes_drops`, but
-        // with an explicit registry: the published counters must match
-        // the report exactly.
+    fn saturated_queue_report_counts_drops_and_emissions() {
+        // Same overloaded fan-in as `queue_capacity_causes_drops`: two
+        // full-rate sources into one 4-cell queue.
         let mut t = Topology::new();
         let a = t.add_end_system("a");
         let b = t.add_end_system("b");
@@ -633,7 +581,7 @@ mod tests {
         let d = t.add_end_system("d");
         t.add_link(a, s).unwrap();
         t.add_link(b, s).unwrap();
-        t.add_link(s, d).unwrap();
+        let out = t.add_link(s, d).unwrap();
         let ra = Route::from_nodes(&t, [a, s, d]).unwrap();
         let rb = Route::from_nodes(&t, [b, s, d]).unwrap();
         let mut sim = Simulation::new(&t);
@@ -648,37 +596,25 @@ mod tests {
             )
             .unwrap();
         }
-        let registry = Arc::new(rtcac_obs::Registry::new());
-        sim.set_registry(Arc::clone(&registry));
         let report = sim.run(200);
 
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("sim_runs_total"), Some(1));
-        assert_eq!(snap.counter("sim_slots_total"), Some(200));
-        assert_eq!(
-            snap.counter("sim_cells_dropped_total"),
-            Some(report.total_drops())
-        );
+        assert_eq!(report.slots(), 200);
+        // A cell is admitted while at most `capacity` cells sit ahead
+        // of it, so a saturated queue holds capacity + 1 cells.
+        let port = report.port(out, Priority::HIGHEST).unwrap();
+        assert_eq!(port.max_occupancy, 5);
+        assert_eq!(port.drops, report.total_drops());
+        // Two full-rate sources emit a cell each per slot; the one
+        // output link drains a cell per slot, so about half are lost.
         let emitted: u64 = report
             .connections()
             .map(|(_, c)| c.emitted + c.duplicated)
             .sum();
-        assert_eq!(snap.counter("sim_cells_emitted_total"), Some(emitted));
-        // The bounded queue saturated: the depth gauge shows it.
-        assert_eq!(
-            snap.gauge("sim_queue_depth_max_cells"),
-            None,
-            "gauge is labelled"
-        );
-        let depth = snap
-            .gauges
-            .iter()
-            .find(|(id, _)| id.name() == "sim_queue_depth_max_cells")
-            .map(|&(_, v)| v)
-            .unwrap();
-        // A cell is admitted while at most `capacity` cells sit ahead
-        // of it, so a saturated queue holds capacity + 1 cells.
-        assert_eq!(depth, 5);
+        assert_eq!(emitted, 400);
+        assert_eq!(report.total_drops(), 195);
+        let delivered: u64 = report.connections().map(|(_, c)| c.delivered).sum();
+        let in_flight: u64 = report.connections().map(|(_, c)| c.in_flight).sum();
+        assert_eq!(emitted, delivered + report.total_drops() + in_flight);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use format::{
     SnapshotDoc, TopologySpec, MAGIC, MAX_SNAPSHOT, MIN_VERSION, VERSION,
 };
 pub use ops::{
-    adopt_into, diff, inspect, load_file, recapture, restore_engine, restore_engine_with_registry,
-    save_atomic, sections_of, snapshot_engine, topology_of,
+    adopt_into, diff, inspect, load_file, recapture, restore_engine, save_atomic, sections_of,
+    snapshot_engine, topology_of,
 };
 /// The snapshot's section and whole-file checksum — the one FNV-1a of
 /// the shared codec.

@@ -3,7 +3,6 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
 
 use rtcac_engine::{AdmissionEngine, EngineState};
 use rtcac_net::Topology;
@@ -34,18 +33,6 @@ pub fn snapshot_engine(engine: &AdmissionEngine, origin: &str) -> SnapshotDoc {
 pub fn restore_engine(doc: &SnapshotDoc) -> Result<AdmissionEngine, SnapError> {
     let topology = doc.topology.build()?;
     Ok(AdmissionEngine::from_state(topology, &doc.state)?)
-}
-
-/// As [`restore_engine`], but recording metrics into an explicit
-/// observability registry.
-pub fn restore_engine_with_registry(
-    doc: &SnapshotDoc,
-    registry: Arc<rtcac_obs::Registry>,
-) -> Result<AdmissionEngine, SnapError> {
-    let topology = doc.topology.build()?;
-    Ok(AdmissionEngine::from_state_with_registry(
-        topology, &doc.state, registry,
-    )?)
 }
 
 /// Restores a snapshot **into** a running engine in place (the serve

@@ -7,8 +7,6 @@
 //!   admission decisions** to the uninterrupted original on the same
 //!   subsequent submission stream.
 
-use std::sync::Arc;
-
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract, VbrParams};
 use rtcac_cac::{ConnectionId, Priority, SwitchConfig};
 use rtcac_engine::{AdmissionEngine, EngineOutcome};
@@ -296,15 +294,6 @@ fn save_atomic_and_load_file_roundtrip() {
     assert!(rtcac_snap::diff(&path, &path).unwrap().is_empty());
 
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn restore_into_registry_engine_works() {
-    let (engine, _, _) = churned_engine(0xCAFE, 50);
-    let doc = snapshot_engine(&engine, "metrics");
-    let registry = Arc::new(rtcac_obs::Registry::new());
-    let restored = rtcac_snap::restore_engine_with_registry(&doc, registry).unwrap();
-    assert_eq!(restored.export_state(), engine.export_state());
 }
 
 #[test]

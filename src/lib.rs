@@ -27,8 +27,8 @@
 //!   DRAIN / STATS), a blocking client sharing the same codec, and a
 //!   multi-threaded traffic source;
 //! - [`obs`] — std-only observability: counters, log2 histograms,
-//!   trace spans, a bounded event ring, and Prometheus/JSON
-//!   exposition, wired through the engine, signaling, and simulator;
+//!   causal tracing, a bounded event ring and Prometheus/JSON
+//!   exposition, fed by the registry the admission engine is handed;
 //! - [`snap`] — versioned snapshots and warm restart of admission
 //!   state;
 //! - [`storm`] — the adversarial workloads: seeded link/node fault
